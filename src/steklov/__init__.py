@@ -38,6 +38,7 @@ from .assembly import (
 from .eigensolver import (
     EigenPair,
     SolverOptions,
+    boundary_operator,
     eigenpair_from_json,
     eigenpair_to_json,
     random_positive_start,
@@ -117,6 +118,7 @@ __all__ = [
     "bathtub",
     "bathtub_objective",
     "binarize",
+    "boundary_operator",
     "boundary_p_norm",
     "boundary_p_power",
     "cap_indicator",

@@ -255,14 +255,24 @@ def energy_gradient(mesh, u, phi, params):
     out += p * g.lumped_mass * _signed_power(vals, p - 1.0)
 
     if params.sigma != 0.0:
-        loop = mesh.boundary_loop
-        pv = _phi_values(phi, mesh)
-        half = 0.5 * pv * mesh.edge_lengths
-        bw = np.zeros(mesh.n_vertices)
-        np.add.at(bw, loop[:, 0], half)
-        np.add.at(bw, loop[:, 1], half)
+        bw = density_weights(mesh, phi)
         out += params.sigma * p * bw * _signed_power(vals, p - 1.0)
     return out
+
+
+def density_weights(mesh, phi):
+    """Nodal trapezoid weights of the phi-weighted boundary mass.
+
+    ``sigma * density_weights(mesh, phi)`` is the diagonal that the coupling
+    adds to the p = 2 operator; it is zero off the boundary.
+    """
+    pv = _phi_values(phi, mesh)
+    loop = mesh.boundary_loop
+    half = 0.5 * pv * mesh.edge_lengths
+    bw = np.zeros(mesh.n_vertices)
+    np.add.at(bw, loop[:, 0], half)
+    np.add.at(bw, loop[:, 1], half)
+    return bw
 
 
 def boundary_power_gradient(mesh, u, p):
@@ -304,13 +314,7 @@ def assemble_linear(mesh, phi, sigma):
     summed = np.add.reduceat(vals, starts)
     stiff = sp.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
 
-    pv = _phi_values(phi, mesh)
-    loop = mesh.boundary_loop
-    half = 0.5 * pv * mesh.edge_lengths
-    bphi = np.zeros(n)
-    np.add.at(bphi, loop[:, 0], half)
-    np.add.at(bphi, loop[:, 1], half)
-
+    bphi = density_weights(mesh, phi)
     A = (stiff + sp.diags(g.lumped_mass + sigma * bphi)).tocsr()
     Mb = sp.diags(g.boundary_weights).tocsr()
     return A, Mb

@@ -3,19 +3,40 @@
 The object minimized is R(u) = energy(u, phi, params) / boundary_p_norm(u)^p.
 For p = 2 the minimizer solves the generalized problem A u = lambda Mb u
 (Mb is the boundary mass, singular on interior nodes) and is computed by
-inverse power iteration with a reused factorization.  For general p > 1 a
-projected descent with Barzilai-Borwein steps and an Armijo backtracking
-safeguard is used; every accepted step decreases R, so warm-started solves
-never increase the eigenvalue estimate.
+inverse power iteration.  For general p > 1 a projected descent with
+Barzilai-Borwein steps and an Armijo backtracking safeguard is used; every
+accepted step decreases R, so warm-started solves never increase the
+eigenvalue estimate.
+
+The p = 2 iteration runs on one of two routes with the same iterates:
+
+- plain: a sparse LU of the full n x n matrix for every solve (diagonally
+  preconditioned CG above ``_DIRECT_SOLVE_LIMIT`` unknowns);
+- reduced: phi and sigma enter A only on the boundary diagonal, so all
+  solves on one mesh share the interior block.  :func:`boundary_operator`
+  eliminates it once, giving the dense B x B Steklov-Poincare matrix S0
+  (Quarteroni & Valli, Domain Decomposition Methods for PDEs, 1999), and
+  each solve then factors ``S0 + sigma * diag(b_phi)`` by dense Cholesky
+  and recovers the interior values once at the end.
+
+``optimize_potential`` and ``shape_derivative_fd`` build the operator before
+their loops when p = 2, as do the CLI's ``sigma-sweep`` and
+``symmetry-check`` before their thread pools; ``solve_linear`` and the
+p = 2 ``solve_dirichlet`` use it when the mesh has one and never build it,
+so a single solve pays for no precompute.  An operator holds the sparse LU
+of the interior block (about the size of one plain factorization) plus
+B^2 * 8 bytes for S0 (2 MB at B = 504) until its mesh is garbage collected.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import assembly
@@ -34,6 +55,19 @@ from .errors import InfeasibleConstraintError
 # Above this many unknowns the inner solves switch from a reused direct
 # factorization to diagonally preconditioned CG.
 _DIRECT_SOLVE_LIMIT = 200_000
+
+# splu options for a symmetric positive definite matrix that is already in a
+# fill-reducing order: no row pivoting and no column reordering (symmetric
+# mode also skips SuperLU's elimination-tree postorder), so the trailing
+# rows of the factor belong to the trailing vertices.
+_IN_ORDER = {
+    "permc_spec": "NATURAL",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+
+# Nested dissection stops splitting parts of at most this many vertices.
+_DISSECTION_LEAF = 8
 
 
 @dataclass(frozen=True)
@@ -103,16 +137,20 @@ def rayleigh(mesh, u, phi, params):
 
 
 def _make_solver(A):
-    """Return a callable solving A x = b, direct or CG depending on size."""
+    """Return a callable solving A x = b, direct or CG depending on size.
+
+    The CG solver starts each solve from its previous solution.
+    """
     n = A.shape[0]
     if n <= _DIRECT_SOLVE_LIMIT:
-        lu = spla.splu(A.tocsc())
-        return lambda b, x0=None: lu.solve(b)
+        return spla.splu(A.tocsc()).solve
     dinv = 1.0 / A.diagonal()
     precond = spla.LinearOperator(A.shape, matvec=lambda x: dinv * x)
+    x = None
 
-    def solve(b, x0=None):
-        x, info = spla.cg(A, b, x0=x0, M=precond, rtol=1e-12, atol=0.0, maxiter=20 * n)
+    def solve(b):
+        nonlocal x
+        x, info = spla.cg(A, b, x0=x, M=precond, rtol=1e-12, atol=0.0, maxiter=20 * n)
         if info != 0:
             raise np.linalg.LinAlgError(f"CG failed to converge (info={info})")
         return x
@@ -120,30 +158,215 @@ def _make_solver(A):
     return solve
 
 
-def _inverse_iteration(A, Mb, tol, max_iters, u0):
-    """Smallest finite eigenpair of ``A u = lam Mb u`` by inverse power steps."""
-    solve = _make_solver(A)
-    u = u0 / np.sqrt(u0 @ (Mb @ u0))
-    lam = float(u @ (A @ u))
+def _inverse_iteration(apply_A, mb, solve, lam, u, tol, max_iters):
+    """Inverse power steps for the smallest finite eigenpair of A u = lam diag(mb) u.
+
+    ``u`` is the normalized start and ``lam`` its Rayleigh quotient;
+    ``solve`` applies A^-1.  Stops once lam moves by at most ``tol``
+    relative.  Returns ``(lam, u, iterations, converged)``.
+    """
     iters = 0
     converged = False
-    x_prev = None
     for iters in range(1, max_iters + 1):
-        w = solve(Mb @ u, x0=x_prev)
-        x_prev = w
-        norm = np.sqrt(w @ (Mb @ w))
+        w = solve(mb * u)
+        norm = np.sqrt(w @ (mb * w))
         if norm == 0.0 or not np.isfinite(norm):
             break
         w = w / norm
-        lam_new = float(w @ (A @ w))
+        lam_new = float(w @ apply_A(w))
         u = w
         delta = abs(lam_new - lam)
         lam = lam_new
         if delta <= tol * abs(lam_new):
             converged = True
             break
-    r = A @ u - lam * (Mb @ u)
-    residual = float(np.linalg.norm(r) / max(np.linalg.norm(A @ u), 1e-300))
+    return lam, u, iters, converged
+
+
+def _relative_residual(Au, Mu, lam):
+    return float(np.linalg.norm(Au - lam * Mu) / max(np.linalg.norm(Au), 1e-300))
+
+
+def _plain_iteration(A, mb, u0, tol, max_iters):
+    """Inverse iteration with a fresh factorization of the sparse matrix A."""
+    u = u0 / np.sqrt(u0 @ (mb * u0))
+    lam, u, iters, converged = _inverse_iteration(
+        A.__matmul__, mb, _make_solver(A), float(u @ (A @ u)), u, tol, max_iters
+    )
+    return lam, u, iters, _relative_residual(A @ u, mb * u, lam), converged
+
+
+class BoundaryOperator:
+    """The p = 2 operator of one mesh, reduced to its boundary vertices.
+
+    ``A0`` is the part of A that depends on neither phi nor sigma (stiffness
+    plus lumped mass); the coupling adds ``sigma * density_weights`` to the
+    boundary diagonal only.  ``S0 = A0_bb - A0_bi A0_ii^-1 A0_ib`` is the
+    dense discrete Steklov-Poincare matrix, its rows and columns ordered
+    like ``mesh.boundary_vertices``.  Instances are never modified after
+    construction, so threads share them.
+    """
+
+    def __init__(self, A0, S0, boundary, interior, coupling, interior_lu):
+        self.A0 = A0
+        self.S0 = S0
+        self._boundary = boundary
+        self._interior = interior
+        self._coupling = coupling  # A0 rows of the interior, boundary columns
+        self._interior_lu = interior_lu
+
+    def extend(self, ub):
+        """The field with boundary values ``ub`` that is A0-harmonic inside."""
+        u = np.empty(self.A0.shape[0])
+        u[self._boundary] = ub
+        u[self._interior] = -self._interior_lu.solve(self._coupling @ ub)
+        return u
+
+
+def _nested_dissection(mesh):
+    """Interior vertices in a geometric nested-dissection order.
+
+    Level by level, every part with more than ``_DISSECTION_LEAF`` vertices
+    is cut at the median of its longer coordinate extent, and the vertices
+    of the upper half that share an edge with the lower half become the
+    part's separator.  Parts are numbered like a binary heap (the halves of
+    part k are 2k and 2k + 1), and the order lists both halves of a part
+    before its separator (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    interior = np.flatnonzero(~mesh.is_boundary_vertex)
+    m = len(interior)
+    xy = mesh.vertices[interior]
+    local = np.full(mesh.n_vertices, -1)
+    local[interior] = np.arange(m)
+    t = mesh.triangles
+    edges = local[np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])]
+    a, b = edges[(edges >= 0).all(axis=1)].T
+    part = np.ones(m, dtype=np.int64)
+    unplaced = np.ones(m, dtype=bool)  # not yet in any separator
+    while True:
+        sizes = np.bincount(part[unplaced], minlength=part.max() + 1)
+        cut = unplaced & (sizes[part] > _DISSECTION_LEAF)
+        sel = np.flatnonzero(cut)
+        if sel.size == 0:
+            break
+        k = part[sel]
+        lo = np.full((k.max() + 1, 2), np.inf)
+        hi = -lo
+        np.minimum.at(lo, k, xy[sel])
+        np.maximum.at(hi, k, xy[sel])
+        coord = xy[sel, np.argmax(hi - lo, axis=1)[k]]
+        order = np.lexsort((coord, k))
+        rank = np.empty(sel.size, dtype=np.int64)
+        rank[order] = np.arange(sel.size) - np.searchsorted(k[order], k[order])
+        part[sel] = 2 * k + (rank >= sizes[k] // 2)
+        crossing = cut[a] & cut[b] & (part[a] != part[b]) & (part[a] // 2 == part[b] // 2)
+        upper = np.where(part[a] % 2 == 1, a, b)[crossing]
+        separator = np.unique(upper)
+        part[separator] //= 2
+        unplaced[separator] = False
+
+    top = int(part.max())
+    post = np.empty(top + 1, dtype=np.int64)
+    count = 0
+    stack = [(1, False)]
+    while stack:
+        k, halves_done = stack.pop()
+        if k > top:
+            continue
+        if halves_done:
+            post[k] = count
+            count += 1
+        else:
+            stack += [(k, True), (2 * k + 1, False), (2 * k, False)]
+    return interior[np.argsort(post[part], kind="stable")]
+
+
+def _build_boundary_operator(mesh):
+    """Factor A0 once with the boundary last and read S0 off the factor.
+
+    Returns None when the mesh has no interior vertex or the factorization
+    did not keep the boundary block in place.
+    """
+    if mesh.is_boundary_vertex.all():
+        return None
+    interior = _nested_dissection(mesh)
+    ni = len(interior)
+    boundary = mesh.boundary_vertices
+    A0, _ = assembly.assemble_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0)
+    order = np.concatenate([interior, boundary])
+    A = A0[order][:, order].tocsc()
+    lu = spla.splu(A, **_IN_ORDER)
+    kept = np.arange(ni, mesh.n_vertices)
+    if not (np.array_equal(lu.perm_r[ni:], kept) and np.array_equal(lu.perm_c[ni:], kept)):
+        return None
+    # Unpivoted LU of a symmetric matrix has L = U^T D^-1 with D = diag(U),
+    # so the Schur complement L_bb U_bb equals U_bb^T D_bb^-1 U_bb.
+    U_bb = lu.U[ni:, ni:].toarray()
+    # Reading U made the object cache both factors as CSC copies; free all
+    # of it before the interior factorization that recovery keeps.
+    del lu
+    R = U_bb / np.sqrt(np.diag(U_bb))[:, None]
+    S0 = R.T @ R
+    interior_lu = spla.splu(A[:ni, :ni], **_IN_ORDER)
+    return BoundaryOperator(A0, S0, boundary, interior, A[:ni, ni:].tocsr(), interior_lu)
+
+
+_operators = weakref.WeakKeyDictionary()
+_operators_lock = threading.Lock()
+
+
+def boundary_operator(mesh):
+    """The mesh's :class:`BoundaryOperator`, built on the first call and cached.
+
+    Returns None above ``_DIRECT_SOLVE_LIMIT`` unknowns and when no operator
+    can be built; solvers then take the plain path.  Threads asking for the
+    same mesh wait for one build.
+    """
+    if mesh.n_vertices > _DIRECT_SOLVE_LIMIT:
+        return None
+    with _operators_lock:
+        if mesh not in _operators:
+            _operators[mesh] = _build_boundary_operator(mesh)
+        return _operators[mesh]
+
+
+def _reduced_iteration(mesh, op, d, u0, free, tol, max_iters):
+    """The inverse iteration of ``A0 + diag(d)`` run on the boundary.
+
+    ``d`` is zero off the boundary, so every iterate after the start is
+    A0-harmonic inside and the loop runs on ``S0 + diag(d_b)`` restricted
+    to the boundary positions ``free`` (the others are pinned to zero); the
+    interior is recovered once at the end.  The start, the eigenvalue and
+    the residual, taken over the rows of the unpinned vertices, use the full
+    operator.  Returns ``(lam, u, iterations, residual, converged)``.
+    """
+    mb = assembly.geometry(mesh).boundary_weights
+
+    def apply_A(v):
+        return op.A0 @ v + d * v
+
+    u = u0 / np.sqrt(u0 @ (mb * u0))
+    lam = float(u @ apply_A(u))
+    idx = mesh.boundary_vertices[free]
+    S = op.S0[np.ix_(free, free)]
+    S[np.diag_indices_from(S)] += d[idx]
+    factor = sla.cho_factor(S)
+    lam, ub, iters, converged = _inverse_iteration(
+        S.__matmul__,
+        mb[idx],
+        lambda rhs: sla.cho_solve(factor, rhs),
+        lam,
+        u[idx],
+        tol,
+        max_iters,
+    )
+    if iters:
+        trace = np.zeros(mesh.n_boundary_edges)
+        trace[free] = ub
+        u = op.extend(trace)
+    rows = np.ones(mesh.n_vertices, dtype=bool)
+    rows[mesh.boundary_vertices[~free]] = False
+    residual = _relative_residual(apply_A(u)[rows], mb[rows] * u[rows], lam)
     return lam, u, iters, residual, converged
 
 
@@ -158,20 +381,30 @@ def _finish_sign(mesh, u):
 def solve_linear(mesh, phi, sigma, opts=None, start=None):
     """First eigenpair of the p = 2 problem for boundary density phi.
 
-    Returns a converged flag rather than raising on iteration-limit hits;
-    the returned eigenfunction is normalized to unit boundary 2-norm and
-    sign-fixed to nonnegative boundary mean.
+    Runs on the mesh's cached boundary operator when one has been built
+    (see :func:`boundary_operator`), on a fresh sparse factorization
+    otherwise.  Returns a converged flag rather than raising on
+    iteration-limit hits; the returned eigenfunction is normalized to unit
+    boundary 2-norm and sign-fixed to nonnegative boundary mean.
     """
     opts = opts or SolverOptions()
     tol = opts.resolved_tol(2.0)
-    A, Mb = assembly.assemble_linear(mesh, phi, sigma)
     if start is None:
         u0 = np.ones(mesh.n_vertices)
     else:
         u0 = np.array(assembly._as_values(start, mesh), dtype=np.float64)
-    lam, u, iters, residual, converged = _inverse_iteration(
-        A, Mb, tol, opts.max_iters, u0
-    )
+    op = _operators.get(mesh)
+    if op is None:
+        A, Mb = assembly.assemble_linear(mesh, phi, sigma)
+        lam, u, iters, residual, converged = _plain_iteration(
+            A, Mb.diagonal(), u0, tol, opts.max_iters
+        )
+    else:
+        d = sigma * assembly.density_weights(mesh, phi)
+        free = np.ones(mesh.n_boundary_edges, dtype=bool)
+        lam, u, iters, residual, converged = _reduced_iteration(
+            mesh, op, d, u0, free, tol, opts.max_iters
+        )
     u = _finish_sign(mesh, u)
     return EigenPair(
         lam=lam,
@@ -180,7 +413,7 @@ def solve_linear(mesh, phi, sigma, opts=None, start=None):
         residual=residual,
         converged=converged,
         positivity_violation=bool(u.min() < -1e-8),
-        diagnostics={"method": "inverse_iteration"},
+        diagnostics={"method": "inverse_iteration", "boundary_operator": op is not None},
     )
 
 
@@ -298,15 +531,13 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
 
     Minimizes the sigma-free quotient over fields vanishing at every
     boundary vertex whose arc coordinate lies in a closed arc of ``region``;
-    for p = 2 this is a reduced generalized eigenproblem.
+    for p = 2 this is a reduced generalized eigenproblem, run on the principal
+    submatrix of the cached boundary operator's ``S0`` when the mesh has one.
     """
     opts = opts or SolverOptions()
     params = ProblemParams(p=params.p, sigma=0.0, eps_reg=params.eps_reg)
 
-    svals = mesh.boundary_vertex_arclength
-    constrained_b = np.array(
-        [region.contains(s, closed=True) for s in svals], dtype=bool
-    )
+    constrained_b = region.contains_array(mesh.boundary_vertex_arclength, closed=True)
     if constrained_b.all():
         raise InfeasibleConstraintError(
             "region covers every boundary vertex; no admissible trace remains"
@@ -315,21 +546,26 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
     frozen[mesh.boundary_vertices[constrained_b]] = True
 
     if params.p == 2.0:
-        phi0 = BoundaryDensity.constant(mesh, 0.0)
-        A, Mb = assembly.assemble_linear(mesh, phi0, 0.0)
-        free = ~frozen
-        idx = np.flatnonzero(free)
-        Aff = A[np.ix_(idx, idx)].tocsr()
-        Mff = sp.diags(Mb.diagonal()[idx]).tocsr()
+        tol = opts.resolved_tol(2.0)
         if start is None:
-            u0 = np.ones(len(idx))
+            u0 = np.ones(mesh.n_vertices)
         else:
-            u0 = np.array(assembly._as_values(start, mesh))[idx]
-        lam, uf, iters, residual, converged = _inverse_iteration(
-            Aff, Mff, opts.resolved_tol(2.0), opts.max_iters, u0
-        )
-        u = np.zeros(mesh.n_vertices)
-        u[idx] = uf
+            u0 = np.array(assembly._as_values(start, mesh), dtype=np.float64)
+        u0[frozen] = 0.0
+        op = _operators.get(mesh)
+        if op is None:
+            phi0 = BoundaryDensity.constant(mesh, 0.0)
+            A, Mb = assembly.assemble_linear(mesh, phi0, 0.0)
+            idx = np.flatnonzero(~frozen)
+            lam, uf, iters, residual, converged = _plain_iteration(
+                A[np.ix_(idx, idx)].tocsr(), Mb.diagonal()[idx], u0[idx], tol, opts.max_iters
+            )
+            u = np.zeros(mesh.n_vertices)
+            u[idx] = uf
+        else:
+            lam, u, iters, residual, converged = _reduced_iteration(
+                mesh, op, np.zeros(mesh.n_vertices), u0, ~constrained_b, tol, opts.max_iters
+            )
         u = _finish_sign(mesh, u)
         return EigenPair(
             lam=lam,
@@ -340,6 +576,7 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
             positivity_violation=bool(u.min() < -1e-8),
             diagnostics={
                 "method": "inverse_iteration_reduced",
+                "boundary_operator": op is not None,
                 "constrained_vertices": int(frozen.sum()),
             },
         )

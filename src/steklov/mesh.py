@@ -481,3 +481,15 @@ class RegionSpec:
             if closed and (d <= length + tol or d >= self.perimeter - tol):
                 return True
         return False
+
+    def contains_array(self, s, closed=False, tol=1e-12):
+        """:meth:`contains` for every entry of an array of arc coordinates."""
+        s = np.asarray(s, dtype=np.float64) % self.perimeter
+        if not self.arcs:
+            return np.zeros(s.shape, dtype=bool)
+        starts, lengths = np.array(self.arcs).T
+        d = (s[..., None] - starts) % self.perimeter
+        inside = d < lengths
+        if closed:
+            inside |= (d <= lengths + tol) | (d >= self.perimeter - tol)
+        return inside.any(axis=-1)

@@ -1,0 +1,183 @@
+"""The cached boundary operator against the plain p = 2 path.
+
+Each mesh is generated inside its test, so no other test can have built an
+operator for it: the first solve runs the plain path, and the same solve
+after ``boundary_operator(mesh)`` runs the reduced one.
+"""
+
+import json
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from steklov import (
+    Mesh,
+    ProblemParams,
+    RegionSpec,
+    SolverOptions,
+    boundary_operator,
+    generate_disk,
+    generate_rectangle,
+    optimize_potential,
+    random_admissible,
+    solve_dirichlet,
+    solve_linear,
+)
+from steklov import eigensolver, rearrange
+from steklov.cli import main
+
+
+def l_shape():
+    """File-kind L-shaped mesh: the unit square minus its upper-right quarter."""
+    square = generate_rectangle(1.0, 1.0, 0.1)
+    centroids = square.vertices[square.triangles].mean(axis=1)
+    keep = square.triangles[~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5))]
+    used, triangles = np.unique(keep, return_inverse=True)
+    return Mesh(square.vertices[used], triangles.reshape(-1, 3))
+
+
+MESHES = {
+    "disk": lambda: generate_disk(0.1),
+    "rectangle": lambda: generate_rectangle(2.0, 1.0, 0.15),
+    "coarse-disk": lambda: generate_disk(0.524),  # the octagon_boundary_mesh fixture
+    "l-shape-file": l_shape,
+}
+OPTIONS = [SolverOptions(), SolverOptions(max_iters=1)]
+
+
+def assert_same_pair(plain, reduced):
+    assert plain.diagnostics["boundary_operator"] is False
+    assert reduced.diagnostics["boundary_operator"] is True
+    assert reduced.lam == pytest.approx(plain.lam, rel=1e-12)
+    assert reduced.iterations == plain.iterations
+    assert reduced.converged == plain.converged
+    np.testing.assert_allclose(reduced.u.values, plain.u.values, rtol=0, atol=1e-10)
+    assert reduced.residual == pytest.approx(plain.residual, rel=1e-3)
+
+
+@pytest.mark.parametrize("opts", OPTIONS, ids=["default", "one-step"])
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_reduced_path_repeats_the_plain_iteration(name, opts):
+    mesh = MESHES[name]()
+    mass = 0.3 * mesh.perimeter
+    phi_a = random_admissible(mesh, mass, seed=1)
+    phi_b = random_admissible(mesh, mass, seed=2)
+    region = RegionSpec.from_intervals([(0.1, 0.1 + mass)], mesh.perimeter)
+
+    def solves():
+        cold = solve_linear(mesh, phi_a, 5.0, opts)
+        warm = solve_linear(mesh, phi_b, 5.0, opts, start=cold.u)
+        pinned = solve_dirichlet(mesh, region, ProblemParams(), opts)
+        return cold, warm, pinned
+
+    plain = solves()
+    assert boundary_operator(mesh) is not None
+    for p, r in zip(plain, solves()):
+        assert_same_pair(p, r)
+
+
+def test_optimize_takes_the_same_steps_on_both_paths(monkeypatch):
+    params = ProblemParams(p=2.0, sigma=5.0)
+
+    def run():
+        mesh = generate_disk(0.1)
+        return optimize_potential(mesh, params, math.pi / 2, phi0="random")
+
+    with monkeypatch.context() as m:
+        m.setattr(rearrange, "boundary_operator", lambda mesh: None)
+        plain = run()
+    reduced = run()
+
+    assert reduced.outer_iterations == plain.outer_iterations > 1
+    np.testing.assert_allclose(reduced.lambdas, plain.lambdas, rtol=1e-12)
+    for trace in (plain, reduced):
+        assert all(b <= a for a, b in zip(trace.lambdas, trace.lambdas[1:]))
+
+
+def test_mesh_without_interior_vertices_keeps_the_plain_path():
+    square = Mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2], [0, 2, 3]])
+    assert boundary_operator(square) is None
+    trace = optimize_potential(square, ProblemParams(p=2.0, sigma=5.0), 1.0)
+    assert trace.converged
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    built = []
+    build = eigensolver._build_boundary_operator
+
+    def counting(mesh):
+        built.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(eigensolver, "_build_boundary_operator", counting)
+    return built
+
+
+def test_concurrent_requests_build_once(count_builds):
+    mesh = generate_disk(0.1)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(boundary_operator(mesh)))
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(op is results[0] for op in results)
+    assert count_builds == [mesh]
+
+
+def test_parallel_sweep_matches_serial_sweep(tmp_path, count_builds):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "geometry": {"type": "disk", "h": 0.1},
+                "params": {"p": 2.0, "sigma": 1.0},
+                "mass": math.pi / 2,
+                "sigma_list": [1.0, 5.0, 25.0, 125.0],
+            }
+        ),
+        encoding="utf-8",
+    )
+    sweeps = {}
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["sigma-sweep", "--config", str(config), "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 0
+        sweeps[jobs] = (out / "sweep.csv").read_text(encoding="utf-8")
+    assert sweeps["3"] == sweeps["1"]
+    assert len(count_builds) == 2  # each CLI run builds its own mesh, once
+    assert count_builds[0] is not count_builds[1]
+
+
+def test_cg_fallback_matches_direct_solve_and_builds_nothing(monkeypatch, count_builds):
+    mesh = generate_disk(0.2)
+    phi = random_admissible(mesh, 1.5, seed=3)
+    direct = solve_linear(mesh, phi, 5.0)
+
+    monkeypatch.setattr(eigensolver, "_DIRECT_SOLVE_LIMIT", mesh.n_vertices - 1)
+    assert boundary_operator(mesh) is None
+    cg = solve_linear(mesh, phi, 5.0)
+    assert cg.converged
+    assert cg.diagnostics["boundary_operator"] is False
+    assert cg.lam == pytest.approx(direct.lam, rel=1e-8)
+    np.testing.assert_allclose(cg.u.values, direct.u.values, atol=1e-6)
+
+    trace = optimize_potential(mesh, ProblemParams(p=2.0, sigma=5.0), 1.5)
+    assert trace.converged
+    assert count_builds == []
+    assert mesh not in eigensolver._operators

@@ -270,6 +270,31 @@ def test_region_closed_contains_endpoints():
     assert region.contains(1.0)
 
 
+REGIONS = {
+    "wraps-through-zero": RegionSpec.from_intervals([(5.0, 1.0), (2.0, 3.5)], 6.0),
+    "hairline": RegionSpec.from_intervals([(2.0, 2.0 + 1e-13)], 6.0),
+    "hairline-at-zero": RegionSpec.from_intervals([(6.0 - 5e-13, 5e-13)], 6.0),
+    "empty": RegionSpec(arcs=(), perimeter=6.0),
+}
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("name", sorted(REGIONS))
+def test_region_contains_array_matches_scalar_contains(name, closed):
+    region = REGIONS[name]
+    probes = [0.0, 6.0, -6.0, 12.0, 3.0]
+    for start, length in region.arcs:
+        for edge in (start, start + length):
+            probes += [edge + k * 1e-13 for k in range(-15, 16)]
+            probes += [edge - 6.0, edge + 6.0]
+    probes += list(np.linspace(-1.0, 7.0, 801))
+    s = np.array(probes)
+    expected = [region.contains(float(v), closed=closed) for v in s]
+    assert region.contains_array(s, closed=closed).tolist() == expected
+    wide = [region.contains(float(v), closed=closed, tol=1e-3) for v in s]
+    assert region.contains_array(s, closed=closed, tol=1e-3).tolist() == wide
+
+
 @given(
     st.lists(
         st.tuples(
