@@ -43,7 +43,6 @@ from .eigensolver import (
     eigenpair_to_json,
     random_positive_start,
     rayleigh,
-    save_eigenpair,
     solve_dirichlet,
     solve_linear,
     solve_nonlinear,
@@ -78,8 +77,6 @@ from .rearrange import (
     optimize_potential,
     random_admissible,
     rasterize_region,
-    save_trace,
-    save_trace_csv,
     support_region,
     trace_to_json,
 )
@@ -141,9 +138,6 @@ __all__ = [
     "rasterize_region",
     "rayleigh",
     "report_to_json",
-    "save_eigenpair",
-    "save_trace",
-    "save_trace_csv",
     "serialize_mesh",
     "shape_derivative_fd",
     "shape_derivative_formula",

@@ -157,12 +157,8 @@ class _Geometry:
         np.add.at(lumped, t.ravel(), np.repeat(self.areas / 3.0, 3))
         self.lumped_mass = lumped
 
-        loop = mesh.boundary_loop
-        half = 0.5 * mesh.edge_lengths
-        bweights = np.zeros(n)
-        np.add.at(bweights, loop[:, 0], half)
-        np.add.at(bweights, loop[:, 1], half)
-        self.boundary_weights = bweights  # unweighted trapezoid, zero off-boundary
+        # unweighted trapezoid, zero off-boundary
+        self.boundary_weights = density_weights(mesh, np.ones(mesh.n_boundary_edges))
 
 
 _geometry_cache = weakref.WeakKeyDictionary()
@@ -195,34 +191,32 @@ def energy(mesh, u, phi, params):
     total = float(np.dot(gnorm**p, g.areas))
     total += float(np.dot(g.lumped_mass, np.abs(vals) ** p))
     if params.sigma != 0.0:
-        total += params.sigma * _boundary_term(mesh, vals, phi, p)
+        weighted = _phi_values(phi, mesh) * mesh.edge_lengths
+        total += params.sigma * float(np.dot(weighted, trace_weights(mesh, vals, p)))
     return total
 
 
-def _boundary_term(mesh, vals, phi, p):
+def trace_weights(mesh, u, p):
+    """Per-edge trapezoid trace weight ``(|u_i|^p + |u_j|^p)/2``, in loop order.
+
+    The boundary p-norm, the coupling term of :func:`energy` and the bathtub
+    refill all integrate the trace with these weights.
+    """
+    vals = _as_values(u, mesh)
     loop = mesh.boundary_loop
-    pv = _phi_values(phi, mesh)
     ui = np.abs(vals[loop[:, 0]]) ** p
     uj = np.abs(vals[loop[:, 1]]) ** p
-    return float(np.dot(pv * mesh.edge_lengths, 0.5 * (ui + uj)))
+    return 0.5 * (ui + uj)
 
 
 def boundary_p_norm(mesh, u, p):
     """Trapezoid-rule L^p norm of the boundary trace of u."""
-    vals = _as_values(u, mesh)
-    loop = mesh.boundary_loop
-    ui = np.abs(vals[loop[:, 0]]) ** p
-    uj = np.abs(vals[loop[:, 1]]) ** p
-    return float(np.dot(mesh.edge_lengths, 0.5 * (ui + uj))) ** (1.0 / p)
+    return boundary_p_power(mesh, u, p) ** (1.0 / p)
 
 
 def boundary_p_power(mesh, u, p):
     """The p-th power of :func:`boundary_p_norm` (the constraint functional)."""
-    vals = _as_values(u, mesh)
-    loop = mesh.boundary_loop
-    ui = np.abs(vals[loop[:, 0]]) ** p
-    uj = np.abs(vals[loop[:, 1]]) ** p
-    return float(np.dot(mesh.edge_lengths, 0.5 * (ui + uj)))
+    return float(np.dot(mesh.edge_lengths, trace_weights(mesh, u, p)))
 
 
 def _signed_power(vals, q):

@@ -43,8 +43,8 @@ from .assembly import BoundaryDensity, ProblemParams, density_to_json, load_dens
 from .eigensolver import (
     EigenPair,
     SolverOptions,
-    boundary_operator,
     eigenpair_to_json,
+    prepare_repeated_solves,
     solve_dirichlet,
     solve_linear,
     solve_nonlinear,
@@ -337,17 +337,6 @@ def _solve_fixed_potential(
     return solve_nonlinear(mesh, phi, params, opts=opts, start=start)
 
 
-def _build_before_pool(mesh: Mesh, params: ProblemParams) -> None:
-    """Build the p = 2 boundary operator on this thread, before a pool starts.
-
-    The pool's optimizes then find it cached.  Memory that the build frees
-    on a pool thread stays in that thread's malloc arena instead of going
-    back to the system.
-    """
-    if params.p == 2.0:
-        boundary_operator(mesh)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -439,7 +428,10 @@ def cmd_sigma_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     def one(sigma: float):
         return _run_optimize(cfg, mesh, replace(params, sigma=sigma), opts)
 
-    _build_before_pool(mesh, params)
+    # Build on this thread so the pool finds the shared work cached: memory
+    # that a build frees on a pool thread stays in that thread's malloc
+    # arena instead of going back to the system.
+    prepare_repeated_solves(mesh, params)
     traces = []
     try:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -561,7 +553,8 @@ def cmd_symmetry_check(cfg: dict, out_dir: Path, jobs: int) -> int:
             bool(trace.converged),
         )
 
-    _build_before_pool(mesh, params)
+    # Built here, not on a pool thread: see cmd_sigma_sweep.
+    prepare_repeated_solves(mesh, params)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(one, seeds))
 

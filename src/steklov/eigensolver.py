@@ -8,29 +8,35 @@ Barzilai-Borwein steps and an Armijo backtracking safeguard is used; every
 accepted step decreases R, so warm-started solves never increase the
 eigenvalue estimate.
 
-The p = 2 iteration runs on one of two routes with the same iterates:
+``solve_linear`` and the p = 2 ``solve_dirichlet`` are two callers of one
+core: ``solve_dirichlet`` pins the trace to zero on its region and drops
+phi and sigma, ``solve_linear`` pins nothing.  The core runs the inverse
+iteration on one of two routes with the same iterates:
 
-- plain: a sparse LU of the full n x n matrix for every solve (diagonally
-  preconditioned CG above ``_DIRECT_SOLVE_LIMIT`` unknowns);
+- plain: a sparse LU of the n x n matrix for every solve, restricted to
+  the unpinned vertices (diagonally preconditioned CG above
+  ``_DIRECT_SOLVE_LIMIT`` unknowns);
 - reduced: phi and sigma enter A only on the boundary diagonal, so all
   solves on one mesh share the interior block.  :func:`boundary_operator`
   eliminates it once, giving the dense B x B Steklov-Poincare matrix S0
   (Quarteroni & Valli, Domain Decomposition Methods for PDEs, 1999), and
-  each solve then factors ``S0 + sigma * diag(b_phi)`` by dense Cholesky
-  and recovers the interior values once at the end.
+  each solve then factors ``S0 + sigma * diag(b_phi)`` (its principal
+  submatrix when some vertex is pinned) by dense Cholesky and recovers the
+  interior values once at the end.
 
-``optimize_potential`` and ``shape_derivative_fd`` build the operator before
-their loops when p = 2, as do the CLI's ``sigma-sweep`` and
-``symmetry-check`` before their thread pools; ``solve_linear`` and the
-p = 2 ``solve_dirichlet`` use it when the mesh has one and never build it,
-so a single solve pays for no precompute.  An operator holds the sparse LU
-of the interior block (about the size of one plain factorization) plus
-B^2 * 8 bytes for S0 (2 MB at B = 504) until its mesh is garbage collected.
+Whether to build the operator is decided in one place,
+:func:`prepare_repeated_solves`: it builds it for p = 2 and is called by
+everything that solves many times on one mesh (``optimize_potential``,
+``shape_derivative_fd``, and the CLI's ``sigma-sweep`` and
+``symmetry-check`` before their thread pools).  The solvers themselves use
+the operator when the mesh has one and never build it, so a single solve
+pays for no precompute.  An operator holds the sparse LU of the interior
+block (about the size of one plain factorization) plus B^2 * 8 bytes for
+S0 (2 MB at B = 504) until its mesh is garbage collected.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -69,6 +75,10 @@ _IN_ORDER = {
 # Nested dissection stops splitting parts of at most this many vertices.
 _DISSECTION_LEAF = 8
 
+# Armijo sufficient-decrease slope and backtracking factor of the descent.
+_ARMIJO_SLOPE = 1e-4
+_ARMIJO_BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -81,8 +91,10 @@ class SolverOptions:
     tol: float | None = None
     max_iters: int = 10000
     seed: int = 0
-    armijo_slope: float = 1e-4
-    armijo_backtrack: float = 0.5
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
     def resolved_tol(self, p):
         if self.tol is not None:
@@ -121,11 +133,6 @@ def eigenpair_from_json(mesh, data):
         residual=float(data["residual"]),
         converged=bool(data["converged"]),
     )
-
-
-def save_eigenpair(eig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(eigenpair_to_json(eig), fh, sort_keys=True)
 
 
 def rayleigh(mesh, u, phi, params):
@@ -330,6 +337,17 @@ def boundary_operator(mesh):
         return _operators[mesh]
 
 
+def prepare_repeated_solves(mesh, params):
+    """Build what the solves of ``params`` on ``mesh`` share, before they run.
+
+    For p = 2 that is the mesh's :class:`BoundaryOperator`; the descent for
+    p != 2 shares nothing.  Callers that solve many times on one mesh call
+    this first; a single solve never does, so it pays for no precompute.
+    """
+    if params.p == 2.0:
+        boundary_operator(mesh)
+
+
 def _reduced_iteration(mesh, op, d, u0, free, tol, max_iters):
     """The inverse iteration of ``A0 + diag(d)`` run on the boundary.
 
@@ -360,22 +378,79 @@ def _reduced_iteration(mesh, op, d, u0, free, tol, max_iters):
         tol,
         max_iters,
     )
-    if iters:
-        trace = np.zeros(mesh.n_boundary_edges)
-        trace[free] = ub
-        u = op.extend(trace)
+    trace = np.zeros(mesh.n_boundary_edges)
+    trace[free] = ub
+    u = op.extend(trace)
     rows = np.ones(mesh.n_vertices, dtype=bool)
     rows[mesh.boundary_vertices[~free]] = False
     residual = _relative_residual(apply_A(u)[rows], mb[rows] * u[rows], lam)
     return lam, u, iters, residual, converged
 
 
-def _finish_sign(mesh, u):
-    """Flip so the Mb-weighted boundary mean is nonnegative."""
-    g = assembly.geometry(mesh)
-    if float(g.boundary_weights @ u) < 0.0:
-        return -u
-    return u
+def _start_values(mesh, start, p):
+    """A float copy of ``start`` (a Field or array), or the default start.
+
+    The default is the constant one for p = 2 and the positive constant
+    with unit boundary p-norm otherwise.
+    """
+    if start is not None:
+        return np.array(assembly._as_values(start, mesh), dtype=np.float64)
+    if p == 2.0:
+        return np.ones(mesh.n_vertices)
+    return np.full(mesh.n_vertices, mesh.perimeter ** (-1.0 / p))
+
+
+def _eigenpair(mesh, lam, u, iterations, residual, converged, diagnostics):
+    """Pack a solver result, with u flipped to nonnegative boundary mean."""
+    if float(assembly.geometry(mesh).boundary_weights @ u) < 0.0:
+        u = -u
+    return EigenPair(
+        lam=lam,
+        u=Field.of(mesh, u),
+        iterations=iterations,
+        residual=residual,
+        converged=converged,
+        positivity_violation=bool(u.min() < -1e-8),
+        diagnostics=diagnostics,
+    )
+
+
+def _solve_p2(mesh, phi, sigma, pinned_b, opts, start):
+    """Inverse iteration for p = 2 with the trace pinned to zero on ``pinned_b``.
+
+    ``pinned_b`` masks the positions of ``mesh.boundary_vertices``.  Runs on
+    the mesh's cached boundary operator when one has been built, otherwise
+    on a fresh sparse factorization of A, restricted to the unpinned
+    vertices when some vertex is pinned.
+    """
+    tol = opts.resolved_tol(2.0)
+    u0 = _start_values(mesh, start, 2.0)
+    pinned = mesh.boundary_vertices[pinned_b]
+    u0[pinned] = 0.0
+    op = _operators.get(mesh)
+    if op is not None:
+        d = sigma * assembly.density_weights(mesh, phi)
+        lam, u, iters, residual, converged = _reduced_iteration(
+            mesh, op, d, u0, ~pinned_b, tol, opts.max_iters
+        )
+    else:
+        A, Mb = assembly.assemble_linear(mesh, phi, sigma)
+        mb = Mb.diagonal()
+        if pinned.size == 0:
+            lam, u, iters, residual, converged = _plain_iteration(
+                A, mb, u0, tol, opts.max_iters
+            )
+        else:
+            keep = np.ones(mesh.n_vertices, dtype=bool)
+            keep[pinned] = False
+            idx = np.flatnonzero(keep)
+            lam, uf, iters, residual, converged = _plain_iteration(
+                A[np.ix_(idx, idx)].tocsr(), mb[idx], u0[idx], tol, opts.max_iters
+            )
+            u = np.zeros(mesh.n_vertices)
+            u[idx] = uf
+    diagnostics = {"method": "inverse_iteration", "boundary_operator": op is not None}
+    return _eigenpair(mesh, lam, u, iters, residual, converged, diagnostics)
 
 
 def solve_linear(mesh, phi, sigma, opts=None, start=None):
@@ -387,38 +462,8 @@ def solve_linear(mesh, phi, sigma, opts=None, start=None):
     iteration-limit hits; the returned eigenfunction is normalized to unit
     boundary 2-norm and sign-fixed to nonnegative boundary mean.
     """
-    opts = opts or SolverOptions()
-    tol = opts.resolved_tol(2.0)
-    if start is None:
-        u0 = np.ones(mesh.n_vertices)
-    else:
-        u0 = np.array(assembly._as_values(start, mesh), dtype=np.float64)
-    op = _operators.get(mesh)
-    if op is None:
-        A, Mb = assembly.assemble_linear(mesh, phi, sigma)
-        lam, u, iters, residual, converged = _plain_iteration(
-            A, Mb.diagonal(), u0, tol, opts.max_iters
-        )
-    else:
-        d = sigma * assembly.density_weights(mesh, phi)
-        free = np.ones(mesh.n_boundary_edges, dtype=bool)
-        lam, u, iters, residual, converged = _reduced_iteration(
-            mesh, op, d, u0, free, tol, opts.max_iters
-        )
-    u = _finish_sign(mesh, u)
-    return EigenPair(
-        lam=lam,
-        u=Field.of(mesh, u),
-        iterations=iters,
-        residual=residual,
-        converged=converged,
-        positivity_violation=bool(u.min() < -1e-8),
-        diagnostics={"method": "inverse_iteration", "boundary_operator": op is not None},
-    )
-
-
-def _constant_start(mesh, p):
-    return np.full(mesh.n_vertices, mesh.perimeter ** (-1.0 / p))
+    pinned_b = np.zeros(mesh.n_boundary_edges, dtype=bool)
+    return _solve_p2(mesh, phi, sigma, pinned_b, opts or SolverOptions(), start)
 
 
 def random_positive_start(mesh, seed):
@@ -477,10 +522,10 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
             if nv > 0.0:
                 v = v / nv
                 Rv = quotient(v)
-                if Rv <= R - opts.armijo_slope * a * gg:
+                if Rv <= R - _ARMIJO_SLOPE * a * gg:
                     accepted = True
                     break
-            a *= opts.armijo_backtrack
+            a *= _ARMIJO_BACKTRACK
         if not accepted:
             # Step underflow: the quotient cannot be decreased along -g.
             line_search_failed = gnorm > tol * max(1.0, abs(R))
@@ -496,19 +541,10 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
         u, R, g = v, Rv, g_new
         gnorm = float(np.linalg.norm(g))
 
-    u = _finish_sign(mesh, u)
     diagnostics = {"method": "bb_descent", "grad_norm": gnorm}
     if line_search_failed:
         diagnostics["line_search_failure"] = True
-    return EigenPair(
-        lam=R,
-        u=Field.of(mesh, u),
-        iterations=iters,
-        residual=gnorm,
-        converged=converged,
-        positivity_violation=bool(u.min() < -1e-8),
-        diagnostics=diagnostics,
-    )
+    return _eigenpair(mesh, R, u, iters, gnorm, converged, diagnostics)
 
 
 def solve_nonlinear(mesh, phi, params, opts=None, start=None):
@@ -519,11 +555,7 @@ def solve_nonlinear(mesh, phi, params, opts=None, start=None):
     of the accepted steps can only lower the computed eigenvalue.
     """
     opts = opts or SolverOptions()
-    if start is None:
-        u0 = _constant_start(mesh, params.p)
-    else:
-        u0 = np.array(assembly._as_values(start, mesh), dtype=np.float64)
-    return _descent(mesh, phi, params, opts, u0)
+    return _descent(mesh, phi, params, opts, _start_values(mesh, start, params.p))
 
 
 def solve_dirichlet(mesh, region, params, opts=None, start=None):
@@ -542,50 +574,13 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
         raise InfeasibleConstraintError(
             "region covers every boundary vertex; no admissible trace remains"
         )
-    frozen = np.zeros(mesh.n_vertices, dtype=bool)
-    frozen[mesh.boundary_vertices[constrained_b]] = True
-
-    if params.p == 2.0:
-        tol = opts.resolved_tol(2.0)
-        if start is None:
-            u0 = np.ones(mesh.n_vertices)
-        else:
-            u0 = np.array(assembly._as_values(start, mesh), dtype=np.float64)
-        u0[frozen] = 0.0
-        op = _operators.get(mesh)
-        if op is None:
-            phi0 = BoundaryDensity.constant(mesh, 0.0)
-            A, Mb = assembly.assemble_linear(mesh, phi0, 0.0)
-            idx = np.flatnonzero(~frozen)
-            lam, uf, iters, residual, converged = _plain_iteration(
-                A[np.ix_(idx, idx)].tocsr(), Mb.diagonal()[idx], u0[idx], tol, opts.max_iters
-            )
-            u = np.zeros(mesh.n_vertices)
-            u[idx] = uf
-        else:
-            lam, u, iters, residual, converged = _reduced_iteration(
-                mesh, op, np.zeros(mesh.n_vertices), u0, ~constrained_b, tol, opts.max_iters
-            )
-        u = _finish_sign(mesh, u)
-        return EigenPair(
-            lam=lam,
-            u=Field.of(mesh, u),
-            iterations=iters,
-            residual=residual,
-            converged=converged,
-            positivity_violation=bool(u.min() < -1e-8),
-            diagnostics={
-                "method": "inverse_iteration_reduced",
-                "boundary_operator": op is not None,
-                "constrained_vertices": int(frozen.sum()),
-            },
-        )
-
     phi0 = BoundaryDensity.constant(mesh, 0.0)
-    if start is None:
-        u0 = _constant_start(mesh, params.p)
+    if params.p == 2.0:
+        eig = _solve_p2(mesh, phi0, 0.0, constrained_b, opts, start)
     else:
-        u0 = np.array(assembly._as_values(start, mesh))
-    eig = _descent(mesh, phi0, params, opts, u0, frozen=frozen)
-    eig.diagnostics["constrained_vertices"] = int(frozen.sum())
+        frozen = np.zeros(mesh.n_vertices, dtype=bool)
+        frozen[mesh.boundary_vertices[constrained_b]] = True
+        u0 = _start_values(mesh, start, params.p)
+        eig = _descent(mesh, phi0, params, opts, u0, frozen=frozen)
+    eig.diagnostics["constrained_vertices"] = int(constrained_b.sum())
     return eig

@@ -10,17 +10,19 @@ iteration settles on a single boundary cap.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import assembly
-from .assembly import BoundaryDensity, ProblemParams
+from .assembly import BoundaryDensity, trace_weights
 from .errors import NonConvergenceError
-from .eigensolver import SolverOptions, boundary_operator, solve_linear, solve_nonlinear
+from .eigensolver import (
+    SolverOptions,
+    prepare_repeated_solves,
+    solve_linear,
+    solve_nonlinear,
+)
 from .mesh import RegionSpec
 
 
@@ -66,18 +68,17 @@ def cap_indicator(mesh, center_angle, mass):
 def bathtub(mesh, u, mass, p=2.0):
     """Exact minimizer of ``sum_e phi_e w_e len_e`` at the given mass.
 
-    ``w_e = (|u_i|^p + |u_j|^p)/2`` is the trapezoid trace weight.  Edges are
-    filled in ascending-weight order (ties by lower edge index) with at most
-    one fractional edge; this greedy fill is the exact optimum of the
+    ``w_e`` is the trapezoid trace weight of edge e
+    (:func:`~steklov.assembly.trace_weights`).  Edges are filled in
+    ascending-weight order (ties by lower edge index) with at most one
+    fractional edge; this greedy fill is the exact optimum of the
     underlying LP.  Returns ``(BoundaryDensity, level)`` where ``level`` is
     the weight of the last edge touched.
     """
-    vals = assembly._as_values(u, mesh)
     P = mesh.perimeter
     if not (0.0 <= mass <= P + 1e-12 * P):
         raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
-    loop = mesh.boundary_loop
-    w = 0.5 * (np.abs(vals[loop[:, 0]]) ** p + np.abs(vals[loop[:, 1]]) ** p)
+    w = trace_weights(mesh, u, p)
     phi = np.zeros(mesh.n_boundary_edges)
     order = np.lexsort((np.arange(len(w)), w))
     remaining = float(mass)
@@ -98,11 +99,8 @@ def bathtub(mesh, u, mass, p=2.0):
 
 def bathtub_objective(mesh, u, phi, p=2.0):
     """The boundary LP objective ``sum_e phi_e w_e len_e`` for density phi."""
-    vals = assembly._as_values(u, mesh)
-    loop = mesh.boundary_loop
-    w = 0.5 * (np.abs(vals[loop[:, 0]]) ** p + np.abs(vals[loop[:, 1]]) ** p)
     pv = phi.edge_values if isinstance(phi, BoundaryDensity) else np.asarray(phi)
-    return float(np.dot(pv * mesh.edge_lengths, w))
+    return float(np.dot(pv * mesh.edge_lengths, trace_weights(mesh, u, p)))
 
 
 def random_admissible(mesh, mass, seed):
@@ -228,19 +226,6 @@ def trace_to_json(trace):
     ]
 
 
-def save_trace(trace, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json(trace), fh, sort_keys=True)
-
-
-def save_trace_csv(trace, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "lambda"])
-        for k, lam in enumerate(trace.lambdas):
-            writer.writerow([k, repr(lam)])
-
-
 def _initial_density(mesh, mass, phi0, seed):
     P = mesh.perimeter
     if isinstance(phi0, BoundaryDensity):
@@ -271,8 +256,8 @@ def optimize_potential(
     Alternates an eigensolve for the current density with a bathtub refill
     for the current trace.  Inner solves are warm-started with the previous
     eigenfunction, which makes the recorded eigenvalues non-increasing.
-    For p = 2 the mesh's boundary operator is built first, so the solves
-    of this run and of later runs on the same mesh share one factorization.
+    :func:`prepare_repeated_solves` runs first, so for p = 2 the solves of
+    this run and of later runs on the same mesh share one factorization.
     Stops on an edgewise-identical refill (a bathtub fixed point), on a
     relative eigenvalue change below ``outer_tol``, on a detected cycle
     (flagged in diagnostics), or after ``max_outer`` iterations.
@@ -283,11 +268,11 @@ def optimize_potential(
     P = mesh.perimeter
     if not (0.0 <= mass <= P + 1e-12 * P):
         raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
 
     phi = _initial_density(mesh, mass, phi0, opts.seed)
-    if params.p == 2.0:
-        # Every solve of the loop shares the interior block: eliminate it once.
-        boundary_operator(mesh)
+    prepare_repeated_solves(mesh, params)
     lambdas, potentials, levels = [], [], []
     history = []
     converged = False

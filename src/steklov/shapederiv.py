@@ -27,7 +27,7 @@ from .assembly import Field, ProblemParams, boundary_p_power
 from .eigensolver import (
     EigenPair,
     SolverOptions,
-    boundary_operator,
+    prepare_repeated_solves,
     rayleigh,
     solve_linear,
     solve_nonlinear,
@@ -108,23 +108,6 @@ class TangentField:
     def translation(cls, region: RegionSpec, speed: float = 1.0) -> "TangentField":
         """Rigid translation: every endpoint moves at the same speed."""
         return cls(region, tuple((float(speed), float(speed)) for _ in region.arcs))
-
-    def scaled(self, factor: float) -> "TangentField":
-        return TangentField(
-            self.region,
-            tuple((factor * vb, factor * ve) for vb, ve in self.speeds),
-        )
-
-    def plus(self, other: "TangentField") -> "TangentField":
-        if other.region is not self.region and other.region != self.region:
-            raise ValueError("tangent fields live on different regions")
-        return TangentField(
-            self.region,
-            tuple(
-                (vb + wb, ve + we)
-                for (vb, ve), (wb, we) in zip(self.speeds, other.speeds)
-            ),
-        )
 
     @property
     def max_speed(self) -> float:
@@ -339,9 +322,8 @@ def shape_derivative_fd(
             if bool((gaps < abs(v) * t_max).any()):
                 crossings = True
 
-    if params.p == 2.0:
-        # The 2 * len(steps) + 1 solves differ only on the boundary diagonal.
-        boundary_operator(mesh)
+    # The 2 * len(steps) + 1 solves differ only in the boundary density.
+    prepare_repeated_solves(mesh, params)
     base = _solve_indicator(mesh, region, params, opts, start=None)
     formula = shape_derivative_formula(
         mesh, base, region, tangent, params, sign_convention=sign_convention

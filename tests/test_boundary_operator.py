@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from steklov import (
+    BoundaryDensity,
     Mesh,
     ProblemParams,
     RegionSpec,
@@ -79,6 +80,28 @@ def test_reduced_path_repeats_the_plain_iteration(name, opts):
         assert_same_pair(p, r)
 
 
+def test_dirichlet_solve_without_pins_is_the_free_linear_solve():
+    # Both are callers of one p = 2 core; with nothing pinned they must run
+    # the same arithmetic on either route.
+    mesh = generate_disk(0.1)
+    empty = RegionSpec(arcs=(), perimeter=mesh.perimeter)
+    zero = BoundaryDensity.constant(mesh, 0.0)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        pinned = solve_dirichlet(mesh, empty, ProblemParams(sigma=3.0))
+        free = solve_linear(mesh, zero, 0.0)
+        assert pinned.diagnostics["boundary_operator"] is reduced
+        assert free.diagnostics["boundary_operator"] is reduced
+        assert pinned.diagnostics["constrained_vertices"] == 0
+        assert (pinned.lam, pinned.iterations, pinned.residual) == (
+            free.lam,
+            free.iterations,
+            free.residual,
+        )
+        assert np.array_equal(pinned.u.values, free.u.values)
+
+
 def test_optimize_takes_the_same_steps_on_both_paths(monkeypatch):
     params = ProblemParams(p=2.0, sigma=5.0)
 
@@ -87,7 +110,7 @@ def test_optimize_takes_the_same_steps_on_both_paths(monkeypatch):
         return optimize_potential(mesh, params, math.pi / 2, phi0="random")
 
     with monkeypatch.context() as m:
-        m.setattr(rearrange, "boundary_operator", lambda mesh: None)
+        m.setattr(rearrange, "prepare_repeated_solves", lambda mesh, params: None)
         plain = run()
     reduced = run()
 

@@ -347,6 +347,31 @@ def test_invalid_physical_parameters_are_config_errors(tmp_path):
         mass=100.0,  # beyond the perimeter
     )
     assert run("optimize", cfg2, tmp_path / "out2") == 1
+    # iteration budgets below one
+    cfg3 = write_config(
+        tmp_path,
+        name="iters.json",
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 0.0},
+        potential={"type": "constant", "value": 0.0},
+        solver={"max_iters": 0},
+    )
+    assert run("solve", cfg3, tmp_path / "out3") == 1
+    for command, max_outer, extra in (
+        ("optimize", 0, {}),
+        ("sigma-sweep", -1, {"sigma_list": [1.0, 2.0]}),
+        ("symmetry-check", 0, {}),
+    ):
+        cfg4 = write_config(
+            tmp_path,
+            name=f"outer-{command}.json",
+            geometry=DISK_COARSE,
+            params={"p": 2.0, "sigma": 1.0},
+            mass=1.0,
+            max_outer=max_outer,
+            **extra,
+        )
+        assert run(command, cfg4, tmp_path / f"out-{command}") == 1
 
 
 def test_inner_solver_failure_is_a_numerical_exit(tmp_path):

@@ -1,6 +1,4 @@
-import csv
 import itertools
-import json
 import math
 
 import numpy as np
@@ -21,8 +19,6 @@ from steklov import (
     optimize_potential,
     random_admissible,
     rasterize_region,
-    save_trace,
-    save_trace_csv,
     solve_linear,
     support_region,
     trace_to_json,
@@ -324,20 +320,9 @@ def test_optimize_raises_on_inner_failure(disk_coarse):
 # ------------------------------------------------------------- trace files
 
 
-def test_trace_serialization_round_trip(disk_coarse, tmp_path):
+def test_trace_serialization_round_trip(disk_coarse):
     params = ProblemParams(p=2.0, sigma=5.0)
     trace = optimize_potential(disk_coarse, params, 1.0, max_outer=5)
     rows = trace_to_json(trace)
     assert [r["iter"] for r in rows] == list(range(len(trace.lambdas)))
     assert [r["lambda"] for r in rows] == trace.lambdas
-
-    jpath = tmp_path / "trace.json"
-    save_trace(trace, jpath)
-    assert json.loads(jpath.read_text()) == rows
-
-    cpath = tmp_path / "trace.csv"
-    save_trace_csv(trace, cpath)
-    with open(cpath, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ["iter", "lambda"]
-    assert [float(r[1]) for r in got[1:]] == trace.lambdas

@@ -39,9 +39,14 @@ def test_formula_is_linear_in_the_tangent_field(half_disk_setup):
     v2 = TangentField.single_endpoint(region, arc=0, end=False, speed=0.7)
     s1 = shape_derivative_formula(mesh, pair, region, v1, params)
     s2 = shape_derivative_formula(mesh, pair, region, v2, params)
-    s12 = shape_derivative_formula(mesh, pair, region, v1.plus(v2), params)
+    summed = TangentField(
+        region,
+        tuple((vb + wb, ve + we) for (vb, ve), (wb, we) in zip(v1.speeds, v2.speeds)),
+    )
+    s12 = shape_derivative_formula(mesh, pair, region, summed, params)
     assert s12 == pytest.approx(s1 + s2, rel=1e-12)
-    s_scaled = shape_derivative_formula(mesh, pair, region, v1.scaled(-3.5), params)
+    scaled = TangentField(region, tuple((-3.5 * vb, -3.5 * ve) for vb, ve in v1.speeds))
+    s_scaled = shape_derivative_formula(mesh, pair, region, scaled, params)
     assert s_scaled == pytest.approx(-3.5 * s1, rel=1e-12)
 
 
