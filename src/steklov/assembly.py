@@ -152,10 +152,9 @@ class _Geometry:
         grads /= area2[:, None, None]
         self.basis_grads = grads
 
-        n = mesh.n_vertices
-        lumped = np.zeros(n)
-        np.add.at(lumped, t.ravel(), np.repeat(self.areas / 3.0, 3))
-        self.lumped_mass = lumped
+        self.lumped_mass = np.bincount(
+            t.ravel(), weights=np.repeat(self.areas / 3.0, 3), minlength=mesh.n_vertices
+        )
 
         # unweighted trapezoid, zero off-boundary
         self.boundary_weights = density_weights(mesh, np.ones(mesh.n_boundary_edges))
@@ -172,28 +171,110 @@ def geometry(mesh):
     return geom
 
 
+class EnergyKernel:
+    """The energy of one ``(mesh, phi, params)``, evaluated field by field.
+
+    The descent builds one per solve.  It holds what every evaluation
+    shares:
+
+    - per triangle corner, the vertex index and the x and y components of
+      the basis gradient, each a contiguous row of a corner-major array, so
+      that the vertex index is also the one ``np.bincount`` scatters the
+      gradient with;
+    - the weights of the volume, lumped, coupling and boundary terms, the
+      coupling diagonal ``sigma * density_weights`` built once.
+
+    :meth:`evaluate` returns the energy and the boundary p-power of a field
+    from one set of element gradients and one pass of trace weights, and
+    keeps the gradients for :meth:`gradient` at the same field.  The
+    floating-point operations and their order are those of the element-wise
+    formulas (``einsum`` contractions and ``np.add.at`` scatters over the
+    corners in turn), so every result is bitwise the same.  ``phi`` is read
+    only when ``params.sigma != 0``.
+    """
+
+    def __init__(self, mesh, phi, params):
+        g = geometry(mesh)
+        p = params.p
+        self.mesh = mesh
+        self.p = p
+        self._corners = np.ascontiguousarray(mesh.triangles.T)
+        self._bx = np.ascontiguousarray(g.basis_grads[:, :, 0].T)
+        self._by = np.ascontiguousarray(g.basis_grads[:, :, 1].T)
+        self._areas = g.areas
+        self._lumped = g.lumped_mass
+        self._p_areas = p * g.areas
+        self._p_lumped = p * g.lumped_mass
+        self._p_boundary = p * g.boundary_weights
+        self._eps_sq = params.eps * params.eps
+        self._sigma = params.sigma
+        if params.sigma != 0.0:
+            self._weighted = _phi_values(phi, mesh) * mesh.edge_lengths
+            self._coupling = params.sigma * p * density_weights(mesh, phi)
+        self._point = None
+
+    def element_gradients(self, vals):
+        """The constant gradient of ``vals`` on each triangle, as ``(gx, gy)``."""
+        u0, u1, u2 = vals[self._corners[0]], vals[self._corners[1]], vals[self._corners[2]]
+        bx, by = self._bx, self._by
+        gx = u0 * bx[0]
+        gx += u1 * bx[1]
+        gx += u2 * bx[2]
+        gy = u0 * by[0]
+        gy += u1 * by[1]
+        gy += u2 * by[2]
+        return gx, gy
+
+    def power(self, vals):
+        """:func:`boundary_p_power` of ``vals``."""
+        return float(np.dot(self.mesh.edge_lengths, trace_weights(self.mesh, vals, self.p)))
+
+    def evaluate(self, vals):
+        """``(energy, boundary p-power)`` of ``vals``, which becomes the kernel's field."""
+        gx, gy = self.element_gradients(vals)
+        self._point = (vals, gx, gy)
+        p = self.p
+        total = float(np.dot(np.hypot(gx, gy) ** p, self._areas))
+        total += float(np.dot(self._lumped, np.abs(vals) ** p))
+        tw = trace_weights(self.mesh, vals, p)
+        if self._sigma != 0.0:
+            total += self._sigma * float(np.dot(self._weighted, tw))
+        return total, float(np.dot(self.mesh.edge_lengths, tw))
+
+    def gradient(self, r=None):
+        """Nodal energy gradient at the last evaluated field.
+
+        With ``r`` given, ``r`` times the gradient of the boundary p-power is
+        subtracted: the gradient of the Rayleigh numerator minus ``r`` times
+        that of its denominator.
+        """
+        vals, gx, gy = self._point
+        p = self.p
+        coef = self._p_areas * (gx**2 + gy**2 + self._eps_sq) ** ((p - 2.0) / 2.0)
+        contrib = np.empty(self._corners.shape)
+        for k in range(3):
+            dot = gx * self._bx[k]
+            dot += gy * self._by[k]
+            np.multiply(coef, dot, out=contrib[k])
+        out = np.bincount(self._corners.ravel(), weights=contrib.ravel(), minlength=len(vals))
+        signed = _signed_power(vals, p - 1.0)
+        out += self._p_lumped * signed
+        if self._sigma != 0.0:
+            out += self._coupling * signed
+        if r is not None:
+            out -= r * (self._p_boundary * signed)
+        return out
+
+
 def element_gradients(mesh, u):
     """Constant gradient of a P1 field on each triangle, shape (m, 2)."""
-    vals = _as_values(u, mesh)
-    g = geometry(mesh)
-    ut = vals[mesh.triangles]  # (m, 3)
-    return np.einsum("ti,tid->td", ut, g.basis_grads)
+    kernel = EnergyKernel(mesh, None, ProblemParams())
+    return np.column_stack(kernel.element_gradients(_as_values(u, mesh)))
 
 
 def energy(mesh, u, phi, params):
     """Normative discrete energy; see the module docstring for the quadrature."""
-    vals = _as_values(u, mesh)
-    p = params.p
-    g = geometry(mesh)
-
-    grads = element_gradients(mesh, vals)
-    gnorm = np.hypot(grads[:, 0], grads[:, 1])
-    total = float(np.dot(gnorm**p, g.areas))
-    total += float(np.dot(g.lumped_mass, np.abs(vals) ** p))
-    if params.sigma != 0.0:
-        weighted = _phi_values(phi, mesh) * mesh.edge_lengths
-        total += params.sigma * float(np.dot(weighted, trace_weights(mesh, vals, p)))
-    return total
+    return EnergyKernel(mesh, phi, params).evaluate(_as_values(u, mesh))[0]
 
 
 def trace_weights(mesh, u, p):
@@ -231,27 +312,9 @@ def energy_gradient(mesh, u, phi, params):
     (|grad u|^2 + eps^2)^((p-2)/2); with eps = 0 and p >= 2 this is the
     exact derivative of :func:`energy`.
     """
-    vals = _as_values(u, mesh)
-    p = params.p
-    eps = params.eps
-    g = geometry(mesh)
-
-    grads = element_gradients(mesh, vals)
-    gsq = grads[:, 0] ** 2 + grads[:, 1] ** 2
-    coef = p * g.areas * (gsq + eps * eps) ** ((p - 2.0) / 2.0)
-
-    out = np.zeros(mesh.n_vertices)
-    tris = mesh.triangles
-    for v in range(3):
-        contrib = coef * np.einsum("td,td->t", grads, g.basis_grads[:, v, :])
-        np.add.at(out, tris[:, v], contrib)
-
-    out += p * g.lumped_mass * _signed_power(vals, p - 1.0)
-
-    if params.sigma != 0.0:
-        bw = density_weights(mesh, phi)
-        out += params.sigma * p * bw * _signed_power(vals, p - 1.0)
-    return out
+    kernel = EnergyKernel(mesh, phi, params)
+    kernel.evaluate(_as_values(u, mesh))
+    return kernel.gradient()
 
 
 def density_weights(mesh, phi):
@@ -263,10 +326,12 @@ def density_weights(mesh, phi):
     pv = _phi_values(phi, mesh)
     loop = mesh.boundary_loop
     half = 0.5 * pv * mesh.edge_lengths
-    bw = np.zeros(mesh.n_vertices)
-    np.add.at(bw, loop[:, 0], half)
-    np.add.at(bw, loop[:, 1], half)
-    return bw
+    # one pass over the edges' first ends, then their second ends
+    return np.bincount(
+        np.concatenate((loop[:, 0], loop[:, 1])),
+        weights=np.concatenate((half, half)),
+        minlength=mesh.n_vertices,
+    )
 
 
 def boundary_power_gradient(mesh, u, p):

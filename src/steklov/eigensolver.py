@@ -33,10 +33,23 @@ the operator when the mesh has one and never build it, so a single solve
 pays for no precompute.  An operator holds the sparse LU of the interior
 block (about the size of one plain factorization) plus B^2 * 8 bytes for
 S0 (2 MB at B = 504) until its mesh is garbage collected.
+
+The descent for p != 2 holds one :class:`~steklov.assembly.EnergyKernel`
+per solve.  Per solve it shares the corner columns of the mesh (vertex
+indices and basis-gradient components, contiguous per corner), the
+corner-major scatter index and the constant weights, ``sigma *
+density_weights`` among them.  Per trial field it computes one set of
+element gradients and one pass of trace weights, which give the energy
+and the boundary p-power together; the gradient at an accepted field
+reuses those element gradients and scatters with a single ``np.bincount``.
+Its operations and their order are those of the element-wise ``energy``
+and ``energy_gradient`` formulas it replaced, so every iterate is bitwise
+the same; ``tests/test_assembly.py`` pins this.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -46,7 +59,11 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import (
+
+# The descent evaluates through assembly.EnergyKernel.  The energy and
+# boundary functions stay importable from this module, where
+# bench/tracing.py wraps them by name.
+from .assembly import (  # noqa: F401
     BoundaryDensity,
     Field,
     ProblemParams,
@@ -84,8 +101,9 @@ _ARMIJO_BACKTRACK = 0.5
 class SolverOptions:
     """Iteration controls shared by the linear and descent solvers.
 
-    ``tol = None`` resolves to 1e-9 for p = 2 and 1e-7 otherwise.  ``seed``
-    only matters for randomized starts.
+    ``tol = None`` resolves to 1e-9 for p = 2 and 1e-7 otherwise; a given
+    ``tol`` must be finite and positive.  ``seed`` only matters for
+    randomized starts.
     """
 
     tol: float | None = None
@@ -93,6 +111,8 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
@@ -473,9 +493,13 @@ def random_positive_start(mesh, seed):
 
 
 def _descent(mesh, phi, params, opts, u0, frozen=None):
-    """Projected BB descent on R; ``frozen`` pins a vertex set to zero."""
+    """Projected BB descent on R; ``frozen`` pins a vertex set to zero.
+
+    One energy kernel serves the whole solve (see the module docstring).
+    """
     tol = opts.resolved_tol(params.p)
     p = params.p
+    kernel = assembly.EnergyKernel(mesh, phi, params)
 
     def project(vals):
         if frozen is not None:
@@ -483,24 +507,28 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
             vals[frozen] = 0.0
         return vals
 
+    def p_norm(vals):
+        return kernel.power(vals) ** (1.0 / p)
+
     u = project(np.asarray(u0, dtype=np.float64))
-    norm = boundary_p_norm(mesh, u, p)
+    norm = p_norm(u)
     if norm == 0.0:
         raise ValueError("start has zero boundary trace")
     u = u / norm
 
     def quotient(vals):
-        return energy(mesh, vals, phi, params) / boundary_p_power(mesh, vals, p)
+        e, b = kernel.evaluate(vals)
+        return e / b
 
-    def gradient(vals, r):
-        g = energy_gradient(mesh, vals, phi, params)
-        g -= r * boundary_power_gradient(mesh, vals, p)
+    def gradient(r):
+        """E' - r B' at the field of the last ``quotient`` call, 0 where frozen."""
+        g = kernel.gradient(r)
         if frozen is not None:
             g[frozen] = 0.0
         return g
 
     R = quotient(u)
-    g = gradient(u, R)
+    g = gradient(R)
     gnorm = float(np.linalg.norm(g))
     alpha = 1.0 / max(gnorm, 1.0)
     rel_change = np.inf
@@ -518,7 +546,7 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
         accepted = False
         while a > 1e-18:
             v = u - a * g
-            nv = boundary_p_norm(mesh, v, p)
+            nv = p_norm(v)
             if nv > 0.0:
                 v = v / nv
                 Rv = quotient(v)
@@ -532,7 +560,7 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
             converged = not line_search_failed
             break
         s = v - u
-        g_new = gradient(v, Rv)
+        g_new = gradient(Rv)
         y = g_new - g
         sy = float(s @ y)
         alpha = float(s @ s) / sy if sy > 0.0 else min(2.0 * a, 1e3)

@@ -19,7 +19,12 @@ from steklov import (
     generate_rectangle,
     load_density,
 )
-from steklov.assembly import geometry
+from steklov.assembly import (
+    EnergyKernel,
+    boundary_power_gradient,
+    density_weights,
+    geometry,
+)
 
 
 def _random_field(mesh, rng, lo=-1.0, hi=1.0):
@@ -155,6 +160,109 @@ def test_energy_gradient_matches_central_differences(square_tiny, rng, p):
         errs[t] = abs(fd - analytic)
     assert errs[1e-4] <= 1e-6
     assert errs[1e-5] <= 1e-7
+
+
+# ------------------------------------------- element-wise reference forms
+#
+# The formulas EnergyKernel replaced, transcribed: an einsum per contraction
+# and one np.add.at scatter per pass.  The kernel must reproduce them
+# bitwise, so that no descent iterate moves.
+
+
+def _reference_density_weights(mesh, phi):
+    loop = mesh.boundary_loop
+    half = 0.5 * phi.edge_values * mesh.edge_lengths
+    bw = np.zeros(mesh.n_vertices)
+    np.add.at(bw, loop[:, 0], half)
+    np.add.at(bw, loop[:, 1], half)
+    return bw
+
+
+def _reference_lumped_mass(mesh):
+    lumped = np.zeros(mesh.n_vertices)
+    np.add.at(lumped, mesh.triangles.ravel(), np.repeat(geometry(mesh).areas / 3.0, 3))
+    return lumped
+
+
+def _reference_element_gradients(mesh, vals):
+    return np.einsum("ti,tid->td", vals[mesh.triangles], geometry(mesh).basis_grads)
+
+
+def _reference_energy(mesh, vals, phi, params):
+    p = params.p
+    g = geometry(mesh)
+    grads = _reference_element_gradients(mesh, vals)
+    gnorm = np.hypot(grads[:, 0], grads[:, 1])
+    total = float(np.dot(gnorm**p, g.areas))
+    total += float(np.dot(g.lumped_mass, np.abs(vals) ** p))
+    if params.sigma != 0.0:
+        loop = mesh.boundary_loop
+        tw = 0.5 * (np.abs(vals[loop[:, 0]]) ** p + np.abs(vals[loop[:, 1]]) ** p)
+        weighted = phi.edge_values * mesh.edge_lengths
+        total += params.sigma * float(np.dot(weighted, tw))
+    return total
+
+
+def _reference_energy_gradient(mesh, vals, phi, params):
+    p = params.p
+    eps = params.eps
+    g = geometry(mesh)
+    grads = _reference_element_gradients(mesh, vals)
+    gsq = grads[:, 0] ** 2 + grads[:, 1] ** 2
+    coef = p * g.areas * (gsq + eps * eps) ** ((p - 2.0) / 2.0)
+    out = np.zeros(mesh.n_vertices)
+    for v in range(3):
+        contrib = coef * np.einsum("td,td->t", grads, g.basis_grads[:, v, :])
+        np.add.at(out, mesh.triangles[:, v], contrib)
+    out += p * g.lumped_mass * (np.sign(vals) * np.abs(vals) ** (p - 1.0))
+    if params.sigma != 0.0:
+        bw = _reference_density_weights(mesh, phi)
+        out += params.sigma * p * bw * (np.sign(vals) * np.abs(vals) ** (p - 1.0))
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("mesh_name", ["disk_fine", "rect_small"])
+def test_bincount_scatters_match_add_at_bitwise(request, rng, mesh_name):
+    mesh = request.getfixturevalue(mesh_name)
+    phi = _random_density(mesh, rng)
+    assert _bits(density_weights(mesh, phi)) == _bits(_reference_density_weights(mesh, phi))
+    assert _bits(geometry(mesh).lumped_mass) == _bits(_reference_lumped_mass(mesh))
+
+
+@pytest.mark.parametrize("mesh_name", ["disk_fine", "rect_small"])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_kernel_reproduces_the_element_wise_forms_bitwise(request, rng, mesh_name, p):
+    mesh = request.getfixturevalue(mesh_name)
+    phi = _random_density(mesh, rng)
+    for _ in range(3):
+        u = _random_field(mesh, rng)
+        vals = u.values
+        assert _bits(element_gradients(mesh, u)) == _bits(
+            _reference_element_gradients(mesh, vals)
+        )
+        for sigma in (0.0, 2.0):
+            for eps_reg in (None, 1e-3):
+                params = ProblemParams(p=p, sigma=sigma, eps_reg=eps_reg)
+                e = energy(mesh, u, phi, params)
+                assert e.hex() == _reference_energy(mesh, vals, phi, params).hex()
+                assert _bits(energy_gradient(mesh, u, phi, params)) == _bits(
+                    _reference_energy_gradient(mesh, vals, phi, params)
+                )
+                # one evaluation gives the energy and the constraint at once
+                kernel = EnergyKernel(mesh, phi, params)
+                e_k, b_k = kernel.evaluate(vals)
+                assert e_k.hex() == e.hex()
+                assert b_k.hex() == boundary_p_power(mesh, u, p).hex()
+                assert kernel.power(vals).hex() == b_k.hex()
+                # the Rayleigh-numerator gradient, as the descent forms it
+                r = e_k / b_k
+                expected = energy_gradient(mesh, u, phi, params)
+                expected -= r * boundary_power_gradient(mesh, u, p)
+                assert _bits(kernel.gradient(r)) == _bits(expected)
 
 
 # --------------------------------------------------- structural properties

@@ -357,6 +357,17 @@ def test_invalid_physical_parameters_are_config_errors(tmp_path):
         solver={"max_iters": 0},
     )
     assert run("solve", cfg3, tmp_path / "out3") == 1
+    # stopping tolerances that are not positive
+    for k, tol in enumerate((0.0, -1.0)):
+        cfg_tol = write_config(
+            tmp_path,
+            name=f"tol-{k}.json",
+            geometry=DISK_COARSE,
+            params={"p": 2.0, "sigma": 0.0},
+            potential={"type": "constant", "value": 0.0},
+            solver={"tol": tol, "max_iters": 50},
+        )
+        assert run("solve", cfg_tol, tmp_path / f"out-tol-{k}") == 1
     for command, max_outer, extra in (
         ("optimize", 0, {}),
         ("sigma-sweep", -1, {"sigma_list": [1.0, 2.0]}),

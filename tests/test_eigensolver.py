@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import steklov.rearrange as rearrange
 from steklov import (
     BoundaryDensity,
     Field,
@@ -303,3 +304,63 @@ def test_dirichlet_descent_path_matches_linear_path(square_tiny):
     # p slightly off 2 exercises the projected-descent branch
     descent = solve_dirichlet(square_tiny, region, ProblemParams(p=2.000001))
     assert descent.lam == pytest.approx(linear.lam, rel=1e-5)
+
+
+# ----------------------------------------------- descent regression values
+#
+# lambda (as float hex), residual and iteration counts of descents on
+# generate_disk(0.1), recorded with the element-wise energy and gradient
+# (an einsum per contraction, np.add.at scatters) that EnergyKernel
+# replaced.  Any change in the order of the floating-point operations of
+# the descent shows up here as a changed last bit.
+
+DIRICHLET_DESCENT = {
+    1.5: ("0x1.ae5861c9f0b41p-1", 352, "0x1.962621d21ac80p-24"),
+    3.0: ("0x1.2140ed3d07530p-1", 292, "0x1.a0bc8ebccee4ap-24"),
+}
+OPTIMIZE_P3_LAMBDAS = ("0x1.874a72e748c71p+0", "0x1.e1de57d73cf02p-2", "0x1.e19680a6abbc3p-2")
+OPTIMIZE_P3_INNER_ITERATIONS = [511, 340, 199]
+
+
+@pytest.fixture(scope="module")
+def disk_regression():
+    return generate_disk(0.1)
+
+
+@pytest.mark.parametrize("p", sorted(DIRICHLET_DESCENT))
+def test_pinned_descent_repeats_its_recorded_iterates(disk_regression, p):
+    mesh = disk_regression
+    region = RegionSpec.from_intervals([(0.0, mesh.perimeter / 4.0)], mesh.perimeter)
+    pair = solve_dirichlet(mesh, region, ProblemParams(p=p, sigma=0.0))
+    lam, iterations, residual = DIRICHLET_DESCENT[p]
+    assert pair.converged
+    assert pair.diagnostics["constrained_vertices"] == 17
+    assert (pair.lam.hex(), pair.iterations, pair.residual.hex()) == (lam, iterations, residual)
+
+
+def test_warm_started_p3_optimize_repeats_its_recorded_iterates(disk_regression, monkeypatch):
+    inner = []
+    solve = rearrange.solve_nonlinear
+
+    def counting(*args, **kwargs):
+        eig = solve(*args, **kwargs)
+        inner.append(eig.iterations)
+        return eig
+
+    monkeypatch.setattr(rearrange, "solve_nonlinear", counting)
+    trace = rearrange.optimize_potential(
+        disk_regression,
+        ProblemParams(p=3.0, sigma=5.0),
+        math.pi / 2,
+        opts=SolverOptions(seed=3),
+        phi0="random",
+    )
+    assert trace.converged
+    assert tuple(lam.hex() for lam in trace.lambdas) == OPTIMIZE_P3_LAMBDAS
+    assert inner == OPTIMIZE_P3_INNER_ITERATIONS
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_solver_options_reject_tolerances_that_are_not_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        SolverOptions(tol=tol)
