@@ -341,6 +341,64 @@ def boundary_power_gradient(mesh, u, p):
     return p * g.boundary_weights * _signed_power(vals, p - 1.0)
 
 
+class WeightedStiffness:
+    """The P1 stiffness matrix with one weight per triangle, ``sum_T w_T K_T``.
+
+    The sparsity pattern is built once: the element contributions in CSR
+    order (a stable sort on ``(row, col)``) and the start of each entry's
+    run.  :meth:`matrix` then only scales the contributions and sums each
+    run in triangle order.  The local matrices are bitwise symmetric and
+    their ``(i, j)`` and ``(j, i)`` contributions arrive in the same
+    triangle order, so every assembled matrix is exactly symmetric --
+    scipy's own duplicate folding does not guarantee that.
+
+    ``keep`` (increasing vertex indices) restricts the pattern to the
+    principal submatrix on those vertices, numbered in that order.
+    """
+
+    def __init__(self, mesh, keep=None):
+        g = geometry(mesh)
+        tris = mesh.triangles
+        n = mesh.n_vertices
+        local = np.einsum("tid,tjd->tij", g.basis_grads, g.basis_grads)
+        local *= g.areas[:, None, None]
+        rows = np.repeat(tris, 3, axis=1).ravel()  # t-major, then i, then j
+        cols = np.tile(tris, (1, 3)).ravel()
+        source = None
+        if keep is not None:
+            index = np.full(n, -1)
+            index[keep] = np.arange(len(keep))
+            rows, cols = index[rows], index[cols]
+            source = np.flatnonzero((rows >= 0) & (cols >= 0))
+            rows, cols = rows[source], cols[source]
+            n = len(keep)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        if source is not None:
+            order = source[order]  # positions in the t-major local matrices
+        self._vals = local.ravel()[order]
+        self._elements = np.floor_divide(order, 9, out=order)  # 9 entries per triangle
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self._starts = np.flatnonzero(first)
+        self._indices = cols[self._starts]
+        self._indptr = np.searchsorted(rows[self._starts], np.arange(n + 1))
+        self._diagonal = np.flatnonzero(rows[self._starts] == self._indices)
+        self.shape = (n, n)
+
+    def matrix(self, weights=None, diagonal=None):
+        """``sum_T weights_T K_T + diag(diagonal)`` in CSR format.
+
+        ``weights`` (one per triangle of the mesh) and ``diagonal`` (one per
+        kept vertex) default to ones and zeros.
+        """
+        vals = self._vals if weights is None else self._vals * weights[self._elements]
+        data = np.add.reduceat(vals, self._starts)
+        if diagonal is not None:
+            data[self._diagonal] += diagonal
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
+
+
 def assemble_linear(mesh, phi, sigma):
     """Sparse operators of the p = 2 problem.
 
@@ -352,27 +410,7 @@ def assemble_linear(mesh, phi, sigma):
     ``energy(u, phi, p=2, sigma)`` up to roundoff.
     """
     g = geometry(mesh)
-    tris = mesh.triangles
-    m = len(tris)
-    n = mesh.n_vertices
-
-    local = np.einsum("tid,tjd->tij", g.basis_grads, g.basis_grads)
-    local *= g.areas[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()  # t-major, then i, then j
-    cols = np.tile(tris, (1, 3)).ravel()
-    # Deduplicate with a stable sort and sequential per-key sums.  The local
-    # matrices are bitwise symmetric and their (i,j)/(j,i) contributions
-    # arrive in the same triangle order, so the assembled matrix is exactly
-    # symmetric -- scipy's own duplicate folding does not guarantee that.
-    vals = local.ravel()
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(first)
-    summed = np.add.reduceat(vals, starts)
-    stiff = sp.csr_matrix((summed, (rows[starts], cols[starts])), shape=(n, n))
-
+    stiff = WeightedStiffness(mesh).matrix()
     bphi = density_weights(mesh, phi)
     A = (stiff + sp.diags(g.lumped_mass + sigma * bphi)).tocsr()
     Mb = sp.diags(g.boundary_weights).tocsr()

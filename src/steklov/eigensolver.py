@@ -4,9 +4,9 @@ The object minimized is R(u) = energy(u, phi, params) / boundary_p_norm(u)^p.
 For p = 2 the minimizer solves the generalized problem A u = lambda Mb u
 (Mb is the boundary mass, singular on interior nodes) and is computed by
 inverse power iteration.  For general p > 1 a projected descent with
-Barzilai-Borwein steps and an Armijo backtracking safeguard is used; every
-accepted step decreases R, so warm-started solves never increase the
-eigenvalue estimate.
+Barzilai-Borwein steps in a reweighted metric and an Armijo backtracking
+safeguard is used; every accepted step decreases R, so warm-started solves
+never increase the eigenvalue estimate.
 
 ``solve_linear`` and the p = 2 ``solve_dirichlet`` are two callers of one
 core: ``solve_dirichlet`` pins the trace to zero on its region and drops
@@ -34,21 +34,45 @@ pays for no precompute.  An operator holds the sparse LU of the interior
 block (about the size of one plain factorization) plus B^2 * 8 bytes for
 S0 (2 MB at B = 504) until its mesh is garbage collected.
 
-The descent for p != 2 holds one :class:`~steklov.assembly.EnergyKernel`
-per solve.  Per solve it shares the corner columns of the mesh (vertex
-indices and basis-gradient components, contiguous per corner), the
-corner-major scatter index and the constant weights, ``sigma *
-density_weights`` among them.  Per trial field it computes one set of
-element gradients and one pass of trace weights, which give the energy
-and the boundary p-power together; the gradient at an accepted field
-reuses those element gradients and scatters with a single ``np.bincount``.
-Its operations and their order are those of the element-wise ``energy``
-and ``energy_gradient`` formulas it replaced, so every iterate is bitwise
-the same; ``tests/test_assembly.py`` pins this.
+The descent for p != 2 steps along ``z = M(u)^-1 g``, where g is the
+gradient of R and M(u) reweights the p = 2 operator by the current field u
+(the relaxed Kacanov iteration of Diening, Fornasier, Tomasi & Wank, Numer.
+Math. 145, 2020, used as a preconditioner as in Huang, Li & Liu, J. Sci.
+Comput. 32, 2007):
+
+    M(u) = sum_T w_T K_T + diag((lumped + sigma * density_weights(phi)
+                                 + boundary_weights) * w_v),
+    w_T = (|grad u|_T^2 + delta_T^2)^((p-2)/2),  w_v = (u_v^2 + delta_v^2)^((p-2)/2),
+
+with K_T the element stiffness and each delta^2 a floor of 1e-8 times the
+largest squared value over the mesh (all weights are 1 where that value is
+0, as for the gradient of the constant start).  At p = 2 every weight is 1
+and M is the p = 2 matrix plus the boundary mass.  The Armijo test uses the
+slope ``g^T z`` and the BB step is ``s^T M s / s^T y``.  The iteration
+count stays flat under mesh refinement, where Euclidean gradient steps
+needed about h^-2 iterations.  M is refactored by
+``splu`` every ``_METRIC_REFRESH`` accepted steps on a sparsity pattern
+built once per solve (:class:`~steklov.assembly.WeightedStiffness`); a
+pinned solve factors the principal submatrix on its free vertices, so the
+pinned values of every direction are exactly 0.  The energy, the gradient,
+the projection and the stopping test are those of a Euclidean-step descent,
+so the metric changes the path to the fixed point, not the fixed point or
+the meaning of ``converged``.  A solve whose R has dropped by at most
+``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps while the
+gradient test fails stops unconverged (``stop = "stall"``); p = 1.2 ends
+this way or on a failed line search.
+
+The energy, its gradient and the boundary p-power come from one
+:class:`~steklov.assembly.EnergyKernel` per solve.  Per trial field it
+computes one set of element gradients and one pass of trace weights, which
+give the energy and the boundary p-power together; the gradient at an
+accepted field reuses those element gradients and scatters with a single
+``np.bincount``.  Nothing of the descent is cached per mesh.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
 import weakref
@@ -95,6 +119,17 @@ _DISSECTION_LEAF = 8
 # Armijo sufficient-decrease slope and backtracking factor of the descent.
 _ARMIJO_SLOPE = 1e-4
 _ARMIJO_BACKTRACK = 0.5
+
+# The descent refactors its metric after this many accepted steps.
+_METRIC_REFRESH = 10
+
+# Relative floor of the squared gradients and values under the metric weights.
+_WEIGHT_FLOOR = 1e-8
+
+# The descent stops as stalled when R has dropped by at most _STALL_DROP * |R|
+# over the last _STALL_STEPS accepted steps.
+_STALL_STEPS = 100
+_STALL_DROP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -492,25 +527,97 @@ def random_positive_start(mesh, seed):
     return rng.uniform(0.1, 1.0, mesh.n_vertices)
 
 
-def _descent(mesh, phi, params, opts, u0, frozen=None):
-    """Projected BB descent on R; ``frozen`` pins a vertex set to zero.
+class _ReweightedMetric:
+    """The descent's metric M(u), factored; see the module docstring.
 
-    One energy kernel serves the whole solve (see the module docstring).
+    ``free`` (increasing vertex indices, or None for all) restricts M to its
+    principal submatrix, so directions vanish exactly off ``free``.
+    """
+
+    def __init__(self, kernel, phi, params, free):
+        mesh = kernel.mesh
+        geom = assembly.geometry(mesh)
+        self._kernel = kernel
+        self._p = params.p
+        self._free = free
+        self._stiffness = assembly.WeightedStiffness(mesh, free)
+        self._mass = (
+            geom.lumped_mass
+            + params.sigma * assembly.density_weights(mesh, phi)
+            + geom.boundary_weights
+        )
+        self._matrix = None
+        self._lu = None
+        self.factorizations = 0
+
+    def refresh(self, u):
+        """Reweight M at the field ``u`` and factor it."""
+        gx, gy = self._kernel.element_gradients(u)
+        diagonal = self._mass * _reweighting(u * u, self._p)
+        if self._free is not None:
+            diagonal = diagonal[self._free]
+        # Release the old factor before building the new one.
+        self._matrix = self._lu = None
+        self._matrix = self._stiffness.matrix(_reweighting(gx * gx + gy * gy, self._p), diagonal)
+        self._lu = spla.splu(self._matrix.tocsc())
+        self.factorizations += 1
+
+    def direction(self, g):
+        """M^-1 g, zero off ``free``."""
+        if self._free is None:
+            return self._lu.solve(g)
+        z = np.zeros_like(g)
+        z[self._free] = self._lu.solve(g[self._free])
+        return z
+
+    def norm_sq(self, s):
+        """s^T M s for an ``s`` that is zero off ``free``."""
+        if self._free is not None:
+            s = s[self._free]
+        return float(s @ (self._matrix @ s))
+
+
+def _reweighting(sq, p):
+    """``(sq + delta^2)^((p - 2)/2)`` with ``delta^2 = _WEIGHT_FLOOR * max(sq)``.
+
+    All ones when ``sq`` is zero everywhere, as at a constant field.
+    """
+    top = float(sq.max())
+    if top == 0.0:
+        return np.ones_like(sq)
+    return (sq + _WEIGHT_FLOOR * top) ** ((p - 2.0) / 2.0)
+
+
+def _descent(mesh, phi, params, opts, u0, frozen=None):
+    """Projected BB descent on R in the reweighted metric; ``frozen`` pins vertices to zero.
+
+    One energy kernel serves the whole solve, and the metric is refactored
+    every ``_METRIC_REFRESH`` accepted steps (see the module docstring).
+    The returned diagnostics have exactly these keys:
+
+    - ``method``: ``"reweighted_descent"``;
+    - ``grad_norm``: the Euclidean norm of the final gradient;
+    - ``stop``: why the loop ended, one of ``"tolerance"`` (the stopping
+      test holds), ``"line_search"`` (no step along -M^-1 g decreases R;
+      converged only if the gradient test holds), ``"stall"`` (R dropped by
+      at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted
+      steps while the gradient test fails; not converged) or
+      ``"max_iters"``;
+    - ``metric_factorizations``: the number of factorizations of M;
+    - ``backtracks``: the number of Armijo step halvings.
     """
     tol = opts.resolved_tol(params.p)
     p = params.p
     kernel = assembly.EnergyKernel(mesh, phi, params)
-
-    def project(vals):
-        if frozen is not None:
-            vals = vals.copy()
-            vals[frozen] = 0.0
-        return vals
+    free = None if frozen is None else np.flatnonzero(~frozen)
+    metric = _ReweightedMetric(kernel, phi, params, free)
 
     def p_norm(vals):
         return kernel.power(vals) ** (1.0 / p)
 
-    u = project(np.asarray(u0, dtype=np.float64))
+    u = np.array(u0, dtype=np.float64)
+    if frozen is not None:
+        u[frozen] = 0.0
     norm = p_norm(u)
     if norm == 0.0:
         raise ValueError("start has zero boundary trace")
@@ -527,51 +634,75 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
             g[frozen] = 0.0
         return g
 
+    def small(gnorm, R):
+        return gnorm <= tol * max(1.0, abs(R))
+
     R = quotient(u)
     g = gradient(R)
     gnorm = float(np.linalg.norm(g))
-    alpha = 1.0 / max(gnorm, 1.0)
+    metric.refresh(u)
+    z = metric.direction(g)
+    alpha = 1.0  # z is already scaled by M^-1; start from the full step
     rel_change = np.inf
+    history = collections.deque([R], maxlen=_STALL_STEPS + 1)
     converged = False
+    stop = "max_iters"
+    backtracks = 0
     iters = 0
-    line_search_failed = False
 
     for iters in range(1, opts.max_iters + 1):
-        if rel_change <= tol and gnorm <= tol * max(1.0, abs(R)):
+        if rel_change <= tol and small(gnorm, R):
             converged = True
+            stop = "tolerance"
+            iters -= 1
+            break
+        if (
+            len(history) > _STALL_STEPS
+            and history[0] - R <= _STALL_DROP * abs(R)
+            and not small(gnorm, R)
+        ):
+            stop = "stall"
             iters -= 1
             break
         a = alpha
-        gg = gnorm * gnorm
+        slope = float(g @ z)
         accepted = False
         while a > 1e-18:
-            v = u - a * g
+            v = u - a * z
             nv = p_norm(v)
             if nv > 0.0:
                 v = v / nv
                 Rv = quotient(v)
-                if Rv <= R - _ARMIJO_SLOPE * a * gg:
+                if Rv <= R - _ARMIJO_SLOPE * a * slope:
                     accepted = True
                     break
             a *= _ARMIJO_BACKTRACK
+            backtracks += 1
         if not accepted:
-            # Step underflow: the quotient cannot be decreased along -g.
-            line_search_failed = gnorm > tol * max(1.0, abs(R))
-            converged = not line_search_failed
+            # Step underflow: the quotient cannot be decreased along -M^-1 g.
+            converged = small(gnorm, R)
+            stop = "line_search"
             break
         s = v - u
         g_new = gradient(Rv)
-        y = g_new - g
-        sy = float(s @ y)
-        alpha = float(s @ s) / sy if sy > 0.0 else min(2.0 * a, 1e3)
+        sy = float(s @ (g_new - g))
+        alpha = metric.norm_sq(s) / sy if sy > 0.0 else min(2.0 * a, 1e3)
         alpha = min(max(alpha, 1e-12), 1e3)
         rel_change = abs(R - Rv) / max(abs(Rv), 1e-300)
         u, R, g = v, Rv, g_new
         gnorm = float(np.linalg.norm(g))
+        history.append(R)
+        if iters % _METRIC_REFRESH == 0:
+            metric.refresh(u)
+        z = metric.direction(g)
 
-    diagnostics = {"method": "bb_descent", "grad_norm": gnorm}
-    if line_search_failed:
-        diagnostics["line_search_failure"] = True
+    diagnostics = {
+        "method": "reweighted_descent",
+        "grad_norm": gnorm,
+        "stop": stop,
+        "metric_factorizations": metric.factorizations,
+        "backtracks": backtracks,
+    }
     return _eigenpair(mesh, R, u, iters, gnorm, converged, diagnostics)
 
 

@@ -21,6 +21,7 @@ from steklov import (
 )
 from steklov.assembly import (
     EnergyKernel,
+    WeightedStiffness,
     boundary_power_gradient,
     density_weights,
     geometry,
@@ -140,6 +141,26 @@ def test_assembly_matches_plain_loop_reference(square_tiny, rng):
         ref[j, j] += w
     A, _ = assemble_linear(mesh, phi, sigma)
     assert np.max(np.abs(A.toarray() - ref)) <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_weighted_stiffness_matches_plain_loop_reference(rect_small, rng):
+    # sum_T w_T K_T + diag(d) on a vertex subset, the slow and obvious way
+    mesh = rect_small
+    weights = rng.uniform(0.1, 10.0, len(mesh.triangles))
+    keep = np.flatnonzero(rng.uniform(size=mesh.n_vertices) < 0.7)
+    diagonal = rng.uniform(0.0, 1.0, len(keep))
+    ref = np.zeros((mesh.n_vertices, mesh.n_vertices))
+    for tri, w in zip(mesh.triangles, weights):
+        mat = np.ones((3, 3))
+        mat[:, 1:] = mesh.vertices[tri]
+        area = 0.5 * abs(np.linalg.det(mat))
+        grads = np.linalg.inv(mat)[1:, :]
+        ref[np.ix_(tri, tri)] += w * area * (grads.T @ grads)
+    ref = ref[np.ix_(keep, keep)] + np.diag(diagonal)
+    M = WeightedStiffness(mesh, keep).matrix(weights, diagonal)
+    assert M.shape == ref.shape
+    assert np.max(np.abs(M.toarray() - ref)) <= 1e-13 * np.abs(ref).max()
+    assert (M - M.T).nnz == 0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])

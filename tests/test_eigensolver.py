@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import steklov.eigensolver as eigensolver
 import steklov.rearrange as rearrange
 from steklov import (
     BoundaryDensity,
@@ -217,7 +218,8 @@ def test_descent_agrees_with_inverse_iteration_at_p2(square_tiny, disk_coarse, r
         phi = BoundaryDensity.of(mesh, rng.uniform(0, 1, mesh.n_boundary_edges))
         linear = solve_linear(mesh, phi, 4.0)
         descent = solve_nonlinear(mesh, phi, ProblemParams(p=2.0, sigma=4.0))
-        assert descent.lam == pytest.approx(linear.lam, rel=1e-6)
+        assert descent.converged
+        assert descent.lam == pytest.approx(linear.lam, rel=1e-8)
 
 
 def test_constant_shift_identity(square_tiny):
@@ -309,17 +311,29 @@ def test_dirichlet_descent_path_matches_linear_path(square_tiny):
 # ----------------------------------------------- descent regression values
 #
 # lambda (as float hex), residual and iteration counts of descents on
-# generate_disk(0.1), recorded with the element-wise energy and gradient
-# (an einsum per contraction, np.add.at scatters) that EnergyKernel
-# replaced.  Any change in the order of the floating-point operations of
-# the descent shows up here as a changed last bit.
+# generate_disk(0.1) in the reweighted metric.  Any change in the order of
+# the floating-point operations of the descent shows up here as a changed
+# last bit.  The EUCLIDEAN_ values were recorded with the Euclidean-step BB
+# descent that the metric replaced.  Both descents stop on the same test at
+# the same fixed point along different paths, so every eigenvalue must agree
+# with its Euclidean record to 1e-9 relative.
 
 DIRICHLET_DESCENT = {
+    1.5: ("0x1.ae5861c9f0952p-1", 27, "0x1.06f3aa5cfedcfp-26"),
+    3.0: ("0x1.2140ed3d07476p-1", 46, "0x1.bb27497a5b862p-27"),
+}
+OPTIMIZE_P3_LAMBDAS = ("0x1.874a72e74850dp+0", "0x1.e1de57d73cf91p-2", "0x1.e19680a6abd4dp-2")
+OPTIMIZE_P3_INNER_ITERATIONS = [69, 32, 18]
+
+EUCLIDEAN_DIRICHLET_DESCENT = {
     1.5: ("0x1.ae5861c9f0b41p-1", 352, "0x1.962621d21ac80p-24"),
     3.0: ("0x1.2140ed3d07530p-1", 292, "0x1.a0bc8ebccee4ap-24"),
 }
-OPTIMIZE_P3_LAMBDAS = ("0x1.874a72e748c71p+0", "0x1.e1de57d73cf02p-2", "0x1.e19680a6abbc3p-2")
-OPTIMIZE_P3_INNER_ITERATIONS = [511, 340, 199]
+EUCLIDEAN_OPTIMIZE_P3_LAMBDAS = (
+    "0x1.874a72e748c71p+0",
+    "0x1.e1de57d73cf02p-2",
+    "0x1.e19680a6abbc3p-2",
+)  # inner iterations [511, 340, 199]
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +350,12 @@ def test_pinned_descent_repeats_its_recorded_iterates(disk_regression, p):
     assert pair.converged
     assert pair.diagnostics["constrained_vertices"] == 17
     assert (pair.lam.hex(), pair.iterations, pair.residual.hex()) == (lam, iterations, residual)
+    euclidean = float.fromhex(EUCLIDEAN_DIRICHLET_DESCENT[p][0])
+    assert pair.lam == pytest.approx(euclidean, rel=1e-9)
+    pinned = mesh.boundary_vertices[
+        region.contains_array(mesh.boundary_vertex_arclength, closed=True)
+    ]
+    assert np.all(pair.u.values[pinned] == 0.0)
 
 
 def test_warm_started_p3_optimize_repeats_its_recorded_iterates(disk_regression, monkeypatch):
@@ -358,6 +378,88 @@ def test_warm_started_p3_optimize_repeats_its_recorded_iterates(disk_regression,
     assert trace.converged
     assert tuple(lam.hex() for lam in trace.lambdas) == OPTIMIZE_P3_LAMBDAS
     assert inner == OPTIMIZE_P3_INNER_ITERATIONS
+    for lam, euclidean in zip(trace.lambdas, EUCLIDEAN_OPTIMIZE_P3_LAMBDAS):
+        assert lam == pytest.approx(float.fromhex(euclidean), rel=1e-9)
+
+
+# ------------------------------------------------- mesh-independent descent
+#
+# sigma = 2 and phi = 0.3 on generate_disk(h), as in the benchmark's
+# nonlinear-p workload.
+
+GATE_SIZES = (0.1, 0.07, 0.05)
+
+# lambda of the Euclidean-step descent after all of its 10000 iterations at
+# p = 1.2, where it did not converge.
+EUCLIDEAN_P12_LAMBDA = {0.1: 1.0990335107452576, 0.07: 1.0993644621843688}
+
+DESCENT_DIAGNOSTICS = {"method", "grad_norm", "stop", "metric_factorizations", "backtracks"}
+
+
+@pytest.fixture(scope="module")
+def gate_disks():
+    return {h: generate_disk(h) for h in GATE_SIZES}
+
+
+def _gate_solve(mesh, p, opts=None):
+    phi = BoundaryDensity.constant(mesh, 0.3)
+    return solve_nonlinear(mesh, phi, ProblemParams(p=p, sigma=2.0), opts=opts)
+
+
+@pytest.mark.parametrize("p", [1.5, 1.8, 3.0])
+def test_descent_iterations_do_not_grow_with_refinement(gate_disks, p):
+    counts = []
+    for h in GATE_SIZES:
+        pair = _gate_solve(gate_disks[h], p)
+        assert pair.converged
+        assert pair.diagnostics["stop"] == "tolerance"
+        assert pair.iterations <= 100
+        counts.append(pair.iterations)
+    assert max(counts) <= 2.5 * min(counts)
+
+
+@pytest.mark.parametrize("h", sorted(EUCLIDEAN_P12_LAMBDA))
+def test_p12_descent_stops_early_below_the_euclidean_value(gate_disks, h):
+    pair = _gate_solve(gate_disks[h], 1.2)
+    assert not pair.converged
+    assert pair.iterations <= 1000
+    assert pair.diagnostics["stop"] in {"line_search", "stall"}
+    assert pair.lam <= EUCLIDEAN_P12_LAMBDA[h]
+
+
+def test_stalled_descent_stops_unconverged(disk_regression, monkeypatch):
+    # A window of 20 steps in which any drop counts as a stall.
+    monkeypatch.setattr(eigensolver, "_STALL_STEPS", 20)
+    monkeypatch.setattr(eigensolver, "_STALL_DROP", 1.0)
+    pair = _gate_solve(disk_regression, 1.2)
+    assert (pair.diagnostics["stop"], pair.iterations, pair.converged) == ("stall", 20, False)
+
+
+def test_descent_diagnostics_have_a_fixed_key_set(disk_regression):
+    mesh = disk_regression
+    capped = _gate_solve(mesh, 3.0, opts=SolverOptions(max_iters=5))
+    free = _gate_solve(mesh, 3.0)
+    warm = solve_nonlinear(
+        mesh, BoundaryDensity.constant(mesh, 0.6), ProblemParams(p=3.0, sigma=2.0), start=free.u
+    )
+    region = RegionSpec.from_intervals([(0.0, mesh.perimeter / 4.0)], mesh.perimeter)
+    pinned = solve_dirichlet(mesh, region, ProblemParams(p=1.5))
+    assert set(pinned.diagnostics) == DESCENT_DIAGNOSTICS | {"constrained_vertices"}
+    assert (capped.iterations, capped.converged) == (5, False)
+    for pair in (capped, free, warm):
+        assert set(pair.diagnostics) == DESCENT_DIAGNOSTICS
+    for pair, stop in (
+        (capped, "max_iters"),
+        (free, "tolerance"),
+        (warm, "tolerance"),
+        (pinned, "tolerance"),
+    ):
+        diagnostics = pair.diagnostics
+        assert diagnostics["method"] == "reweighted_descent"
+        assert diagnostics["stop"] == stop
+        assert diagnostics["grad_norm"] == pair.residual
+        # one factorization at the start, one more every 10 accepted steps
+        assert diagnostics["metric_factorizations"] == 1 + pair.iterations // 10
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
