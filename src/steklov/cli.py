@@ -20,7 +20,10 @@ Subcommands
 All commands read a single JSON config (``--config``).  Configs are
 versioned and validated fail-closed: unknown keys are rejected so typos in
 experiment scripts surface immediately.  Exit codes are a stable contract:
-0 success, 1 usage/config error, 2 numerical failure.  Output files are
+0 success, 1 usage/config error, 2 numerical failure.  Every usage or
+config error -- a bad flag, a bad config value, or an argument the library
+rejects with ``ValueError`` -- takes one path: ``main`` prints
+``config error: <message>`` to stderr and returns 1.  Output files are
 written atomically (temp file + rename) and, seeds being part of the
 config, re-runs are byte-identical except for ``timestamp`` fields.
 """
@@ -41,7 +44,6 @@ from pathlib import Path
 
 from .assembly import BoundaryDensity, ProblemParams, density_to_json, load_density
 from .eigensolver import (
-    EigenPair,
     SolverOptions,
     eigenpair_to_json,
     prepare_repeated_solves,
@@ -110,15 +112,18 @@ def _check_keys(obj: object, allowed: set[str], context: str) -> dict:
     return obj
 
 
+def _is_number(val: object) -> bool:
+    return not isinstance(val, bool) and isinstance(val, (int, float))
+
+
 def _number(obj: dict, key: str, context: str, required: bool = True) -> float | None:
     if key not in obj or obj[key] is None:
         if required:
             raise ConfigError(f"{context} requires a numeric '{key}'")
         return None
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(obj[key]):
         raise ConfigError(f"'{key}' in {context} must be a number")
-    return float(val)
+    return float(obj[key])
 
 
 def _integer(obj: dict, key: str, context: str, default: int | None = None) -> int | None:
@@ -135,6 +140,21 @@ def _string(obj: dict, key: str, context: str) -> str:
     if not isinstance(val, str):
         raise ConfigError(f"{context} requires a string '{key}'")
     return val
+
+
+def _is_number_list(val: object, length: int | None = None) -> bool:
+    return (
+        isinstance(val, list)
+        and all(map(_is_number, val))
+        and length in (None, len(val))
+    )
+
+
+def _number_pairs(items: list, message: str) -> list[tuple[float, float]]:
+    """``items`` as float pairs; raises ``message`` unless each is ``[a, b]``."""
+    if not all(_is_number_list(item, 2) for item in items):
+        raise ConfigError(message)
+    return [(float(a), float(b)) for a, b in items]
 
 
 def load_config(path: Path) -> dict:
@@ -255,17 +275,9 @@ def build_region(cfg: dict, mesh: Mesh) -> RegionSpec:
     intervals = raw.get("intervals")
     if not isinstance(intervals, list) or not intervals:
         raise ConfigError("region 'intervals' must be a non-empty list")
-    pairs = []
-    for item in intervals:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in item)
-        ):
-            raise ConfigError(
-                "each region interval must be a [s_begin, s_end] number pair"
-            )
-        pairs.append((float(item[0]), float(item[1])))
+    pairs = _number_pairs(
+        intervals, "each region interval must be a [s_begin, s_end] number pair"
+    )
     return RegionSpec.from_intervals(pairs, mesh.perimeter)
 
 
@@ -278,15 +290,9 @@ def build_tangent(cfg: dict, region: RegionSpec) -> TangentField:
         raise ConfigError(
             "tangent 'speeds' must list one [v_begin, v_end] pair per region arc"
         )
-    pairs = []
-    for item in speeds:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in item)
-        ):
-            raise ConfigError("each tangent speed entry must be a [v_begin, v_end] pair")
-        pairs.append((float(item[0]), float(item[1])))
+    pairs = _number_pairs(
+        speeds, "each tangent speed entry must be a [v_begin, v_end] pair"
+    )
     return TangentField(region, tuple(pairs))
 
 
@@ -313,75 +319,84 @@ def _write_json(path: Path, obj: object) -> None:
     _write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _write_record(path: Path, record: dict) -> None:
+    """Write ``record`` with the run's UTC ``timestamp`` as its last key."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    _write_json(path, {**record, "timestamp": stamp})
 
 
-def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _solve_fixed_potential(
-    mesh: Mesh,
-    phi: BoundaryDensity,
-    params: ProblemParams,
-    opts: SolverOptions,
-    start=None,
-) -> EigenPair:
-    if params.p == 2.0:
-        return solve_linear(mesh, phi, params.sigma, opts=opts, start=start)
-    return solve_nonlinear(mesh, phi, params, opts=opts, start=start)
+    _write_atomic(path, buf.getvalue())
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# shared runners
 
 
-def cmd_solve(cfg: dict, out_dir: Path, jobs: int) -> int:
-    mesh = build_mesh(cfg)
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
-    phi = build_potential(cfg, mesh)
+def _run_optimize(
+    cfg: dict, mesh: Mesh, params: ProblemParams, opts: SolverOptions, phi0=None
+):
+    """``optimize_potential`` with the config's mass and outer-loop settings.
 
-    pair = _solve_fixed_potential(mesh, phi, params, opts)
-
-    record = eigenpair_to_json(pair)
-    record["timestamp"] = _timestamp()
-    _write_json(out_dir / "eigenpair.json", record)
-
-    loop = mesh.boundary_vertices
-    rows = [
-        [float(mesh.boundary_vertex_arclength[k]), float(pair.u.values[loop[k]])]
-        for k in range(len(loop))
-    ]
-    _write_atomic(out_dir / "boundary_trace.csv", _csv_text(["s", "u"], rows))
-
-    print(f"lambda = {pair.lam!r}")
-    print(f"converged = {pair.converged} after {pair.iterations} iterations")
-    return _EXIT_OK if pair.converged else _EXIT_NUMERICAL
-
-
-def _run_optimize(cfg: dict, mesh: Mesh, params: ProblemParams, opts: SolverOptions):
+    The start is ``phi0`` if given, else the config's ``potential`` if any.
+    """
     a = _mass(cfg, mesh)
-    phi0 = build_potential(cfg, mesh) if "potential" in cfg else None
-    max_outer = _integer(cfg, "max_outer", "config", default=100)
-    outer_tol = _number(cfg, "outer_tol", "config", required=False)
+    if phi0 is None and "potential" in cfg:
+        phi0 = build_potential(cfg, mesh)
     return optimize_potential(
         mesh,
         params,
         a,
         opts=opts,
         phi0=phi0,
-        max_outer=max_outer,
-        outer_tol=outer_tol,
+        max_outer=_integer(cfg, "max_outer", "config", default=100),
+        outer_tol=_number(cfg, "outer_tol", "config", required=False),
     )
 
 
-def cmd_optimize(cfg: dict, out_dir: Path, jobs: int, binarize_output: bool = False) -> int:
+def _pooled(fn, items, mesh: Mesh, params: ProblemParams, jobs: int):
+    """Yield ``fn(item)`` for each of ``items`` in order, run on ``jobs`` threads."""
+    # Build on this thread so the pool finds the shared work cached: memory
+    # that a build frees on a pool thread stays in that thread's malloc
+    # arena instead of going back to the system.
+    prepare_repeated_solves(mesh, params)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, items)
+
+
+# --------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_solve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
+    mesh = build_mesh(cfg)
+    params = build_params(cfg)
+    opts = build_solver_options(cfg)
+    phi = build_potential(cfg, mesh)
+
+    if params.p == 2.0:
+        pair = solve_linear(mesh, phi, params.sigma, opts=opts)
+    else:
+        pair = solve_nonlinear(mesh, phi, params, opts=opts)
+
+    _write_record(out_dir / "eigenpair.json", eigenpair_to_json(pair))
+    loop = mesh.boundary_vertices
+    rows = [
+        [float(mesh.boundary_vertex_arclength[k]), float(pair.u.values[loop[k]])]
+        for k in range(len(loop))
+    ]
+    _write_csv(out_dir / "boundary_trace.csv", ["s", "u"], rows)
+
+    print(f"lambda = {pair.lam!r}")
+    print(f"converged = {pair.converged} after {pair.iterations} iterations")
+    return _EXIT_OK if pair.converged else _EXIT_NUMERICAL
+
+
+def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     mesh = build_mesh(cfg)
     params = build_params(cfg)
     opts = build_solver_options(cfg)
@@ -389,12 +404,12 @@ def cmd_optimize(cfg: dict, out_dir: Path, jobs: int, binarize_output: bool = Fa
     trace = _run_optimize(cfg, mesh, params, opts)
 
     final = trace.final_potential
-    if binarize_output:
+    if args.binarize:
         final = binarize(mesh, final)
 
     _write_json(out_dir / "trace.json", trace_to_json(trace))
     rows = [[k, float(lam)] for k, lam in enumerate(trace.lambdas)]
-    _write_atomic(out_dir / "trace.csv", _csv_text(["iter", "lambda"], rows))
+    _write_csv(out_dir / "trace.csv", ["iter", "lambda"], rows)
     _write_json(out_dir / "final_potential.json", density_to_json(final))
 
     print(
@@ -404,17 +419,13 @@ def cmd_optimize(cfg: dict, out_dir: Path, jobs: int, binarize_output: bool = Fa
     return _EXIT_OK if trace.converged else _EXIT_NUMERICAL
 
 
-def cmd_sigma_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_sigma_sweep(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     mesh = build_mesh(cfg)
     params = build_params(cfg)
     opts = build_solver_options(cfg)
 
     sigma_list = cfg.get("sigma_list")
-    if (
-        not isinstance(sigma_list, list)
-        or not sigma_list
-        or any(isinstance(s, bool) or not isinstance(s, (int, float)) for s in sigma_list)
-    ):
+    if not (_is_number_list(sigma_list) and sigma_list):
         raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
     sigmas = [float(s) for s in sigma_list]
     if any(s <= 0 for s in sigmas) or any(
@@ -428,22 +439,16 @@ def cmd_sigma_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     def one(sigma: float):
         return _run_optimize(cfg, mesh, replace(params, sigma=sigma), opts)
 
-    # Build on this thread so the pool finds the shared work cached: memory
-    # that a build frees on a pool thread stays in that thread's malloc
-    # arena instead of going back to the system.
-    prepare_repeated_solves(mesh, params)
     traces = []
     try:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one, s) for s in sigmas]
-            for fut in futures:
-                traces.append(fut.result())
+        for trace in _pooled(one, sigmas, mesh, params, args.jobs):
+            traces.append(trace)
     except (NonConvergenceError, InfeasibleConstraintError) as exc:
         # Flush what completed before the failure so the sweep is inspectable.
         rows = [
             [s, float(tr.final_lambda), ""] for s, tr in zip(sigmas, traces)
         ]
-        _write_atomic(csv_path, _csv_text(header, rows))
+        _write_csv(csv_path, header, rows)
         print(f"numerical failure during sweep: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
 
@@ -458,11 +463,8 @@ def cmd_sigma_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
         [s, float(tr.final_lambda), float(ref_pair.lam)]
         for s, tr in zip(sigmas, traces)
     ]
-    _write_atomic(csv_path, _csv_text(header, rows))
-
-    record = eigenpair_to_json(ref_pair)
-    record["timestamp"] = _timestamp()
-    _write_json(out_dir / "reference_eigenpair.json", record)
+    _write_csv(csv_path, header, rows)
+    _write_record(out_dir / "reference_eigenpair.json", eigenpair_to_json(ref_pair))
 
     for s, tr in zip(sigmas, traces):
         print(
@@ -472,7 +474,7 @@ def cmd_sigma_sweep(cfg: dict, out_dir: Path, jobs: int) -> int:
     return _EXIT_OK
 
 
-def cmd_shape_deriv(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_shape_deriv(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     mesh = build_mesh(cfg)
     params = build_params(cfg)
     opts = build_solver_options(cfg)
@@ -480,33 +482,23 @@ def cmd_shape_deriv(cfg: dict, out_dir: Path, jobs: int) -> int:
     tangent = build_tangent(cfg, region)
 
     steps = cfg.get("fd_steps", list(DEFAULT_FD_STEPS))
-    if not isinstance(steps, list) or any(
-        isinstance(t, bool) or not isinstance(t, (int, float)) for t in steps
-    ):
+    if not _is_number_list(steps):
         raise ConfigError("'fd_steps' must be a list of numbers")
     sign = _number(cfg, "sign_convention", "config", required=False)
     sign = 1.0 if sign is None else sign
     if sign not in (1.0, -1.0):
         raise ConfigError("'sign_convention' must be +1 or -1")
 
-    try:
-        report = shape_derivative_fd(
-            mesh,
-            region,
-            tangent,
-            params,
-            steps=[float(t) for t in steps],
-            opts=opts,
-            sign_convention=sign,
-        )
-    except ValueError as exc:
-        # Step-list validation failures are config errors, and the region/
-        # tangent consistency guards cannot fire here (both built together).
-        raise ConfigError(str(exc)) from exc
-
-    record = report_to_json(report)
-    record["timestamp"] = _timestamp()
-    _write_json(out_dir / "derivative_report.json", record)
+    report = shape_derivative_fd(
+        mesh,
+        region,
+        tangent,
+        params,
+        steps=[float(t) for t in steps],
+        opts=opts,
+        sign_convention=sign,
+    )
+    _write_record(out_dir / "derivative_report.json", report_to_json(report))
 
     print(f"formula_value = {report.formula_value!r}")
     for t, diff in report.fd_table:
@@ -524,39 +516,25 @@ def cmd_shape_deriv(cfg: dict, out_dir: Path, jobs: int) -> int:
     return _EXIT_OK if ok else _EXIT_NUMERICAL
 
 
-def cmd_symmetry_check(cfg: dict, out_dir: Path, jobs: int) -> int:
+def cmd_symmetry_check(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     mesh = build_mesh(cfg)
     if mesh.kind != "disk":
-        print("symmetry-check requires disk geometry", file=sys.stderr)
-        return _EXIT_CONFIG
+        raise ConfigError("symmetry-check requires disk geometry")
     params = build_params(cfg)
     opts = build_solver_options(cfg)
-    a = _mass(cfg, mesh)
-    max_outer = _integer(cfg, "max_outer", "config", default=100)
-    outer_tol = _number(cfg, "outer_tol", "config", required=False)
 
     seeds = [opts.seed + k for k in range(5)]
 
     def one(seed: int):
-        trace = optimize_potential(
-            mesh,
-            params,
-            a,
-            opts=replace(opts, seed=seed),
-            phi0="random",
-            max_outer=max_outer,
-            outer_tol=outer_tol,
-        )
+        seed_opts = replace(opts, seed=seed)
+        trace = _run_optimize(cfg, mesh, params, seed_opts, phi0="random")
         return (
             float(trace.final_lambda),
             float(arc_defect(mesh, trace.final_potential)),
             bool(trace.converged),
         )
 
-    # Built here, not on a pool thread: see cmd_sigma_sweep.
-    prepare_repeated_solves(mesh, params)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(one, seeds))
+    results = list(_pooled(one, seeds, mesh, params, args.jobs))
 
     lambdas = [r[0] for r in results]
     defects = [r[1] for r in results]
@@ -572,9 +550,8 @@ def cmd_symmetry_check(cfg: dict, out_dir: Path, jobs: int) -> int:
         "lambda_relative_spread": spread,
         "defect_budget": defect_budget,
         "passed": passed,
-        "timestamp": _timestamp(),
     }
-    _write_json(out_dir / "symmetry_report.json", record)
+    _write_record(out_dir / "symmetry_report.json", record)
 
     for seed, (lam, defect, conv) in zip(seeds, results):
         print(f"seed={seed}: lambda={lam!r} arc_defect={defect!r} converged={conv}")
@@ -587,67 +564,18 @@ def cmd_symmetry_check(cfg: dict, out_dir: Path, jobs: int) -> int:
 # --------------------------------------------------------------------------
 # entry point
 
+_BASE_KEYS = frozenset({"version", "geometry", "params", "solver", "output_dir"})
+_OPTIMIZE_KEYS = _BASE_KEYS | {"mass", "max_outer", "outer_tol"}
+
 _COMMANDS = {
-    "solve": (
-        cmd_solve,
-        {"version", "geometry", "params", "potential", "solver", "output_dir"},
-    ),
-    "optimize": (
-        cmd_optimize,
-        {
-            "version",
-            "geometry",
-            "params",
-            "potential",
-            "mass",
-            "solver",
-            "output_dir",
-            "max_outer",
-            "outer_tol",
-        },
-    ),
-    "sigma-sweep": (
-        cmd_sigma_sweep,
-        {
-            "version",
-            "geometry",
-            "params",
-            "potential",
-            "mass",
-            "solver",
-            "output_dir",
-            "max_outer",
-            "outer_tol",
-            "sigma_list",
-        },
-    ),
+    "solve": (cmd_solve, _BASE_KEYS | {"potential"}),
+    "optimize": (cmd_optimize, _OPTIMIZE_KEYS | {"potential"}),
+    "sigma-sweep": (cmd_sigma_sweep, _OPTIMIZE_KEYS | {"potential", "sigma_list"}),
     "shape-deriv": (
         cmd_shape_deriv,
-        {
-            "version",
-            "geometry",
-            "params",
-            "solver",
-            "output_dir",
-            "region",
-            "tangent",
-            "fd_steps",
-            "sign_convention",
-        },
+        _BASE_KEYS | {"region", "tangent", "fd_steps", "sign_convention"},
     ),
-    "symmetry-check": (
-        cmd_symmetry_check,
-        {
-            "version",
-            "geometry",
-            "params",
-            "mass",
-            "solver",
-            "output_dir",
-            "max_outer",
-            "outer_tol",
-        },
-    ),
+    "symmetry-check": (cmd_symmetry_check, _OPTIMIZE_KEYS),
 }
 
 
@@ -699,13 +627,7 @@ def main(argv=None) -> int:
             raise ConfigError("'output_dir' must be a string")
         out_dir = Path(args.out) if args.out else Path(cfg.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "optimize":
-            return handler(cfg, out_dir, args.jobs, binarize_output=args.binarize)
-        return handler(cfg, out_dir, args.jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return handler(cfg, out_dir, args)
     except (MeshParseError, MeshTopologyError, MeshResourceError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -713,8 +635,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except ValueError as exc:
-        # Argument validation from the library (bad p, masses, ranges, ...)
-        # is config-driven here.
+        # ConfigError and the library's argument validation (bad p, masses,
+        # ranges, steps, ...), which is config-driven here.
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (NonConvergenceError, InfeasibleConstraintError, RegionCollisionError) as exc:

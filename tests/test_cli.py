@@ -219,6 +219,23 @@ def test_shape_deriv_midedge_run_passes(tmp_path, capsys):
     assert len(record["fd_table"]) == 3
 
 
+def test_shape_deriv_passes_under_the_opposite_sign_convention(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_MEDIUM,
+        params={"p": 2.0, "sigma": 5.0},
+        region=_half_disk_region_config(0.1),
+        tangent={"speeds": [[0.0, 1.0]]},
+        sign_convention=-1,
+    )
+    out = tmp_path / "out"
+    assert run("shape-deriv", cfg, out) == 0
+    record = json.loads((out / "derivative_report.json").read_text())
+    assert record["sign_consistent"] is True
+    assert record["formula_value"] * record["fd_value"] < 0
+    assert record["relative_error"] <= 0.05
+
+
 def test_shape_deriv_flags_and_fails_on_vertex_crossing_steps(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -309,6 +309,25 @@ def test_optimize_degenerate_masses_are_fixed_points(disk_coarse):
     assert full.final_lambda == pytest.approx(free.lam + params.sigma, rel=1e-9)
 
 
+def test_optimize_stops_on_a_two_cycle(disk_coarse, monkeypatch):
+    # a refill that alternates between two caps revisits the first density
+    # on the second outer iteration, which must stop the loop unconverged
+    import steklov.rearrange as rearrange
+
+    a = math.pi / 2
+    caps = [cap_indicator(disk_coarse, angle, a)[1] for angle in (0.0, math.pi)]
+    calls = itertools.count(1)
+    monkeypatch.setattr(
+        rearrange, "bathtub", lambda *args: (caps[next(calls) % 2], 0.0)
+    )
+    trace = optimize_potential(
+        disk_coarse, ProblemParams(p=2.0, sigma=5.0), a, phi0=caps[0]
+    )
+    assert trace.diagnostics == {"cycle_detected": True}
+    assert trace.converged is False
+    assert trace.outer_iterations == 2
+
+
 def test_optimize_raises_on_inner_failure(disk_coarse):
     params = ProblemParams(p=2.0, sigma=5.0)
     with pytest.raises(NonConvergenceError):

@@ -1,4 +1,4 @@
-"""Every experiment script still imports and parses its arguments."""
+"""Every experiment script parses its arguments and runs end to end."""
 
 import os
 import subprocess
@@ -11,18 +11,53 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_script_help_exits_cleanly(script):
+def _run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, str(script), "--help"],
+    return subprocess.run(
+        [sys.executable, str(script), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_script_help_exits_cleanly(script):
+    proc = _run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, args, expected",
+    [
+        pytest.param(
+            "disk_convergence.py",
+            ["--h", "0.4", "0.2"],
+            "   0.200       116",
+            id="disk_convergence.py",
+        ),
+        pytest.param(
+            "cap_formation.py",
+            ["--h", "0.3", "--sigma", "1", "10"],
+            "pinned reference on the final support",
+            id="cap_formation.py",
+        ),
+        pytest.param(
+            "derivative_table.py",
+            [],
+            "  sign consistent        True",
+            marks=pytest.mark.slow,
+            id="derivative_table.py",
+        ),
+    ],
+)
+def test_script_runs_end_to_end(name, args, expected):
+    proc = _run_script(ROOT / "scripts" / name, *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith(expected) for line in lines), proc.stdout

@@ -52,7 +52,7 @@ def test_formula_is_linear_in_the_tangent_field(half_disk_setup):
 
 def test_zero_field_gives_zero_derivative(half_disk_setup):
     mesh, region, params, pair = half_disk_setup
-    zero = TangentField.zero(region)
+    zero = TangentField(region, tuple((0.0, 0.0) for _ in region.arcs))
     assert shape_derivative_formula(mesh, pair, region, zero, params) == 0.0
 
 
@@ -169,6 +169,17 @@ def test_fd_report_on_midedge_half_disk(half_disk_setup):
     assert 3.0 < ratio < 5.0  # central differences converge at second order
     assert isinstance(rep.formula_value, float)
     assert isinstance(rep.fd_value, float)
+
+
+def test_fd_report_agrees_under_either_sign_convention(half_disk_setup):
+    mesh, region, params, _ = half_disk_setup
+    v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
+    plus = shape_derivative_fd(mesh, region, v, params)
+    minus = shape_derivative_fd(mesh, region, v, params, sign_convention=-1.0)
+    assert minus.formula_value == -plus.formula_value
+    assert (minus.fd_value, minus.fd_table) == (plus.fd_value, plus.fd_table)
+    assert minus.relative_error == plus.relative_error <= 0.05
+    assert plus.sign_consistent and minus.sign_consistent
 
 
 def test_fd_flags_vertex_crossings_for_large_steps(half_disk_setup):
