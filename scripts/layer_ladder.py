@@ -1,0 +1,126 @@
+"""Per-layer timings of one p = 2 solve on a ladder of meshes.
+
+For unit disks at each ``--h`` and the unit square at ``--square-h`` the
+script times every layer a one-off CLI solve passes through and prints one
+row per mesh, each entry the median of ``--repeat`` runs in milliseconds:
+
+    generate   the generator call, Mesh construction included
+    mesh       Mesh(vertices, triangles) on the generator's arrays
+    loop       the boundary-loop extraction inside that construction
+    geometry   the per-mesh P1 geometry (areas, basis gradients, masses)
+    assemble   assemble_linear with the geometry already built
+    splu       sparse LU of the assembled matrix
+    solve      one solve_linear from scratch (assembly and LU included)
+    bathtub    one bathtub refill from the solve's eigenfunction
+    defect     arc_defect of the refilled density
+
+The solve uses sigma = 5 and a constant density 0.25; the refill keeps a
+quarter of the perimeter.
+"""
+
+import argparse
+import statistics
+import time
+
+import scipy.sparse.linalg as spla
+
+from steklov import (
+    BoundaryDensity,
+    Mesh,
+    arc_defect,
+    assemble_linear,
+    bathtub,
+    generate_disk,
+    generate_rectangle,
+    solve_linear,
+)
+from steklov.assembly import _Geometry, geometry
+from steklov.mesh import _extract_boundary_loop
+
+SIGMA = 5.0
+LAYERS = (
+    "generate",
+    "mesh",
+    "loop",
+    "geometry",
+    "assemble",
+    "splu",
+    "solve",
+    "bathtub",
+    "defect",
+)
+
+
+def median_ms(fn, repeat):
+    """Median wall time of ``fn()`` over ``repeat`` calls, and its last result."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times), result
+
+
+def ladder_row(generate, repeat):
+    row = {}
+    row["generate"], mesh = median_ms(generate, repeat)
+    row["mesh"], _ = median_ms(
+        lambda: Mesh(mesh.vertices, mesh.triangles, kind=mesh.kind), repeat
+    )
+    row["loop"], _ = median_ms(lambda: _extract_boundary_loop(mesh.triangles), repeat)
+    row["geometry"], _ = median_ms(lambda: _Geometry(mesh), repeat)
+    phi = BoundaryDensity.constant(mesh, 0.25)
+    geometry(mesh)
+    row["assemble"], (A, _) = median_ms(lambda: assemble_linear(mesh, phi, SIGMA), repeat)
+    A = A.tocsc()
+    row["splu"], _ = median_ms(lambda: spla.splu(A), repeat)
+    row["solve"], pair = median_ms(lambda: solve_linear(mesh, phi, SIGMA), repeat)
+    mass = 0.25 * mesh.perimeter
+    row["bathtub"], (refill, _) = median_ms(lambda: bathtub(mesh, pair.u, mass), repeat)
+    row["defect"], _ = median_ms(lambda: arc_defect(mesh, refill), repeat)
+    return mesh, row
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument(
+        "--h",
+        type=float,
+        nargs="*",
+        default=[0.05, 0.025, 0.0125],
+        help="unit-disk mesh sizes",
+    )
+    ap.add_argument(
+        "--square-h",
+        type=float,
+        nargs="*",
+        default=[0.004],
+        help="unit-square mesh sizes",
+    )
+    ap.add_argument("--repeat", type=int, default=5, help="runs per layer (median)")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    ladder = [("disk", h, lambda h=h: generate_disk(h)) for h in args.h]
+    ladder += [
+        ("square", h, lambda h=h: generate_rectangle(1.0, 1.0, h)) for h in args.square_h
+    ]
+
+    print(f"median of {args.repeat} run(s) per layer, milliseconds")
+    print(
+        f"{'mesh':<6} {'h':>7} {'n':>7} {'B':>5} "
+        + " ".join(f"{name:>9}" for name in LAYERS)
+    )
+    for kind, h, generate in ladder:
+        mesh, row = ladder_row(generate, args.repeat)
+        print(
+            f"{kind:<6} {h:7.4f} {mesh.n_vertices:7d} {mesh.n_boundary_edges:5d} "
+            + " ".join(f"{row[name]:9.2f}" for name in LAYERS)
+        )
+
+
+if __name__ == "__main__":
+    main()

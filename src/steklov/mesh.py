@@ -8,6 +8,11 @@ normals) can be addressed by a single circular coordinate
 
 Meshes are immutable after construction: every array is marked read-only,
 so instances are safe to share between threads and to memoize against.
+
+Construction is array work: the rectangle's triangles come from index
+arithmetic and the boundary edges from one sort of directed-edge keys (see
+:func:`_extract_boundary_loop`); only the walk over the B boundary vertices
+is a Python loop.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .errors import (
-    MeshParseError,
-    MeshResourceError,
-    MeshTopologyError,
-    OpenBoundaryError,
-)
+from .errors import MeshParseError, MeshResourceError, MeshTopologyError
 
 # Refuse disk/rectangle resolutions that would allocate more vertices than this.
 _MAX_GENERATED_VERTICES = 5_000_000
@@ -167,50 +167,77 @@ def _extract_boundary_loop(triangles):
 
     Returns ``(loop, edge_tri)`` where ``loop[k] = (i, j)`` is the k-th
     directed boundary edge and ``edge_tri[k]`` the index of its unique
-    adjacent triangle.
+    adjacent triangle.  The loop starts at the smallest boundary vertex.
+
+    Edges are matched by one sort: the directed edges are listed in
+    triangle-major order ``(a, b), (b, c), (c, a)`` and packed into integer
+    keys that put each edge next to its reverse.  A boundary edge is one
+    whose reverse is absent.  Only the walk along the B boundary edges runs
+    in Python.
+
+    The loop always closes.  At every vertex each triangle contributes one
+    outgoing and one incoming directed edge, and so does each matched
+    interior pair; the unmatched (boundary) edges therefore have equal out-
+    and in-degree at every vertex.  Once no vertex has two outgoing
+    boundary edges, every boundary vertex has exactly one successor and one
+    predecessor, so the successor map permutes the boundary vertices and
+    the walk returns to its start.  A walk shorter than B means the
+    permutation has more than one cycle: several boundary loops.
     """
-    m = len(triangles)
-    directed = {}
-    for t in range(m):
-        a, b, c = triangles[t]
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (int(i), int(j))
-            if key in directed:
-                raise MeshTopologyError(
-                    f"directed edge {key} appears twice (repeated or overlapping triangle)"
-                )
-            directed[key] = t
+    triangles = np.asarray(triangles, dtype=np.int64)
+    n = int(triangles.max()) + 1
+    src = triangles.ravel()
+    dst = triangles[:, [1, 2, 0]].ravel()
+    # Key of (i, j): twice the key of the undirected edge, plus 1 if i > j.
+    # Sorted, a repeated directed edge is a run of equal keys and an interior
+    # edge meets its reverse in the adjacent slot.
+    keys = 2 * (np.minimum(src, dst) * n + np.maximum(src, dst)) + (src > dst)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
 
-    boundary = {}
-    for (i, j), t in directed.items():
-        if (j, i) not in directed:
-            if i in boundary:
-                raise MeshTopologyError(
-                    f"vertex {i} has two outgoing boundary edges (non-manifold pinch)"
-                )
-            boundary[i] = (j, t)
+    # A stable sort lists the copies of one key in edge order, so the first
+    # repeat in edge order is the smallest index that is not first in its run.
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeats.size:
+        e = int(repeats.min())
+        key = (int(src[e]), int(dst[e]))
+        raise MeshTopologyError(
+            f"directed edge {key} appears twice (repeated or overlapping triangle)"
+        )
 
-    if not boundary:
+    paired = (sorted_keys[1:] >> 1) == (sorted_keys[:-1] >> 1)
+    unmatched = np.ones(len(keys), dtype=bool)
+    unmatched[1:] &= ~paired
+    unmatched[:-1] &= ~paired
+    edges = np.sort(order[unmatched])
+    if edges.size == 0:
         raise MeshTopologyError("mesh has no boundary")
 
-    start = min(boundary)
-    loop = []
-    edge_tri = []
-    v = start
-    for _ in range(len(boundary)):
-        if v not in boundary:
-            raise OpenBoundaryError(f"boundary chain breaks at vertex {v}")
-        w, t = boundary[v]
-        loop.append((v, w))
-        edge_tri.append(t)
-        v = w
-        if v == start:
-            break
-    if v != start:
-        raise OpenBoundaryError("boundary loop does not close")
-    if len(loop) != len(boundary):
+    starts = src[edges]
+    by_start = np.argsort(starts, kind="stable")
+    pinches = by_start[1:][starts[by_start[1:]] == starts[by_start[:-1]]]
+    if pinches.size:
+        i = int(starts[pinches.min()])
+        raise MeshTopologyError(
+            f"vertex {i} has two outgoing boundary edges (non-manifold pinch)"
+        )
+
+    succ = np.full(n, -1, dtype=np.int64)
+    succ[starts] = dst[edges]
+    tri = np.full(n, -1, dtype=np.int64)
+    tri[starts] = edges // 3
+
+    start = int(starts.min())
+    nxt = succ.tolist()
+    walk = [start]
+    v = nxt[start]
+    while v != start:
+        walk.append(v)
+        v = nxt[v]
+    if len(walk) != len(edges):
         raise MeshTopologyError("boundary has multiple loops")
-    return np.asarray(loop, dtype=np.int64), np.asarray(edge_tri, dtype=np.int64)
+    walk = np.asarray(walk, dtype=np.int64)
+    return np.column_stack((walk, succ[walk])), tri[walk]
 
 
 def generate_disk(target_h):
@@ -292,8 +319,9 @@ def generate_rectangle(width, height, target_h):
     boundary polygon is the exact rectangle, so its perimeter equals
     ``2 * (width + height)`` up to the last bit of the arc-length sums.
     """
-    if width <= 0.0 or height <= 0.0 or target_h <= 0.0:
-        raise ValueError("width, height and target_h must be positive")
+    for name, value in (("width", width), ("height", height), ("target_h", target_h)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     nx = max(1, int(math.ceil(width / target_h)))
     ny = max(1, int(math.ceil(height / target_h)))
     if (nx + 1) * (ny + 1) > _MAX_GENERATED_VERTICES:
@@ -305,17 +333,13 @@ def generate_rectangle(width, height, target_h):
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack((xx.ravel(), yy.ravel()))
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(vertices, np.asarray(tris, dtype=np.int64), kind="rectangle")
+    # Vertex (i, j) has index i * (ny + 1) + j; cell (i, j) is split into
+    # (v00, v10, v11) and (v00, v11, v01), cells in i-major order.
+    v00 = (np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    v10, v01 = v00 + (ny + 1), v00 + 1
+    v11 = v10 + 1
+    tris = np.stack((v00, v10, v11, v00, v11, v01), axis=1).reshape(-1, 3)
+    return Mesh(vertices, tris, kind="rectangle")
 
 
 def load_mesh(text):

@@ -402,6 +402,27 @@ def test_invalid_physical_parameters_are_config_errors(tmp_path):
         assert run(command, cfg4, tmp_path / f"out-{command}") == 1
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        dict(RECT, width=math.inf),
+        dict(RECT, target_h=math.nan),
+        dict(RECT, target_h=math.inf),
+    ],
+    ids=["width-inf", "target_h-nan", "target_h-inf"],
+)
+def test_non_finite_rectangle_sizes_are_config_errors(tmp_path, capsys, geometry):
+    cfg = write_config(
+        tmp_path,
+        geometry=geometry,
+        params={"p": 2.0, "sigma": 0.0},
+        potential={"type": "constant", "value": 0.0},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out" / "eigenpair.json").exists()
+
+
 def test_inner_solver_failure_is_a_numerical_exit(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import steklov.mesh as mesh_module
 from steklov import (
     Mesh,
     MeshParseError,
@@ -103,6 +105,15 @@ def test_rectangle_rejects_bad_arguments():
         generate_rectangle(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position, name", [(0, "width"), (1, "height"), (2, "target_h")])
+def test_rectangle_rejects_non_finite_sizes(position, name, bad):
+    args = [1.0, 1.0, 0.5]
+    args[position] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        generate_rectangle(*args)
+
+
 # ------------------------------------------------------- mesh invariants
 
 
@@ -181,8 +192,8 @@ def test_load_rejects_trailing_content():
 
 
 def test_load_rejects_open_boundary():
-    # two triangles glued along a full edge... but with a vertex used twice so
-    # the boundary walk pinches: vertex 0 has two outgoing boundary edges.
+    # two triangles sharing only vertex 0, so the boundary pinches there:
+    # vertex 0 has two outgoing boundary edges.
     text = """\
 vertices 5
 0 0
@@ -194,8 +205,10 @@ triangles 2
 0 1 2
 0 3 4
 """
-    with pytest.raises((OpenBoundaryError, MeshTopologyError)):
+    with pytest.raises(MeshTopologyError) as err:
         load_mesh(text)
+    assert type(err.value) is MeshTopologyError
+    assert str(err.value) == "vertex 0 has two outgoing boundary edges (non-manifold pinch)"
 
 
 def test_load_rejects_unreferenced_vertex():
@@ -211,6 +224,193 @@ def test_serialize_round_trip():
     assert np.array_equal(again.vertices, mesh.vertices)
     assert np.array_equal(again.triangles, mesh.triangles)
     assert again.perimeter == mesh.perimeter
+
+
+# ------------------------------------- construction against plain loops
+#
+# Transcriptions of the original construction: a dict over every directed
+# edge with a chain walk, and a nested loop over the rectangle's cells.  The
+# array construction in steklov.mesh must reproduce both bitwise, errors
+# included.
+
+
+def _reference_boundary_loop(triangles):
+    directed = {}
+    for t in range(len(triangles)):
+        a, b, c = triangles[t]
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (int(i), int(j))
+            if key in directed:
+                raise MeshTopologyError(
+                    f"directed edge {key} appears twice (repeated or overlapping triangle)"
+                )
+            directed[key] = t
+
+    boundary = {}
+    for (i, j), t in directed.items():
+        if (j, i) not in directed:
+            if i in boundary:
+                raise MeshTopologyError(
+                    f"vertex {i} has two outgoing boundary edges (non-manifold pinch)"
+                )
+            boundary[i] = (j, t)
+    if not boundary:
+        raise MeshTopologyError("mesh has no boundary")
+
+    start = min(boundary)
+    loop, edge_tri = [], []
+    v = start
+    for _ in range(len(boundary)):
+        w, t = boundary[v]
+        loop.append((v, w))
+        edge_tri.append(t)
+        v = w
+        if v == start:
+            break
+    if len(loop) != len(boundary):
+        raise MeshTopologyError("boundary has multiple loops")
+    return np.asarray(loop, dtype=np.int64), np.asarray(edge_tri, dtype=np.int64)
+
+
+def _reference_rectangle_triangles(nx, ny):
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            v01, v11 = v00 + 1, v10 + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_construction(mesh, build, monkeypatch):
+    """``build()`` under the reference loop extraction reproduces ``mesh``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh_module, "_extract_boundary_loop", _reference_boundary_loop)
+        reference = build()
+    for name in (
+        "vertices",
+        "triangles",
+        "boundary_loop",
+        "edge_lengths",
+        "cum_arclength",
+        "outward_normals",
+    ):
+        assert _same_bits(getattr(mesh, name), getattr(reference, name)), name
+    assert mesh.perimeter == reference.perimeter
+    assert mesh.diagnostics == reference.diagnostics
+    loop, edge_tri = mesh_module._extract_boundary_loop(mesh.triangles)
+    ref_loop, ref_edge_tri = _reference_boundary_loop(mesh.triangles)
+    assert _same_bits(loop, ref_loop)
+    assert _same_bits(edge_tri, ref_edge_tri)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.1, 0.05, 0.0125])
+def test_disk_construction_matches_the_dict_walk(h, monkeypatch):
+    _assert_same_construction(generate_disk(h), lambda: generate_disk(h), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "width, height, target_h",
+    [(2.0, 1.0, 0.3), (1.0, 3.0, 0.7), (1.0, 0.4, 0.5), (0.3, 2.0, 0.5), (0.5, 0.5, 1.0)],
+)
+def test_rectangle_construction_matches_the_cell_loop(width, height, target_h, monkeypatch):
+    mesh = generate_rectangle(width, height, target_h)
+    nx = max(1, math.ceil(width / target_h))
+    ny = max(1, math.ceil(height / target_h))
+    expected = _reference_rectangle_triangles(nx, ny)
+    assert _same_bits(mesh.triangles, expected)
+    _assert_same_construction(
+        mesh, lambda: Mesh(mesh.vertices, expected, kind="rectangle"), monkeypatch
+    )
+
+
+def _scrambled_disk_text(h, seed):
+    """A disk as mesh text with shuffled, partly clockwise triangles and
+    permuted vertex indices, so that no boundary vertex has index 0."""
+    disk = generate_disk(h)
+    rng = np.random.default_rng(seed)
+    n = disk.n_vertices
+    interior = np.flatnonzero(~disk.is_boundary_vertex)
+    boundary = np.flatnonzero(disk.is_boundary_vertex)
+    new_index = np.empty(n, dtype=np.int64)
+    new_index[np.concatenate((rng.permutation(interior), rng.permutation(boundary)))] = (
+        np.arange(n)
+    )
+    vertices = np.empty_like(disk.vertices)
+    vertices[new_index] = disk.vertices
+    triangles = new_index[disk.triangles][rng.permutation(len(disk.triangles))]
+    flip = rng.random(len(triangles)) < 0.4
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    lines = [f"vertices {n}"] + [f"{x:.17g} {y:.17g}" for x, y in vertices]
+    lines += [f"triangles {len(triangles)}"] + [f"{i} {j} {k}" for i, j, k in triangles]
+    return "\n".join(lines) + "\n", int(flip.sum())
+
+
+def test_scrambled_file_mesh_matches_the_dict_walk(monkeypatch):
+    text, flipped = _scrambled_disk_text(0.2, seed=7)
+    mesh = load_mesh(text)
+    assert mesh.diagnostics["reoriented_triangles"] == flipped > 0
+    assert mesh.boundary_loop[0, 0] == mesh.boundary_vertices.min() > 0
+    _assert_same_construction(mesh, lambda: load_mesh(text), monkeypatch)
+
+
+def _triangle_text(vertices, triangles):
+    lines = [f"vertices {len(vertices)}"] + [f"{x} {y}" for x, y in vertices]
+    lines += [f"triangles {len(triangles)}"] + [" ".join(map(str, t)) for t in triangles]
+    return "\n".join(lines) + "\n"
+
+
+MESH_ERRORS = {
+    # the third triangle repeats the second one rotated; the first repeat in
+    # edge order is (2, 3), not the smallest repeated key (0, 2)
+    "repeated-edge": (
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(0, 1, 2), (0, 2, 3), (2, 3, 0)],
+        "directed edge (2, 3) appears twice (repeated or overlapping triangle)",
+    ),
+    # three triangles in a row, touching at vertices 1 and 5; vertex 5's
+    # second outgoing boundary edge comes first in edge order
+    "pinch": (
+        [(0, 0), (1, 0), (0, 1), (2, 0), (3, 1), (2, 1), (3, 2)],
+        [(1, 3, 5), (5, 4, 6), (0, 1, 2)],
+        "vertex 5 has two outgoing boundary edges (non-manifold pinch)",
+    ),
+    "two-loops": (
+        [(0, 0), (1, 0), (0, 1), (3, 0), (4, 0), (3, 1)],
+        [(0, 1, 2), (3, 4, 5)],
+        "boundary has multiple loops",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MESH_ERRORS))
+def test_mesh_errors_name_what_the_dict_walk_named(case):
+    vertices, triangles, message = MESH_ERRORS[case]
+    with pytest.raises(MeshTopologyError, match=f"^{re.escape(message)}$") as err:
+        load_mesh(_triangle_text(vertices, triangles))
+    assert type(err.value) is MeshTopologyError
+    with pytest.raises(MeshTopologyError, match=f"^{re.escape(message)}$"):
+        _reference_boundary_loop(np.asarray(triangles))
+
+
+def test_closed_surface_has_no_boundary():
+    # The four consistently oriented faces of a tetrahedron.  A Mesh cannot
+    # hold them: mapped to the plane, a closed surface has degree 0, so its
+    # triangles cannot all have positive area.
+    faces = np.array([(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+    for extract in (mesh_module._extract_boundary_loop, _reference_boundary_loop):
+        with pytest.raises(MeshTopologyError, match="^mesh has no boundary$") as err:
+            extract(faces)
+        assert type(err.value) is MeshTopologyError
+
+
+def test_open_boundary_error_stays_exported_as_a_topology_error():
+    assert issubclass(OpenBoundaryError, MeshTopologyError)
 
 
 # --------------------------------------------------------- arc locations

@@ -48,6 +48,12 @@ def test_script_help_exits_cleanly(script):
             id="cap_formation.py",
         ),
         pytest.param(
+            "layer_ladder.py",
+            ["--h", "0.3", "--square-h", "0.25", "--repeat", "1"],
+            "disk    0.3000      62    22",
+            id="layer_ladder.py",
+        ),
+        pytest.param(
             "derivative_table.py",
             [],
             "  sign consistent        True",
