@@ -351,31 +351,17 @@ class WeightedStiffness:
     their ``(i, j)`` and ``(j, i)`` contributions arrive in the same
     triangle order, so every assembled matrix is exactly symmetric --
     scipy's own duplicate folding does not guarantee that.
-
-    ``keep`` (increasing vertex indices) restricts the pattern to the
-    principal submatrix on those vertices, numbered in that order.
     """
 
-    def __init__(self, mesh, keep=None):
+    def __init__(self, mesh):
         g = geometry(mesh)
-        tris = mesh.triangles
         n = mesh.n_vertices
         local = np.einsum("tid,tjd->tij", g.basis_grads, g.basis_grads)
         local *= g.areas[:, None, None]
-        rows = np.repeat(tris, 3, axis=1).ravel()  # t-major, then i, then j
-        cols = np.tile(tris, (1, 3)).ravel()
-        source = None
-        if keep is not None:
-            index = np.full(n, -1)
-            index[keep] = np.arange(len(keep))
-            rows, cols = index[rows], index[cols]
-            source = np.flatnonzero((rows >= 0) & (cols >= 0))
-            rows, cols = rows[source], cols[source]
-            n = len(keep)
+        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()  # t-major, then i, then j
+        cols = np.tile(mesh.triangles, (1, 3)).ravel()
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        if source is not None:
-            order = source[order]  # positions in the t-major local matrices
         self._vals = local.ravel()[order]
         self._elements = np.floor_divide(order, 9, out=order)  # 9 entries per triangle
         first = np.ones(len(rows), dtype=bool)
@@ -389,8 +375,8 @@ class WeightedStiffness:
     def matrix(self, weights=None, diagonal=None):
         """``sum_T weights_T K_T + diag(diagonal)`` in CSR format.
 
-        ``weights`` (one per triangle of the mesh) and ``diagonal`` (one per
-        kept vertex) default to ones and zeros.
+        ``weights`` (one per triangle) and ``diagonal`` (one per vertex)
+        default to ones and zeros.
         """
         vals = self._vals if weights is None else self._vals * weights[self._elements]
         data = np.add.reduceat(vals, self._starts)

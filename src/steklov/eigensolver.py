@@ -14,8 +14,7 @@ phi and sigma, ``solve_linear`` pins nothing.  The core runs the inverse
 iteration on one of two routes with the same iterates:
 
 - plain: a sparse LU of the n x n matrix for every solve, restricted to
-  the unpinned vertices (diagonally preconditioned CG above
-  ``_DIRECT_SOLVE_LIMIT`` unknowns);
+  the unpinned vertices;
 - reduced: phi and sigma enter A only on the boundary diagonal, so all
   solves on one mesh share the interior block.  :func:`boundary_operator`
   eliminates it once, giving the dense B x B Steklov-Poincare matrix S0
@@ -98,10 +97,6 @@ from .assembly import (  # noqa: F401
     energy_gradient,
 )
 from .errors import InfeasibleConstraintError
-
-# Above this many unknowns the inner solves switch from a reused direct
-# factorization to diagonally preconditioned CG.
-_DIRECT_SOLVE_LIMIT = 200_000
 
 # splu options for a symmetric positive definite matrix that is already in a
 # fill-reducing order: no row pivoting and no column reordering (symmetric
@@ -198,28 +193,6 @@ def rayleigh(mesh, u, phi, params):
     return energy(mesh, u, phi, params) / denom
 
 
-def _make_solver(A):
-    """Return a callable solving A x = b, direct or CG depending on size.
-
-    The CG solver starts each solve from its previous solution.
-    """
-    n = A.shape[0]
-    if n <= _DIRECT_SOLVE_LIMIT:
-        return spla.splu(A.tocsc()).solve
-    dinv = 1.0 / A.diagonal()
-    precond = spla.LinearOperator(A.shape, matvec=lambda x: dinv * x)
-    x = None
-
-    def solve(b):
-        nonlocal x
-        x, info = spla.cg(A, b, x0=x, M=precond, rtol=1e-12, atol=0.0, maxiter=20 * n)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"CG failed to converge (info={info})")
-        return x
-
-    return solve
-
-
 def _inverse_iteration(apply_A, mb, solve, lam, u, tol, max_iters):
     """Inverse power steps for the smallest finite eigenpair of A u = lam diag(mb) u.
 
@@ -247,15 +220,6 @@ def _inverse_iteration(apply_A, mb, solve, lam, u, tol, max_iters):
 
 def _relative_residual(Au, Mu, lam):
     return float(np.linalg.norm(Au - lam * Mu) / max(np.linalg.norm(Au), 1e-300))
-
-
-def _plain_iteration(A, mb, u0, tol, max_iters):
-    """Inverse iteration with a fresh factorization of the sparse matrix A."""
-    u = u0 / np.sqrt(u0 @ (mb * u0))
-    lam, u, iters, converged = _inverse_iteration(
-        A.__matmul__, mb, _make_solver(A), float(u @ (A @ u)), u, tol, max_iters
-    )
-    return lam, u, iters, _relative_residual(A @ u, mb * u, lam), converged
 
 
 class BoundaryOperator:
@@ -380,12 +344,10 @@ _operators_lock = threading.Lock()
 def boundary_operator(mesh):
     """The mesh's :class:`BoundaryOperator`, built on the first call and cached.
 
-    Returns None above ``_DIRECT_SOLVE_LIMIT`` unknowns and when no operator
-    can be built; solvers then take the plain path.  Threads asking for the
-    same mesh wait for one build.
+    Returns None when no operator can be built (see
+    :func:`_build_boundary_operator`); solvers then take the plain path.
+    Threads asking for the same mesh wait for one build.
     """
-    if mesh.n_vertices > _DIRECT_SOLVE_LIMIT:
-        return None
     with _operators_lock:
         if mesh not in _operators:
             _operators[mesh] = _build_boundary_operator(mesh)
@@ -401,45 +363,6 @@ def prepare_repeated_solves(mesh, params):
     """
     if params.p == 2.0:
         boundary_operator(mesh)
-
-
-def _reduced_iteration(mesh, op, d, u0, free, tol, max_iters):
-    """The inverse iteration of ``A0 + diag(d)`` run on the boundary.
-
-    ``d`` is zero off the boundary, so every iterate after the start is
-    A0-harmonic inside and the loop runs on ``S0 + diag(d_b)`` restricted
-    to the boundary positions ``free`` (the others are pinned to zero); the
-    interior is recovered once at the end.  The start, the eigenvalue and
-    the residual, taken over the rows of the unpinned vertices, use the full
-    operator.  Returns ``(lam, u, iterations, residual, converged)``.
-    """
-    mb = assembly.geometry(mesh).boundary_weights
-
-    def apply_A(v):
-        return op.A0 @ v + d * v
-
-    u = u0 / np.sqrt(u0 @ (mb * u0))
-    lam = float(u @ apply_A(u))
-    idx = mesh.boundary_vertices[free]
-    S = op.S0[np.ix_(free, free)]
-    S[np.diag_indices_from(S)] += d[idx]
-    factor = sla.cho_factor(S)
-    lam, ub, iters, converged = _inverse_iteration(
-        S.__matmul__,
-        mb[idx],
-        lambda rhs: sla.cho_solve(factor, rhs),
-        lam,
-        u[idx],
-        tol,
-        max_iters,
-    )
-    trace = np.zeros(mesh.n_boundary_edges)
-    trace[free] = ub
-    u = op.extend(trace)
-    rows = np.ones(mesh.n_vertices, dtype=bool)
-    rows[mesh.boundary_vertices[~free]] = False
-    residual = _relative_residual(apply_A(u)[rows], mb[rows] * u[rows], lam)
-    return lam, u, iters, residual, converged
 
 
 def _start_values(mesh, start, p):
@@ -473,37 +396,64 @@ def _eigenpair(mesh, lam, u, iterations, residual, converged, diagnostics):
 def _solve_p2(mesh, phi, sigma, pinned_b, opts, start):
     """Inverse iteration for p = 2 with the trace pinned to zero on ``pinned_b``.
 
-    ``pinned_b`` masks the positions of ``mesh.boundary_vertices``.  Runs on
-    the mesh's cached boundary operator when one has been built, otherwise
-    on a fresh sparse factorization of A, restricted to the unpinned
-    vertices when some vertex is pinned.
+    ``pinned_b`` masks the positions of ``mesh.boundary_vertices``.  Each
+    route of the module docstring supplies a matrix K of the unpinned
+    unknowns, its solve and a lift back to all vertices.  Reduced:
+    ``S0 + diag(d_b)``, its Cholesky factor and the A0-harmonic extension
+    (``d`` is zero off the boundary, so every iterate after the start is
+    A0-harmonic inside).  Plain: A restricted to the unpinned vertices, its
+    ``splu`` and a scatter.  The start, its eigenvalue and the residual,
+    over the rows of the unpinned vertices, use the full operator.
     """
-    tol = opts.resolved_tol(2.0)
-    u0 = _start_values(mesh, start, 2.0)
-    pinned = mesh.boundary_vertices[pinned_b]
-    u0[pinned] = 0.0
+    mb = assembly.geometry(mesh).boundary_weights
+    rows = np.ones(mesh.n_vertices, dtype=bool)
+    rows[mesh.boundary_vertices[pinned_b]] = False
+    u = _start_values(mesh, start, 2.0)
+    u[~rows] = 0.0
     op = _operators.get(mesh)
     if op is not None:
         d = sigma * assembly.density_weights(mesh, phi)
-        lam, u, iters, residual, converged = _reduced_iteration(
-            mesh, op, d, u0, ~pinned_b, tol, opts.max_iters
-        )
+        free = ~pinned_b
+        idx = mesh.boundary_vertices[free]
+        K = op.S0[np.ix_(free, free)]
+        K[np.diag_indices_from(K)] += d[idx]
+        factor = sla.cho_factor(K)
+
+        def apply_A(v):
+            return op.A0 @ v + d * v
+
+        def solve(rhs):
+            return sla.cho_solve(factor, rhs)
+
+        def lift(x):
+            trace = np.zeros(mesh.n_boundary_edges)
+            trace[free] = x
+            return op.extend(trace)
+
     else:
-        A, Mb = assembly.assemble_linear(mesh, phi, sigma)
-        mb = Mb.diagonal()
-        if pinned.size == 0:
-            lam, u, iters, residual, converged = _plain_iteration(
-                A, mb, u0, tol, opts.max_iters
-            )
-        else:
-            keep = np.ones(mesh.n_vertices, dtype=bool)
-            keep[pinned] = False
-            idx = np.flatnonzero(keep)
-            lam, uf, iters, residual, converged = _plain_iteration(
-                A[np.ix_(idx, idx)].tocsr(), mb[idx], u0[idx], tol, opts.max_iters
-            )
-            u = np.zeros(mesh.n_vertices)
-            u[idx] = uf
+        A, _ = assembly.assemble_linear(mesh, phi, sigma)
+        apply_A = A.__matmul__
+        idx = np.flatnonzero(rows)
+        K = A[np.ix_(idx, idx)].tocsr() if pinned_b.any() else A
+        solve = spla.splu(K.tocsc()).solve
+
+        def lift(x):
+            v = np.zeros(mesh.n_vertices)
+            v[idx] = x
+            return v
+
+    u = u / np.sqrt(u @ (mb * u))
+    lam, x, iters, converged = _inverse_iteration(
+        K.__matmul__,
+        mb[idx],
+        solve,
+        float(u @ apply_A(u)),
+        u[idx],
+        opts.resolved_tol(2.0),
+        opts.max_iters,
+    )
+    u = lift(x)
+    residual = _relative_residual(apply_A(u)[rows], mb[rows] * u[rows], lam)
     diagnostics = {"method": "inverse_iteration", "boundary_operator": op is not None}
     return _eigenpair(mesh, lam, u, iters, residual, converged, diagnostics)
 
@@ -540,7 +490,7 @@ class _ReweightedMetric:
         self._kernel = kernel
         self._p = params.p
         self._free = free
-        self._stiffness = assembly.WeightedStiffness(mesh, free)
+        self._stiffness = assembly.WeightedStiffness(mesh)
         self._mass = (
             geom.lumped_mass
             + params.sigma * assembly.density_weights(mesh, phi)
@@ -553,13 +503,15 @@ class _ReweightedMetric:
     def refresh(self, u):
         """Reweight M at the field ``u`` and factor it."""
         gx, gy = self._kernel.element_gradients(u)
-        diagonal = self._mass * _reweighting(u * u, self._p)
-        if self._free is not None:
-            diagonal = diagonal[self._free]
         # Release the old factor before building the new one.
         self._matrix = self._lu = None
-        self._matrix = self._stiffness.matrix(_reweighting(gx * gx + gy * gy, self._p), diagonal)
-        self._lu = spla.splu(self._matrix.tocsc())
+        matrix = self._stiffness.matrix(
+            _reweighting(gx * gx + gy * gy, self._p), self._mass * _reweighting(u * u, self._p)
+        )
+        if self._free is not None:
+            matrix = matrix[self._free][:, self._free]
+        self._matrix = matrix
+        self._lu = spla.splu(matrix.tocsc())
         self.factorizations += 1
 
     def direction(self, g):

@@ -55,7 +55,7 @@ class Mesh:
         Construction notes (currently the count of reoriented triangles).
     """
 
-    def __init__(self, vertices, triangles, kind="file", n_reoriented=0):
+    def __init__(self, vertices, triangles, kind="file"):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -73,7 +73,7 @@ class Mesh:
         self.vertices = vertices
         self.triangles = triangles
         self.kind = kind
-        self.diagnostics = {"reoriented_triangles": n_reoriented + flipped}
+        self.diagnostics = {"reoriented_triangles": flipped}
 
         used = np.zeros(len(vertices), dtype=bool)
         used[triangles.ravel()] = True
@@ -259,10 +259,11 @@ def generate_disk(target_h):
     """
     if not (0.0 < target_h < 1.0):
         raise ValueError(f"target_h must lie in (0, 1), got {target_h}")
-    est = 3.7 / target_h**2
+    # Divide twice: target_h**2 underflows to 0 for tiny target_h.
+    est = 3.7 / target_h / target_h
     if est > _MAX_GENERATED_VERTICES:
         raise MeshResourceError(
-            f"target_h={target_h} would need ~{est:.0f} vertices "
+            f"target_h={target_h:g} would need ~{est:g} vertices "
             f"(limit {_MAX_GENERATED_VERTICES})"
         )
 
@@ -322,12 +323,15 @@ def generate_rectangle(width, height, target_h):
     for name, value in (("width", width), ("height", height), ("target_h", target_h)):
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    nx = max(1, int(math.ceil(width / target_h)))
-    ny = max(1, int(math.ceil(height / target_h)))
-    if (nx + 1) * (ny + 1) > _MAX_GENERATED_VERTICES:
+    # Float cell counts: width / target_h may overflow to inf, which
+    # math.ceil cannot convert.  Below the limit every count is exact.
+    nx = max(1.0, float(np.ceil(width / target_h)))
+    ny = max(1.0, float(np.ceil(height / target_h)))
+    if (nx + 1.0) * (ny + 1.0) > _MAX_GENERATED_VERTICES:
         raise MeshResourceError(
-            f"rectangle grid {nx}x{ny} exceeds {_MAX_GENERATED_VERTICES} vertices"
+            f"rectangle grid {nx:g}x{ny:g} exceeds {_MAX_GENERATED_VERTICES} vertices"
         )
+    nx, ny = int(nx), int(ny)
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
@@ -490,10 +494,6 @@ class RegionSpec:
     @property
     def total_mass(self):
         return float(sum(length for _, length in self.arcs))
-
-    def intervals(self):
-        """Arcs as ``(s_begin, s_end)`` pairs with ``s_end`` possibly > perimeter."""
-        return [(start, start + length) for start, length in self.arcs]
 
     def contains(self, s, closed=False, tol=1e-12):
         """Membership of an arc coordinate; ``closed`` includes both endpoints."""

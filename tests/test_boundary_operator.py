@@ -12,6 +12,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from steklov import (
     BoundaryDensity,
@@ -19,6 +20,7 @@ from steklov import (
     ProblemParams,
     RegionSpec,
     SolverOptions,
+    assemble_linear,
     boundary_operator,
     generate_disk,
     generate_rectangle,
@@ -27,7 +29,7 @@ from steklov import (
     solve_dirichlet,
     solve_linear,
 )
-from steklov import eigensolver, rearrange
+from steklov import assembly, eigensolver, rearrange
 from steklov.cli import main
 
 
@@ -78,6 +80,44 @@ def test_reduced_path_repeats_the_plain_iteration(name, opts):
     assert boundary_operator(mesh) is not None
     for p, r in zip(plain, solves()):
         assert_same_pair(p, r)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generate_disk(0.3), lambda: generate_rectangle(2.0, 1.0, 0.4)],
+    ids=["disk", "rectangle"],
+)
+def test_both_routes_match_the_dense_boundary_eigenproblem(make):
+    # Exact oracle: eliminate the interior of A densely and solve the
+    # generalized boundary problem S x = lam diag(mb_b) x on the unpinned
+    # boundary positions with LAPACK.
+    mesh = make()
+    P = mesh.perimeter
+    b = mesh.boundary_vertices
+    i = np.flatnonzero(~mesh.is_boundary_vertex)
+    mb = assembly.geometry(mesh).boundary_weights[b]
+    phi = random_admissible(mesh, 0.3 * P, seed=4)
+    zero = BoundaryDensity.constant(mesh, 0.0)
+    region = RegionSpec.from_intervals([(0.1, 0.1 + 0.3 * P)], P)
+    unpinned = ~region.contains_array(mesh.boundary_vertex_arclength, closed=True)
+
+    def smallest(density, sigma, f):
+        A = assemble_linear(mesh, density, sigma)[0].toarray()
+        S = A[np.ix_(b, b)] - A[np.ix_(b, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, b)])
+        return sla.eigh(S[np.ix_(f, f)], np.diag(mb[f]), eigvals_only=True)[0]
+
+    expected_free = smallest(phi, 5.0, np.ones(len(b), dtype=bool))
+    expected_pinned = smallest(zero, 0.0, unpinned)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        free = solve_linear(mesh, phi, 5.0)
+        pinned = solve_dirichlet(mesh, region, ProblemParams())
+        assert pinned.diagnostics["constrained_vertices"] == int((~unpinned).sum()) > 0
+        for pair, expected in ((free, expected_free), (pinned, expected_pinned)):
+            assert pair.diagnostics["boundary_operator"] is reduced
+            assert pair.converged
+            assert pair.lam == pytest.approx(expected, rel=1e-8)
 
 
 def test_dirichlet_solve_without_pins_is_the_free_linear_solve():
@@ -186,21 +226,3 @@ def test_parallel_sweep_matches_serial_sweep(tmp_path, count_builds):
     assert len(count_builds) == 2  # each CLI run builds its own mesh, once
     assert count_builds[0] is not count_builds[1]
 
-
-def test_cg_fallback_matches_direct_solve_and_builds_nothing(monkeypatch, count_builds):
-    mesh = generate_disk(0.2)
-    phi = random_admissible(mesh, 1.5, seed=3)
-    direct = solve_linear(mesh, phi, 5.0)
-
-    monkeypatch.setattr(eigensolver, "_DIRECT_SOLVE_LIMIT", mesh.n_vertices - 1)
-    assert boundary_operator(mesh) is None
-    cg = solve_linear(mesh, phi, 5.0)
-    assert cg.converged
-    assert cg.diagnostics["boundary_operator"] is False
-    assert cg.lam == pytest.approx(direct.lam, rel=1e-8)
-    np.testing.assert_allclose(cg.u.values, direct.u.values, atol=1e-6)
-
-    trace = optimize_potential(mesh, ProblemParams(p=2.0, sigma=5.0), 1.5)
-    assert trace.converged
-    assert count_builds == []
-    assert mesh not in eigensolver._operators

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from steklov import generate_disk
+from steklov import NonConvergenceError, generate_disk, serialize_mesh
+from steklov import cli
 from steklov.cli import main
 
 DISK_COARSE = {"type": "disk", "h": 0.3}
@@ -110,6 +111,57 @@ def test_solve_constant_potential_shifts_the_eigenvalue(tmp_path):
     assert lam1 - lam0 == pytest.approx(2.0 * 0.5, abs=1e-7)
 
 
+def solve_record(tmp_path, name, **cfg):
+    """Run ``solve`` on a p = 2, sigma = 2 config; return its eigenpair record."""
+    cfg.setdefault("params", {"p": 2.0, "sigma": 2.0})
+    path = write_config(tmp_path, name=f"{name}.json", **cfg)
+    out = tmp_path / name
+    assert run("solve", path, out) == 0
+    record = json.loads((out / "eigenpair.json").read_text())
+    record.pop("timestamp")
+    return record
+
+
+def test_solve_reads_a_serialized_mesh_file(tmp_path):
+    mesh_path = tmp_path / "disk.mesh"
+    mesh_path.write_text(serialize_mesh(generate_disk(0.3)), encoding="utf-8")
+    zero = {"type": "constant", "value": 0.0}
+    from_file = solve_record(
+        tmp_path, "file", geometry={"type": "mesh_file", "path": str(mesh_path)}, potential=zero
+    )
+    generated = solve_record(tmp_path, "disk", geometry=DISK_COARSE, potential=zero)
+    assert from_file == generated
+
+
+def test_solve_with_a_cap_potential_raises_the_eigenvalue(tmp_path):
+    zero = solve_record(
+        tmp_path, "zero", geometry=DISK_COARSE, potential={"type": "constant", "value": 0.0}
+    )
+    cap = solve_record(
+        tmp_path,
+        "cap",
+        geometry=DISK_COARSE,
+        potential={"type": "cap", "angle": 0.5, "mass": 1.5},
+    )
+    assert cap["converged"] is True
+    # 0 <= sigma * phi <= 2 raises the quotient of every field by at most 2
+    assert zero["lambda"] < cap["lambda"] < zero["lambda"] + 2.0
+
+
+def test_solve_reads_the_final_potential_of_an_optimize_run(tmp_path):
+    cfg = write_config(
+        tmp_path, geometry=DISK_COARSE, params={"p": 2.0, "sigma": 2.0}, mass=1.5
+    )
+    assert run("optimize", cfg, tmp_path / "opt") == 0
+    final = float(read_csv(tmp_path / "opt" / "trace.csv")[-1][1])
+    path = tmp_path / "opt" / "final_potential.json"
+    record = solve_record(
+        tmp_path, "again", geometry=DISK_COARSE, potential={"type": "file", "path": str(path)}
+    )
+    assert record["converged"] is True
+    assert record["lambda"] == pytest.approx(final, rel=1e-8)
+
+
 # ---------------------------------------------------------------- optimize
 
 
@@ -175,6 +227,36 @@ def test_sigma_sweep_reports_positive_shrinking_gaps(tmp_path):
     assert gaps[-1] < gaps[0]
     assert lams == sorted(lams)
     assert (out / "reference_eigenpair.json").exists()
+
+
+def test_sigma_sweep_flushes_the_completed_rows_when_a_coupling_fails(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    optimize = cli.optimize_potential
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NonConvergenceError("injected failure")
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_potential", fail_second)
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 1.0},
+        mass=1.0,
+        sigma_list=[1.0, 10.0, 100.0],
+    )
+    out = tmp_path / "out"
+    assert run("sigma-sweep", cfg, out) == 2
+    assert "injected failure" in capsys.readouterr().err
+    rows = read_csv(out / "sweep.csv")
+    assert rows[0] == ["sigma", "Lambda_sigma", "Lambda_inf_reference"]
+    assert len(rows) == 2
+    assert float(rows[1][0]) == 1.0 and float(rows[1][1]) > 0.0 and rows[1][2] == ""
+    assert not (out / "reference_eigenpair.json").exists()
 
 
 def test_sigma_sweep_rejects_unsorted_list(tmp_path):
@@ -338,6 +420,38 @@ def test_missing_mesh_file_is_a_config_error(tmp_path):
         params={"p": 2.0, "sigma": 0.0},
     )
     assert run("solve", cfg, tmp_path / "out") == 1
+
+
+def test_malformed_mesh_file_is_a_mesh_error(tmp_path, capsys):
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_text("vertices 3\n0 0\n1 0\n0 one\ntriangles 1\n0 1 2\n", encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        geometry={"type": "mesh_file", "path": str(mesh_path)},
+        params={"p": 2.0, "sigma": 0.0},
+        potential={"type": "constant", "value": 0.0},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("mesh error: line 4: ")
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"type": "rectangle", "width": 1e300, "height": 1.0, "target_h": 1e-10},
+        {"type": "disk", "h": 1e-200},
+    ],
+    ids=["rectangle-overflow", "disk-underflow"],
+)
+def test_unallocatable_generated_meshes_are_mesh_errors(tmp_path, capsys, geometry):
+    cfg = write_config(
+        tmp_path,
+        geometry=geometry,
+        params={"p": 2.0, "sigma": 0.0},
+        potential={"type": "constant", "value": 0.0},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("mesh error: ")
 
 
 def test_usage_errors_return_config_exit(tmp_path):

@@ -75,6 +75,9 @@ def test_disk_rejects_nonpositive_h():
 def test_disk_rejects_unallocatable_h():
     with pytest.raises(MeshResourceError):
         generate_disk(1e-6)
+    # target_h**2 underflows to 0 here
+    with pytest.raises(MeshResourceError, match="would need ~inf vertices"):
+        generate_disk(1e-200)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.11, 0.23, 0.4])
@@ -111,6 +114,20 @@ def test_rectangle_rejects_non_finite_sizes(position, name, bad):
     args = [1.0, 1.0, 0.5]
     args[position] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        generate_rectangle(*args)
+
+
+@pytest.mark.parametrize(
+    "args, grid",
+    [
+        ((1e300, 1.0, 1e-10), "infx1e+10"),  # width / target_h overflows to inf
+        ((1e200, 1e200, 1e-200), "infxinf"),
+        ((3000.0, 3000.0, 1.0), "3000x3000"),  # finite, just over the limit
+    ],
+    ids=["width-overflow", "both-overflow", "finite"],
+)
+def test_rectangle_rejects_unallocatable_grids(args, grid):
+    with pytest.raises(MeshResourceError, match=re.escape(f"rectangle grid {grid} exceeds")):
         generate_rectangle(*args)
 
 
