@@ -14,6 +14,7 @@ the package reduces to them.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ import scipy.sparse as sp
 class ProblemParams:
     """Exponent p > 1, boundary coupling sigma >= 0, gradient regularization.
 
+    Every given value must be finite.
+
     ``eps_reg`` smooths the degenerate gradient factor |grad u|^(p-2) near
     zero gradients; ``None`` resolves to 1e-8 for p < 2 (where the factor
     blows up) and to 0 for p >= 2 (where it is continuous).
@@ -35,12 +38,14 @@ class ProblemParams:
     eps_reg: float | None = None
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.eps_reg is not None and self.eps_reg < 0.0:
-            raise ValueError(f"eps_reg must be nonnegative, got {self.eps_reg}")
+        if not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if self.eps_reg is not None and not (
+            math.isfinite(self.eps_reg) and self.eps_reg >= 0.0
+        ):
+            raise ValueError(f"eps_reg must be finite and nonnegative, got {self.eps_reg}")
 
     @property
     def eps(self):
@@ -224,10 +229,6 @@ class EnergyKernel:
         gy += u1 * by[1]
         gy += u2 * by[2]
         return gx, gy
-
-    def power(self, vals):
-        """:func:`boundary_p_power` of ``vals``."""
-        return float(np.dot(self.mesh.edge_lengths, trace_weights(self.mesh, vals, self.p)))
 
     def evaluate(self, vals):
         """``(energy, boundary p-power)`` of ``vals``, which becomes the kernel's field."""

@@ -369,13 +369,11 @@ def _pooled(fn, items, mesh: Mesh, params: ProblemParams, jobs: int):
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the config with the mesh, params and solver options
+# that ``main`` built from it, the output directory and the parsed arguments.
 
 
-def cmd_solve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    mesh = build_mesh(cfg)
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
+def cmd_solve(cfg, mesh, params, opts, out_dir, args) -> int:
     phi = build_potential(cfg, mesh)
 
     if params.p == 2.0:
@@ -396,11 +394,7 @@ def cmd_solve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return _EXIT_OK if pair.converged else _EXIT_NUMERICAL
 
 
-def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    mesh = build_mesh(cfg)
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
-
+def cmd_optimize(cfg, mesh, params, opts, out_dir, args) -> int:
     trace = _run_optimize(cfg, mesh, params, opts)
 
     final = trace.final_potential
@@ -419,11 +413,7 @@ def cmd_optimize(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return _EXIT_OK if trace.converged else _EXIT_NUMERICAL
 
 
-def cmd_sigma_sweep(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    mesh = build_mesh(cfg)
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
-
+def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
     sigma_list = cfg.get("sigma_list")
     if not (_is_number_list(sigma_list) and sigma_list):
         raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
@@ -474,10 +464,7 @@ def cmd_sigma_sweep(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def cmd_shape_deriv(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    mesh = build_mesh(cfg)
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
+def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
     region = build_region(cfg, mesh)
     tangent = build_tangent(cfg, region)
 
@@ -516,12 +503,9 @@ def cmd_shape_deriv(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return _EXIT_OK if ok else _EXIT_NUMERICAL
 
 
-def cmd_symmetry_check(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    mesh = build_mesh(cfg)
+def cmd_symmetry_check(cfg, mesh, params, opts, out_dir, args) -> int:
     if mesh.kind != "disk":
         raise ConfigError("symmetry-check requires disk geometry")
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
 
     seeds = [opts.seed + k for k in range(5)]
 
@@ -627,7 +611,10 @@ def main(argv=None) -> int:
             raise ConfigError("'output_dir' must be a string")
         out_dir = Path(args.out) if args.out else Path(cfg.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        return handler(cfg, out_dir, args)
+        mesh = build_mesh(cfg)
+        params = build_params(cfg)
+        opts = build_solver_options(cfg)
+        return handler(cfg, mesh, params, opts, out_dir, args)
     except (MeshParseError, MeshTopologyError, MeshResourceError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -10,14 +10,17 @@ never increase the eigenvalue estimate.
 
 ``solve_linear`` and the p = 2 ``solve_dirichlet`` are two callers of one
 core: ``solve_dirichlet`` pins the trace to zero on its region and drops
-phi and sigma, ``solve_linear`` pins nothing.  The core runs the inverse
-iteration on one of two routes with the same iterates:
+phi and sigma, ``solve_linear`` pins nothing.  The pinned set is one vertex
+mask, built once per solve and handed unchanged to the p = 2 core or, for
+p != 2, to the descent.  The core runs the inverse iteration on one of two
+routes with the same iterates:
 
 - plain: a sparse LU of the n x n matrix for every solve, restricted to
   the unpinned vertices;
 - reduced: phi and sigma enter A only on the boundary diagonal, so all
   solves on one mesh share the interior block.  :func:`boundary_operator`
-  eliminates it once, giving the dense B x B Steklov-Poincare matrix S0
+  eliminates it once, in a nested-dissection order that one keyed sort
+  yields, giving the dense B x B Steklov-Poincare matrix S0
   (Quarteroni & Valli, Domain Decomposition Methods for PDEs, 1999), and
   each solve then factors ``S0 + sigma * diag(b_phi)`` (its principal
   submatrix when some vertex is pinned) by dense Cholesky and recovers the
@@ -83,9 +86,10 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 
-# The descent evaluates through assembly.EnergyKernel.  The energy and
-# boundary functions stay importable from this module, where
-# bench/tracing.py wraps them by name.
+# The descent evaluates through assembly.EnergyKernel and normalizes with
+# boundary_p_norm; rayleigh uses energy and boundary_p_power.  The two
+# gradient functions stay importable from this module only because
+# bench/tracing.py wraps them here by name.
 from .assembly import (  # noqa: F401
     BoundaryDensity,
     Field,
@@ -257,7 +261,11 @@ def _nested_dissection(mesh):
     of the upper half that share an edge with the lower half become the
     part's separator.  Parts are numbered like a binary heap (the halves of
     part k are 2k and 2k + 1), and the order lists both halves of a part
-    before its separator (George, SIAM J. Numer. Anal. 10, 1973).
+    before its separator (George, SIAM J. Numer. Anal. 10, 1973).  That
+    post-order is a sort: part k at depth d = floor(log2 k) sorts at the
+    last slot of its subtree on the deepest level D,
+    ``((k - 2^d + 1) << (D - d)) - 1``, and after its descendants that share
+    that slot; within a part the vertices keep their index order.
     """
     interior = np.flatnonzero(~mesh.is_boundary_vertex)
     m = len(interior)
@@ -291,20 +299,10 @@ def _nested_dissection(mesh):
         part[separator] //= 2
         unplaced[separator] = False
 
-    top = int(part.max())
-    post = np.empty(top + 1, dtype=np.int64)
-    count = 0
-    stack = [(1, False)]
-    while stack:
-        k, halves_done = stack.pop()
-        if k > top:
-            continue
-        if halves_done:
-            post[k] = count
-            count += 1
-        else:
-            stack += [(k, True), (2 * k + 1, False), (2 * k, False)]
-    return interior[np.argsort(post[part], kind="stable")]
+    d = np.frexp(part)[1] - 1
+    D = d.max()
+    key = ((part - (1 << d) + 1) << (D - d)) - 1
+    return interior[np.lexsort((-d, key))]
 
 
 def _build_boundary_operator(mesh):
@@ -393,27 +391,27 @@ def _eigenpair(mesh, lam, u, iterations, residual, converged, diagnostics):
     )
 
 
-def _solve_p2(mesh, phi, sigma, pinned_b, opts, start):
-    """Inverse iteration for p = 2 with the trace pinned to zero on ``pinned_b``.
+def _solve_p2(mesh, phi, sigma, pinned, opts, start):
+    """Inverse iteration for p = 2 with the field pinned to zero on ``pinned``.
 
-    ``pinned_b`` masks the positions of ``mesh.boundary_vertices``.  Each
-    route of the module docstring supplies a matrix K of the unpinned
-    unknowns, its solve and a lift back to all vertices.  Reduced:
-    ``S0 + diag(d_b)``, its Cholesky factor and the A0-harmonic extension
-    (``d`` is zero off the boundary, so every iterate after the start is
-    A0-harmonic inside).  Plain: A restricted to the unpinned vertices, its
-    ``splu`` and a scatter.  The start, its eigenvalue and the residual,
-    over the rows of the unpinned vertices, use the full operator.
+    ``pinned`` is a vertex mask that is False off the boundary; ``rows`` is
+    its complement and ``free`` the unpinned positions of
+    ``mesh.boundary_vertices``.  Each route of the module docstring supplies
+    a matrix K of the unpinned unknowns, its solve and a lift back to all
+    vertices.  Reduced: ``S0 + diag(d_b)`` on ``free``, its Cholesky factor
+    and the A0-harmonic extension (``d`` is zero off the boundary, so every
+    iterate after the start is A0-harmonic inside).  Plain: A restricted to
+    ``rows``, its ``splu`` and a scatter.  The start, its eigenvalue and the
+    residual, over ``rows``, use the full operator.
     """
     mb = assembly.geometry(mesh).boundary_weights
-    rows = np.ones(mesh.n_vertices, dtype=bool)
-    rows[mesh.boundary_vertices[pinned_b]] = False
+    rows = ~pinned
     u = _start_values(mesh, start, 2.0)
-    u[~rows] = 0.0
+    u[pinned] = 0.0
     op = _operators.get(mesh)
     if op is not None:
         d = sigma * assembly.density_weights(mesh, phi)
-        free = ~pinned_b
+        free = rows[mesh.boundary_vertices]
         idx = mesh.boundary_vertices[free]
         K = op.S0[np.ix_(free, free)]
         K[np.diag_indices_from(K)] += d[idx]
@@ -434,7 +432,7 @@ def _solve_p2(mesh, phi, sigma, pinned_b, opts, start):
         A, _ = assembly.assemble_linear(mesh, phi, sigma)
         apply_A = A.__matmul__
         idx = np.flatnonzero(rows)
-        K = A[np.ix_(idx, idx)].tocsr() if pinned_b.any() else A
+        K = A[np.ix_(idx, idx)].tocsr() if pinned.any() else A
         solve = spla.splu(K.tocsc()).solve
 
         def lift(x):
@@ -467,8 +465,8 @@ def solve_linear(mesh, phi, sigma, opts=None, start=None):
     iteration-limit hits; the returned eigenfunction is normalized to unit
     boundary 2-norm and sign-fixed to nonnegative boundary mean.
     """
-    pinned_b = np.zeros(mesh.n_boundary_edges, dtype=bool)
-    return _solve_p2(mesh, phi, sigma, pinned_b, opts or SolverOptions(), start)
+    pinned = np.zeros(mesh.n_vertices, dtype=bool)
+    return _solve_p2(mesh, phi, sigma, pinned, opts or SolverOptions(), start)
 
 
 def random_positive_start(mesh, seed):
@@ -564,13 +562,10 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
     free = None if frozen is None else np.flatnonzero(~frozen)
     metric = _ReweightedMetric(kernel, phi, params, free)
 
-    def p_norm(vals):
-        return kernel.power(vals) ** (1.0 / p)
-
     u = np.array(u0, dtype=np.float64)
     if frozen is not None:
         u[frozen] = 0.0
-    norm = p_norm(u)
+    norm = boundary_p_norm(mesh, u, p)
     if norm == 0.0:
         raise ValueError("start has zero boundary trace")
     u = u / norm
@@ -621,7 +616,7 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
         accepted = False
         while a > 1e-18:
             v = u - a * z
-            nv = p_norm(v)
+            nv = boundary_p_norm(mesh, v, p)
             if nv > 0.0:
                 v = v / nv
                 Rv = quotient(v)
@@ -685,13 +680,13 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
         raise InfeasibleConstraintError(
             "region covers every boundary vertex; no admissible trace remains"
         )
+    pinned = np.zeros(mesh.n_vertices, dtype=bool)
+    pinned[mesh.boundary_vertices[constrained_b]] = True
     phi0 = BoundaryDensity.constant(mesh, 0.0)
     if params.p == 2.0:
-        eig = _solve_p2(mesh, phi0, 0.0, constrained_b, opts, start)
+        eig = _solve_p2(mesh, phi0, 0.0, pinned, opts, start)
     else:
-        frozen = np.zeros(mesh.n_vertices, dtype=bool)
-        frozen[mesh.boundary_vertices[constrained_b]] = True
         u0 = _start_values(mesh, start, params.p)
-        eig = _descent(mesh, phi0, params, opts, u0, frozen=frozen)
+        eig = _descent(mesh, phi0, params, opts, u0, frozen=pinned)
     eig.diagnostics["constrained_vertices"] = int(constrained_b.sum())
     return eig

@@ -65,6 +65,13 @@ def cap_indicator(mesh, center_angle, mass):
     return region, rasterize_region(mesh, region)
 
 
+def _check_mass(mesh, mass):
+    """Reject a mass outside ``[0, perimeter]`` (with a 1e-12 relative slack)."""
+    P = mesh.perimeter
+    if not (0.0 <= mass <= P + 1e-12 * P):
+        raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
+
+
 def bathtub(mesh, u, mass, p=2.0):
     """Exact minimizer of ``sum_e phi_e w_e len_e`` at the given mass.
 
@@ -75,9 +82,7 @@ def bathtub(mesh, u, mass, p=2.0):
     underlying LP.  Returns ``(BoundaryDensity, level)`` where ``level`` is
     the weight of the last edge touched.
     """
-    P = mesh.perimeter
-    if not (0.0 <= mass <= P + 1e-12 * P):
-        raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
+    _check_mass(mesh, mass)
     w = trace_weights(mesh, u, p)
     phi = np.zeros(mesh.n_boundary_edges)
     order = np.lexsort((np.arange(len(w)), w))
@@ -109,9 +114,7 @@ def random_admissible(mesh, mass, seed):
     Uniform values are rescaled to the target mass; values clipped at 1 are
     frozen and the remainder rescaled again until feasible.
     """
-    P = mesh.perimeter
-    if not (0.0 <= mass <= P + 1e-12 * P):
-        raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
+    _check_mass(mesh, mass)
     B = mesh.n_boundary_edges
     lens = mesh.edge_lengths
     if mass == 0.0:
@@ -259,17 +262,18 @@ def optimize_potential(
     :func:`prepare_repeated_solves` runs first, so for p = 2 the solves of
     this run and of later runs on the same mesh share one factorization.
     Stops on an edgewise-identical refill (a bathtub fixed point), on a
-    relative eigenvalue change below ``outer_tol``, on a detected cycle
-    (flagged in diagnostics), or after ``max_outer`` iterations.
+    relative eigenvalue change below ``outer_tol`` (finite and positive; by
+    default ``opts.tol``, else 1e-9), on a detected cycle (flagged in
+    diagnostics), or after ``max_outer`` iterations.
     """
     opts = opts or SolverOptions()
     if outer_tol is None:
         outer_tol = opts.tol if opts.tol is not None else 1e-9
-    P = mesh.perimeter
-    if not (0.0 <= mass <= P + 1e-12 * P):
-        raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
+    _check_mass(mesh, mass)
     if max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    if not (math.isfinite(outer_tol) and outer_tol > 0.0):
+        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
 
     phi = _initial_density(mesh, mass, phi0, opts.seed)
     prepare_repeated_solves(mesh, params)

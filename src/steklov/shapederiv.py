@@ -162,9 +162,7 @@ def _validate_steps(steps: Sequence[float]) -> None:
 def _trace_p_power_at(mesh: Mesh, values: np.ndarray, s: float, p: float) -> float:
     """|u(s)|^p with u linearly interpolated along the boundary polygon."""
     edge, frac = locate_arc_point(mesh, s)
-    loop = mesh.boundary_vertices
-    v0 = loop[edge]
-    v1 = loop[(edge + 1) % len(loop)]
+    v0, v1 = mesh.boundary_loop[edge]
     u_s = (1.0 - frac) * values[v0] + frac * values[v1]
     return abs(u_s) ** p
 

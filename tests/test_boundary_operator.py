@@ -160,6 +160,73 @@ def test_optimize_takes_the_same_steps_on_both_paths(monkeypatch):
         assert all(b <= a for a, b in zip(trace.lambdas, trace.lambdas[1:]))
 
 
+def _stack_walk_dissection(mesh):
+    """Nested dissection ordered by an explicit post-order walk of the part heap."""
+    interior = np.flatnonzero(~mesh.is_boundary_vertex)
+    m = len(interior)
+    xy = mesh.vertices[interior]
+    local = np.full(mesh.n_vertices, -1)
+    local[interior] = np.arange(m)
+    t = mesh.triangles
+    edges = local[np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])]
+    a, b = edges[(edges >= 0).all(axis=1)].T
+    part = np.ones(m, dtype=np.int64)
+    unplaced = np.ones(m, dtype=bool)
+    while True:
+        sizes = np.bincount(part[unplaced], minlength=part.max() + 1)
+        cut = unplaced & (sizes[part] > eigensolver._DISSECTION_LEAF)
+        sel = np.flatnonzero(cut)
+        if sel.size == 0:
+            break
+        k = part[sel]
+        lo = np.full((k.max() + 1, 2), np.inf)
+        hi = -lo
+        np.minimum.at(lo, k, xy[sel])
+        np.maximum.at(hi, k, xy[sel])
+        coord = xy[sel, np.argmax(hi - lo, axis=1)[k]]
+        order = np.lexsort((coord, k))
+        rank = np.empty(sel.size, dtype=np.int64)
+        rank[order] = np.arange(sel.size) - np.searchsorted(k[order], k[order])
+        part[sel] = 2 * k + (rank >= sizes[k] // 2)
+        crossing = cut[a] & cut[b] & (part[a] != part[b]) & (part[a] // 2 == part[b] // 2)
+        upper = np.where(part[a] % 2 == 1, a, b)[crossing]
+        separator = np.unique(upper)
+        part[separator] //= 2
+        unplaced[separator] = False
+
+    top = int(part.max())
+    post = np.empty(top + 1, dtype=np.int64)
+    count = 0
+    stack = [(1, False)]
+    while stack:
+        k, halves_done = stack.pop()
+        if k > top:
+            continue
+        if halves_done:
+            post[k] = count
+            count += 1
+        else:
+            stack += [(k, True), (2 * k + 1, False), (2 * k, False)]
+    return interior[np.argsort(post[part], kind="stable")]
+
+
+DISSECTED = {
+    **{f"disk-{h}": (generate_disk, h) for h in (0.524, 0.3, 0.1, 0.05, 0.025, 0.0125)},
+    "square-0.34": (generate_rectangle, 1.0, 1.0, 0.34),
+    "rectangle-0.15": (generate_rectangle, 2.0, 1.0, 0.15),
+    "square-0.02": (generate_rectangle, 1.0, 1.0, 0.02),
+    "l-shape-file": (l_shape,),
+}
+
+
+@pytest.mark.parametrize("name", list(DISSECTED))
+def test_keyed_dissection_order_is_the_stack_walk(name):
+    make, *args = DISSECTED[name]
+    mesh = make(*args)
+    order = eigensolver._nested_dissection(mesh)
+    assert np.array_equal(order, _stack_walk_dissection(mesh))
+
+
 def test_mesh_without_interior_vertices_keeps_the_plain_path():
     square = Mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2], [0, 2, 3]])
     assert boundary_operator(square) is None

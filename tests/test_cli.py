@@ -537,6 +537,182 @@ def test_non_finite_rectangle_sizes_are_config_errors(tmp_path, capsys, geometry
     assert not (tmp_path / "out" / "eigenpair.json").exists()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"p": 2.0, "sigma": math.nan},
+        {"p": 2.0, "sigma": math.inf},
+        {"p": math.inf, "sigma": 1.0},
+        {"p": 1.5, "sigma": 1.0, "eps_reg": math.nan},
+        {"p": 1.5, "sigma": 1.0, "eps_reg": math.inf},
+    ],
+    ids=["sigma-nan", "sigma-inf", "p-inf", "eps_reg-nan", "eps_reg-inf"],
+)
+def test_non_finite_physical_parameters_are_config_errors(tmp_path, capsys, params):
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params=params,
+        potential={"type": "constant", "value": 0.5},
+        solver={"max_iters": 200},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out" / "eigenpair.json").exists()
+
+
+@pytest.mark.parametrize("outer_tol", [-1.0, math.nan], ids=["negative", "nan"])
+def test_bad_outer_tolerances_are_config_errors(tmp_path, capsys, outer_tol):
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 5.0},
+        mass=1.0,
+        outer_tol=outer_tol,
+    )
+    assert run("optimize", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("config error: outer_tol ")
+    assert not (tmp_path / "out" / "trace.json").exists()
+
+
+SOLVE_CONFIG = {
+    "geometry": DISK_COARSE,
+    "params": {"p": 2.0, "sigma": 0.0},
+    "potential": {"type": "constant", "value": 0.0},
+}
+SHAPE_CONFIG = {
+    "geometry": DISK_COARSE,
+    "params": {"p": 2.0, "sigma": 5.0},
+    "region": {"intervals": [[0.5, 2.0]]},
+    "tangent": {"speeds": [[0.0, 1.0]]},
+}
+SWEEP_CONFIG = {"geometry": DISK_COARSE, "params": {"p": 2.0}, "mass": 1.0}
+
+# (command, base config, changes (None deletes a key), message after "config error: ")
+CONFIG_ERRORS = {
+    "section-not-object": ("solve", SOLVE_CONFIG, {"params": [1]}, "params must be a JSON object"),
+    "missing-number": (
+        "solve",
+        SOLVE_CONFIG,
+        {"geometry": {"type": "disk"}},
+        "disk geometry requires a numeric 'h'",
+    ),
+    "non-numeric": (
+        "solve",
+        SOLVE_CONFIG,
+        {"geometry": {"type": "disk", "h": "0.3"}},
+        "'h' in disk geometry must be a number",
+    ),
+    "non-integer": (
+        "solve",
+        SOLVE_CONFIG,
+        {"solver": {"max_iters": 2.5}},
+        "'max_iters' in solver must be an integer",
+    ),
+    "non-string": (
+        "solve",
+        SOLVE_CONFIG,
+        {"geometry": {"type": "mesh_file", "path": 3}},
+        "mesh-file geometry requires a string 'path'",
+    ),
+    "missing-geometry": (
+        "solve",
+        SOLVE_CONFIG,
+        {"geometry": None},
+        "config requires a 'geometry' object",
+    ),
+    "missing-potential": (
+        "solve",
+        SOLVE_CONFIG,
+        {"potential": None},
+        "config requires a 'potential' object",
+    ),
+    "missing-region": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"region": None},
+        "config requires a 'region' object",
+    ),
+    "missing-tangent": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"tangent": None},
+        "config requires a 'tangent' object",
+    ),
+    "geometry-type": (
+        "solve",
+        SOLVE_CONFIG,
+        {"geometry": {"type": "cube"}},
+        "geometry 'type' must be one of disk, rectangle, mesh_file; got 'cube'",
+    ),
+    "potential-type": (
+        "solve",
+        SOLVE_CONFIG,
+        {"potential": {"type": "gauss"}},
+        "potential 'type' must be one of file, constant, cap, random; got 'gauss'",
+    ),
+    "empty-intervals": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"region": {"intervals": []}},
+        "region 'intervals' must be a non-empty list",
+    ),
+    "speed-count": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"tangent": {"speeds": [[0.0, 1.0], [1.0, 0.0]]}},
+        "tangent 'speeds' must list one [v_begin, v_end] pair per region arc",
+    ),
+    "missing-sigma-list": (
+        "sigma-sweep",
+        SWEEP_CONFIG,
+        {},
+        "sigma-sweep requires a non-empty numeric 'sigma_list'",
+    ),
+    "descending-sigma-list": (
+        "sigma-sweep",
+        SWEEP_CONFIG,
+        {"sigma_list": [2.0, 1.0]},
+        "'sigma_list' must be strictly ascending and positive",
+    ),
+    "fd-steps": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"fd_steps": "small"},
+        "'fd_steps' must be a list of numbers",
+    ),
+    "output-dir": ("solve", SOLVE_CONFIG, {"output_dir": 3}, "'output_dir' must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_messages(tmp_path, capsys, case):
+    command, base, changes, message = CONFIG_ERRORS[case]
+    cfg = {**base, **changes}
+    cfg = write_config(tmp_path, **{k: v for k, v in cfg.items() if v is not None})
+    assert run(command, cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "{",
+            "config {path} is not valid JSON: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)",
+        ),
+        ("[1]", "config must be a JSON object"),
+    ],
+    ids=["invalid-json", "not-an-object"],
+)
+def test_unreadable_config_messages(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert run("solve", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+
 def test_inner_solver_failure_is_a_numerical_exit(tmp_path):
     cfg = write_config(
         tmp_path,

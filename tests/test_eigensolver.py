@@ -177,6 +177,26 @@ def test_random_starts_agree_on_lowest_eigenvalue(square_tiny):
     assert spread <= 5 * 1e-11 * abs(lams[0])
 
 
+def test_negative_start_is_flipped_to_the_positive_eigenfunction(disk_coarse):
+    phi = BoundaryDensity.constant(disk_coarse, 0.5)
+    ones = np.ones(disk_coarse.n_vertices)
+    plus = solve_linear(disk_coarse, phi, 2.0, start=ones)
+    minus = solve_linear(disk_coarse, phi, 2.0, start=-ones)
+    assert minus.lam == plus.lam
+    assert np.array_equal(minus.u.values, plus.u.values)
+    assert minus.u.values.min() > 0.0
+
+
+def test_fields_with_zero_boundary_trace_are_rejected(square_tiny):
+    params = ProblemParams(p=1.5, sigma=1.0)
+    phi = BoundaryDensity.constant(square_tiny, 0.5)
+    bump = np.where(square_tiny.is_boundary_vertex, 0.0, 1.0)
+    with pytest.raises(ValueError, match="^Rayleigh quotient undefined: zero boundary trace$"):
+        rayleigh(square_tiny, Field.of(square_tiny, bump), phi, params)
+    with pytest.raises(ValueError, match="^start has zero boundary trace$"):
+        solve_nonlinear(square_tiny, phi, params, start=bump)
+
+
 def test_non_convergence_is_reported(square_tiny):
     phi = BoundaryDensity.constant(square_tiny, 0.3)
     pair = solve_linear(square_tiny, phi, 1.0, opts=SolverOptions(max_iters=1))

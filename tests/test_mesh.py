@@ -235,6 +235,94 @@ def test_load_rejects_unreferenced_vertex():
         load_mesh(text)
 
 
+PARSE_ERRORS = {
+    "vertex-header": ("vertices 3", "verts 3", "line 2: expected 'vertices N', got 'verts 3'"),
+    "vertex-count": ("vertices 3", "vertices three", "line 2: bad vertex count 'three'"),
+    "vertex-count-zero": ("vertices 3", "vertices 0", "line 2: vertex count must be positive"),
+    "vertex-row": ("1 0\n", "1 0 0\n", "line 4: expected 'x y', got '1 0 0'"),
+    "coordinate": ("1 0\n", "1 zebra\n", "line 4: bad coordinate in '1 zebra'"),
+    "triangle-header": ("triangles 1", "tris 1", "line 6: expected 'triangles M', got 'tris 1'"),
+    "triangle-count": ("triangles 1", "triangles one", "line 6: bad triangle count 'one'"),
+    "triangle-count-negative": (
+        "triangles 1",
+        "triangles -1",
+        "line 6: triangle count must be positive",
+    ),
+    "triangle-row": ("0 1 2", "0 1", "line 7: expected 'i j k', got '0 1'"),
+    "index": ("0 1 2", "0 1 x", "line 7: bad index in '0 1 x'"),
+    "end": ("triangles 1", "triangles 2", "unexpected end of mesh text"),
+    "trailing": ("0 1 2\n", "0 1 2\nextra 42\n", "line 8: trailing content 'extra 42'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_load_parse_errors_name_line_and_content(case):
+    old, new, message = PARSE_ERRORS[case]
+    with pytest.raises(MeshParseError, match=f"^{re.escape(message)}$"):
+        load_mesh(SINGLE_TRIANGLE.replace(old, new))
+
+
+UNIT_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+CONSTRUCTION_ERRORS = {
+    "vertex-shape": (
+        [(0.0, 0.0, 0.0)] * 3,
+        [(0, 1, 2)],
+        MeshTopologyError,
+        "vertices must be an (n, 2) array",
+    ),
+    "triangle-shape": (
+        UNIT_TRIANGLE,
+        [(0, 1)],
+        MeshTopologyError,
+        "triangles must be an (m, 3) array",
+    ),
+    "non-finite": (
+        [(0.0, 0.0), (math.nan, 0.0), (0.0, 1.0)],
+        [(0, 1, 2)],
+        MeshTopologyError,
+        "non-finite vertex coordinates",
+    ),
+    "no-triangles": (UNIT_TRIANGLE, np.zeros((0, 3)), MeshTopologyError, "mesh has no triangles"),
+    "index-range": (
+        UNIT_TRIANGLE,
+        [(0, 1, 3)],
+        MeshParseError,
+        "triangle refers to a vertex that does not exist",
+    ),
+    "degenerate": (
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+        [(0, 1, 2)],
+        MeshTopologyError,
+        "degenerate (zero-area) triangle",
+    ),
+    "unreferenced": (
+        UNIT_TRIANGLE + [(5.0, 5.0)],
+        [(0, 1, 2)],
+        MeshTopologyError,
+        "vertex not referenced by any triangle",
+    ),
+    # Coincident vertices make their triangle's signed area exactly 0, so the
+    # degenerate-triangle check sees them first; only when the area is NaN
+    # (an overflowing coordinate difference times 0) does the edge check.
+    "zero-length-edge": (
+        [(1e308, 0.0), (1e308, 0.0), (-1e308, 1e308)],
+        [(0, 1, 2)],
+        MeshTopologyError,
+        "zero-length boundary edge",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_ERRORS))
+def test_mesh_construction_errors(case):
+    vertices, triangles, error, message = CONSTRUCTION_ERRORS[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+            Mesh(vertices, triangles)
+    assert type(err.value) is error
+
+
 def test_serialize_round_trip():
     mesh = generate_rectangle(1.0, 1.0, 0.4)
     again = load_mesh(serialize_mesh(mesh))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -149,6 +150,16 @@ def test_cap_indicator_mass_and_centering(disk_coarse):
     assert center_s == pytest.approx(expected, abs=1e-12)
 
 
+def test_cap_indicator_of_the_whole_boundary(disk_coarse):
+    P = disk_coarse.perimeter
+    region, phi = cap_indicator(disk_coarse, 1.1, P)
+    (start, length), = region.arcs
+    assert length == P
+    assert start == pytest.approx((1.1 / (2 * math.pi) - 0.5) * P % P, abs=1e-12)
+    assert np.all(phi.edge_values >= 1.0 - 1e-12)
+    assert phi.mass == pytest.approx(P, rel=1e-12)
+
+
 def test_cap_indicator_requires_disk(square_tiny):
     with pytest.raises(ValueError):
         cap_indicator(square_tiny, 0.0, 1.0)
@@ -255,6 +266,14 @@ def test_random_admissible_mass_and_bounds(disk_coarse):
         assert np.all(phi.edge_values <= 1.0)
 
 
+def test_random_admissible_saturates_every_edge_at_full_mass(disk_coarse):
+    # with seed 1 the rescaling saturates every edge before it balances, so
+    # the loop ends on its no-free-mass exit
+    phi = random_admissible(disk_coarse, disk_coarse.perimeter, seed=1)
+    assert np.all(phi.edge_values == 1.0)
+    assert phi.mass == pytest.approx(disk_coarse.perimeter, rel=1e-12)
+
+
 # ------------------------------------------------------------ optimization
 
 
@@ -326,6 +345,30 @@ def test_optimize_stops_on_a_two_cycle(disk_coarse, monkeypatch):
     assert trace.diagnostics == {"cycle_detected": True}
     assert trace.converged is False
     assert trace.outer_iterations == 2
+
+
+def test_optimize_stops_on_the_eigenvalue_tolerance(disk_fine):
+    # from this start lambda drops by 18 % and then by 2 %, so a 20 % tolerance
+    # stops the run one refill before its fixed point
+    params = ProblemParams(p=2.0, sigma=5.0)
+    opts = SolverOptions(seed=1)
+    run = functools.partial(optimize_potential, disk_fine, params, math.pi / 2, opts, "random")
+    full = run()
+    assert full.converged
+    assert full.outer_iterations == 4
+    loose = run(outer_tol=0.2)
+    assert loose.converged
+    assert loose.outer_iterations == 3
+    assert loose.diagnostics == {}
+    assert loose.lambdas == full.lambdas[:3]
+
+
+@pytest.mark.parametrize("outer_tol", [0.0, -1.0, math.inf, math.nan])
+def test_optimize_rejects_outer_tolerances_that_are_not_finite_and_positive(
+    disk_coarse, outer_tol
+):
+    with pytest.raises(ValueError, match="^outer_tol must be finite and positive"):
+        optimize_potential(disk_coarse, ProblemParams(p=2.0, sigma=5.0), 1.0, outer_tol=outer_tol)
 
 
 def test_optimize_raises_on_inner_failure(disk_coarse):
