@@ -34,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -418,6 +419,8 @@ def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
     if not (_is_number_list(sigma_list) and sigma_list):
         raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
     sigmas = [float(s) for s in sigma_list]
+    if not all(map(math.isfinite, sigmas)):
+        raise ConfigError("'sigma_list' must hold finite numbers")
     if any(s <= 0 for s in sigmas) or any(
         b <= a for a, b in zip(sigmas, sigmas[1:])
     ):

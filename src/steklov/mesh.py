@@ -9,10 +9,10 @@ normals) can be addressed by a single circular coordinate
 Meshes are immutable after construction: every array is marked read-only,
 so instances are safe to share between threads and to memoize against.
 
-Construction is array work: the rectangle's triangles come from index
-arithmetic and the boundary edges from one sort of directed-edge keys (see
-:func:`_extract_boundary_loop`); only the walk over the B boundary vertices
-is a Python loop.
+Construction is array work: the disk's and the rectangle's triangles come
+from index arithmetic and the boundary edges from one sort of directed-edge
+keys (see :func:`_extract_boundary_loop`); only the walk over the B
+boundary vertices and the disk's loop over its rings are Python loops.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .errors import MeshParseError, MeshResourceError, MeshTopologyError
 
@@ -244,8 +243,14 @@ def generate_disk(target_h):
     """Mesh the unit disk with boundary vertices exactly on the unit circle.
 
     The boundary is a regular N-gon (N even, chord <= target_h); the interior
-    is filled with concentric rings of near-uniform spacing and triangulated
-    by Delaunay.
+    is filled with concentric rings of near-uniform spacing and the centre.
+    Consecutive rings are joined by index arithmetic (see
+    :func:`_zip_rings`) and the innermost ring by a fan to the centre, so
+    every triangle is counterclockwise as generated.
+
+    Vertex order: the boundary ring first (indices ``0..N-1`` in angular
+    order from angle 0), then the interior rings from the outside in, each
+    in angular order, and the centre last.
 
     Parameters
     ----------
@@ -282,6 +287,7 @@ def generate_disk(target_h):
     # rotated boundary densities equal to far below discretization error.
     theta = 2.0 * math.pi * np.arange(n_bnd) / n_bnd
     pts = [np.column_stack((np.cos(theta), np.sin(theta)))]
+    rings = [(n_bnd, 0.0)]  # (count, angle of the ring's vertex 0)
     r_uniform = 0.55
     for j in range(n_rings - 1, 0, -1):
         r = j / n_rings
@@ -292,25 +298,45 @@ def generate_disk(target_h):
         off = (j % 2) * math.pi / nj
         ang = 2.0 * math.pi * np.arange(nj) / nj + off
         pts.append(np.column_stack((r * np.cos(ang), r * np.sin(ang))))
+        rings.append((nj, off))
     pts.append(np.zeros((1, 2)))
     points = np.vstack(pts)
 
-    tri = Delaunay(points)
-    simplices = _drop_sliver_hull_triangles(points, tri.simplices, n_bnd)
-    return Mesh(points, simplices, kind="disk")
+    tris = []
+    first = 0
+    for (n_out, off_out), (n_in, off_in) in zip(rings, rings[1:]):
+        tris.append(_zip_rings(first, n_out, off_out, first + n_out, n_in, off_in))
+        first += n_out
+    # The centre, the last vertex, fans the innermost ring.
+    k = np.arange(n_in, dtype=np.int64)
+    centre = np.full(n_in, len(points) - 1)
+    tris.append(np.column_stack((first + k, first + (k + 1) % n_in, centre)))
+    return Mesh(points, np.concatenate(tris), kind="disk")
 
 
-def _drop_sliver_hull_triangles(points, simplices, n_bnd):
-    """Remove zero-area triangles qhull sometimes emits along the hull."""
-    p0 = points[simplices[:, 0]]
-    p1 = points[simplices[:, 1]]
-    p2 = points[simplices[:, 2]]
-    area2 = np.abs(
-        (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-        - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-    )
-    scale = area2.max()
-    return simplices[area2 > 1e-12 * scale]
+def _zip_rings(a0, na, off_a, b0, nb, off_b):
+    """Counterclockwise triangles of the annulus between two vertex rings.
+
+    The outer ring has ``na`` vertices ``a0 + k`` at angles
+    ``off_a + 2 pi k / na``, the inner one ``nb`` vertices ``b0 + m``
+    likewise.  Each ring edge is the base of one triangle whose apex lies
+    on the other ring.  Walking round the annulus in the order of the edge
+    midpoint angles (outer edge first on a tie), the apex of an edge is the
+    other ring's vertex reached after all of that ring's earlier edges;
+    since midpoints on each ring increase with the edge index, that count
+    is one ``searchsorted``.  Two rings with equal counts and staggered
+    offsets give the strip of ``2 n`` triangles that is invariant under
+    rotation by one edge.
+    """
+    k = np.arange(na, dtype=np.int64)
+    m = np.arange(nb, dtype=np.int64)
+    mid_a = 2.0 * math.pi * (k + 0.5) / na + off_a
+    mid_b = 2.0 * math.pi * (m + 0.5) / nb + off_b
+    apex_b = b0 + np.searchsorted(mid_b, mid_a, side="left") % nb
+    apex_a = a0 + np.searchsorted(mid_a, mid_b, side="right") % na
+    outer = np.column_stack((a0 + k, a0 + (k + 1) % na, apex_b))
+    inner = np.column_stack((b0 + (m + 1) % nb, b0 + m, apex_a))
+    return np.concatenate((outer, inner))
 
 
 def generate_rectangle(width, height, target_h):

@@ -53,6 +53,8 @@ def cap_indicator(mesh, center_angle, mass):
     """
     if mesh.kind != "disk":
         raise ValueError(f"cap_indicator requires a disk mesh, got kind={mesh.kind!r}")
+    if not math.isfinite(center_angle):
+        raise ValueError(f"cap angle must be finite, got {center_angle}")
     P = mesh.perimeter
     if not (0.0 < mass <= P):
         raise ValueError(f"cap mass must lie in (0, perimeter], got {mass}")

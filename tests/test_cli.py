@@ -270,6 +270,27 @@ def test_sigma_sweep_rejects_unsorted_list(tmp_path):
     assert run("sigma-sweep", cfg, tmp_path / "out") == 1
 
 
+def test_sigma_sweep_rejects_a_non_finite_coupling_before_any_optimize(tmp_path, monkeypatch):
+    calls = []
+    optimize = cli.optimize_potential
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_potential", counting)
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 1.0},
+        mass=1.0,
+        sigma_list=[1.0, 2.0, math.inf],
+    )
+    assert run("sigma-sweep", cfg, tmp_path / "out") == 1
+    assert calls == []
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 # ------------------------------------------------------------- shape-deriv
 
 
@@ -365,6 +386,24 @@ def test_symmetry_check_passes_on_disk(tmp_path):
     assert record["passed"] is True
     assert record["lambda_relative_spread"] <= 1e-6
     assert len(record["lambdas"]) == 5
+
+
+def test_symmetry_check_passes_where_the_delaunay_disk_failed(tmp_path):
+    # On the Delaunay triangulation of this disk the five single caps spread
+    # lambda by 1.39e-6 and the check failed; the outer annulus of the ring
+    # mesh turns with the boundary, so rotated caps see the same mesh.
+    cfg = write_config(
+        tmp_path,
+        geometry={"type": "disk", "h": 0.04},
+        params={"p": 2.0, "sigma": 5.0},
+        mass=math.pi / 2,
+        solver={"seed": 3},
+    )
+    out = tmp_path / "out"
+    assert run("symmetry-check", cfg, out, "--jobs", "2") == 0
+    record = json.loads((out / "symmetry_report.json").read_text())
+    assert record["passed"] is True
+    assert record["lambda_relative_spread"] <= cli.SYMMETRY_LAMBDA_RTOL
 
 
 def test_symmetry_check_requires_disk_geometry(tmp_path):
@@ -674,6 +713,24 @@ CONFIG_ERRORS = {
         SWEEP_CONFIG,
         {"sigma_list": [2.0, 1.0]},
         "'sigma_list' must be strictly ascending and positive",
+    ),
+    "non-finite-sigma-list": (
+        "sigma-sweep",
+        SWEEP_CONFIG,
+        {"sigma_list": [1.0, 2.0, math.inf]},
+        "'sigma_list' must hold finite numbers",
+    ),
+    "nan-cap-angle": (
+        "solve",
+        SOLVE_CONFIG,
+        {"potential": {"type": "cap", "angle": math.nan, "mass": 1.0}},
+        "cap angle must be finite, got nan",
+    ),
+    "infinite-cap-angle": (
+        "solve",
+        SOLVE_CONFIG,
+        {"potential": {"type": "cap", "angle": -math.inf, "mass": 1.0}},
+        "cap angle must be finite, got -inf",
     ),
     "fd-steps": (
         "shape-deriv",

@@ -333,17 +333,40 @@ def test_dirichlet_descent_path_matches_linear_path(square_tiny):
 # lambda (as float hex), residual and iteration counts of descents on
 # generate_disk(0.1) in the reweighted metric.  Any change in the order of
 # the floating-point operations of the descent shows up here as a changed
-# last bit.  The EUCLIDEAN_ values were recorded with the Euclidean-step BB
-# descent that the metric replaced.  Both descents stop on the same test at
-# the same fixed point along different paths, so every eigenvalue must agree
-# with its Euclidean record to 1e-9 relative.
+# last bit.
+#
+# The DELAUNAY_ values are the same descents on the Delaunay triangulation of
+# the same vertices (the reference generator in tests/conftest.py), which
+# generate_disk was before its rings were zipped by index arithmetic.  The
+# two meshes differ in the diagonals of 0.8 % of the triangles, so each
+# eigenvalue stays within RETRIANGULATION_RTOL = h^2 / 100 of its Delaunay
+# record: a hundredth of the O(h^2) discretization error, which is
+# 0.064 h^2 relative against I1(1)/I0(1) at p = 2 on this disk.
+#
+# The EUCLIDEAN_ values were recorded on the Delaunay disk with the
+# Euclidean-step BB descent that the metric replaced.  Both descents stop on
+# the same test at the same fixed point along different paths, so every
+# Delaunay eigenvalue must agree with its Euclidean record to 1e-9 relative.
 
 DIRICHLET_DESCENT = {
+    1.5: ("0x1.ae58723678f1dp-1", 27, "0x1.07e5621a749ecp-26"),
+    3.0: ("0x1.213fe9c05d458p-1", 46, "0x1.3d17273fbdcd0p-26"),
+}
+OPTIMIZE_P3_LAMBDAS = ("0x1.874a5e1358a13p+0", "0x1.e1ddd84484291p-2", "0x1.e19602ba5886bp-2")
+OPTIMIZE_P3_INNER_ITERATIONS = [70, 32, 18]
+
+RETRIANGULATION_RTOL = 0.1**2 / 100
+
+DELAUNAY_DIRICHLET_DESCENT = {
     1.5: ("0x1.ae5861c9f0952p-1", 27, "0x1.06f3aa5cfedcfp-26"),
     3.0: ("0x1.2140ed3d07476p-1", 46, "0x1.bb27497a5b862p-27"),
 }
-OPTIMIZE_P3_LAMBDAS = ("0x1.874a72e74850dp+0", "0x1.e1de57d73cf91p-2", "0x1.e19680a6abd4dp-2")
-OPTIMIZE_P3_INNER_ITERATIONS = [69, 32, 18]
+DELAUNAY_OPTIMIZE_P3_LAMBDAS = (
+    "0x1.874a72e74850dp+0",
+    "0x1.e1de57d73cf91p-2",
+    "0x1.e19680a6abd4dp-2",
+)
+DELAUNAY_OPTIMIZE_P3_INNER_ITERATIONS = [69, 32, 18]
 
 EUCLIDEAN_DIRICHLET_DESCENT = {
     1.5: ("0x1.ae5861c9f0b41p-1", 352, "0x1.962621d21ac80p-24"),
@@ -361,24 +384,42 @@ def disk_regression():
     return generate_disk(0.1)
 
 
-@pytest.mark.parametrize("p", sorted(DIRICHLET_DESCENT))
-def test_pinned_descent_repeats_its_recorded_iterates(disk_regression, p):
-    mesh = disk_regression
+@pytest.fixture(scope="module")
+def delaunay_regression(delaunay_disk):
+    return delaunay_disk(0.1)
+
+
+def _pinned_descent(mesh, p):
+    """The Dirichlet descent with a quarter of the boundary pinned."""
     region = RegionSpec.from_intervals([(0.0, mesh.perimeter / 4.0)], mesh.perimeter)
     pair = solve_dirichlet(mesh, region, ProblemParams(p=p, sigma=0.0))
-    lam, iterations, residual = DIRICHLET_DESCENT[p]
     assert pair.converged
     assert pair.diagnostics["constrained_vertices"] == 17
-    assert (pair.lam.hex(), pair.iterations, pair.residual.hex()) == (lam, iterations, residual)
-    euclidean = float.fromhex(EUCLIDEAN_DIRICHLET_DESCENT[p][0])
-    assert pair.lam == pytest.approx(euclidean, rel=1e-9)
     pinned = mesh.boundary_vertices[
         region.contains_array(mesh.boundary_vertex_arclength, closed=True)
     ]
     assert np.all(pair.u.values[pinned] == 0.0)
+    return pair.lam.hex(), pair.iterations, pair.residual.hex()
 
 
-def test_warm_started_p3_optimize_repeats_its_recorded_iterates(disk_regression, monkeypatch):
+@pytest.mark.parametrize("p", sorted(DIRICHLET_DESCENT))
+def test_pinned_descent_repeats_its_recorded_iterates(disk_regression, p):
+    record = _pinned_descent(disk_regression, p)
+    assert record == DIRICHLET_DESCENT[p]
+    delaunay = float.fromhex(DELAUNAY_DIRICHLET_DESCENT[p][0])
+    assert float.fromhex(record[0]) == pytest.approx(delaunay, rel=RETRIANGULATION_RTOL)
+
+
+@pytest.mark.parametrize("p", sorted(DELAUNAY_DIRICHLET_DESCENT))
+def test_pinned_descent_on_the_delaunay_disk_repeats_its_records(delaunay_regression, p):
+    record = _pinned_descent(delaunay_regression, p)
+    assert record == DELAUNAY_DIRICHLET_DESCENT[p]
+    euclidean = float.fromhex(EUCLIDEAN_DIRICHLET_DESCENT[p][0])
+    assert float.fromhex(record[0]) == pytest.approx(euclidean, rel=1e-9)
+
+
+def _warm_started_p3_optimize(mesh, monkeypatch):
+    """Lambdas (as float hex) and inner iteration counts of a p = 3 optimize."""
     inner = []
     solve = rearrange.solve_nonlinear
 
@@ -389,17 +430,34 @@ def test_warm_started_p3_optimize_repeats_its_recorded_iterates(disk_regression,
 
     monkeypatch.setattr(rearrange, "solve_nonlinear", counting)
     trace = rearrange.optimize_potential(
-        disk_regression,
+        mesh,
         ProblemParams(p=3.0, sigma=5.0),
         math.pi / 2,
         opts=SolverOptions(seed=3),
         phi0="random",
     )
     assert trace.converged
-    assert tuple(lam.hex() for lam in trace.lambdas) == OPTIMIZE_P3_LAMBDAS
+    return tuple(lam.hex() for lam in trace.lambdas), inner
+
+
+def test_warm_started_p3_optimize_repeats_its_recorded_iterates(disk_regression, monkeypatch):
+    lambdas, inner = _warm_started_p3_optimize(disk_regression, monkeypatch)
+    assert lambdas == OPTIMIZE_P3_LAMBDAS
     assert inner == OPTIMIZE_P3_INNER_ITERATIONS
-    for lam, euclidean in zip(trace.lambdas, EUCLIDEAN_OPTIMIZE_P3_LAMBDAS):
-        assert lam == pytest.approx(float.fromhex(euclidean), rel=1e-9)
+    for lam, delaunay in zip(lambdas, DELAUNAY_OPTIMIZE_P3_LAMBDAS):
+        assert float.fromhex(lam) == pytest.approx(
+            float.fromhex(delaunay), rel=RETRIANGULATION_RTOL
+        )
+
+
+def test_warm_started_p3_optimize_on_the_delaunay_disk_repeats_its_records(
+    delaunay_regression, monkeypatch
+):
+    lambdas, inner = _warm_started_p3_optimize(delaunay_regression, monkeypatch)
+    assert lambdas == DELAUNAY_OPTIMIZE_P3_LAMBDAS
+    assert inner == DELAUNAY_OPTIMIZE_P3_INNER_ITERATIONS
+    for lam, euclidean in zip(lambdas, EUCLIDEAN_OPTIMIZE_P3_LAMBDAS):
+        assert float.fromhex(lam) == pytest.approx(float.fromhex(euclidean), rel=1e-9)
 
 
 # ------------------------------------------------- mesh-independent descent

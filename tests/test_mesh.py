@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +18,14 @@ from steklov import (
     MeshTopologyError,
     OpenBoundaryError,
     RegionSpec,
+    SolverOptions,
     generate_disk,
     generate_rectangle,
     load_mesh,
     locate_arc_point,
+    rasterize_region,
     serialize_mesh,
+    solve_linear,
 )
 
 SINGLE_TRIANGLE = """\
@@ -89,6 +96,118 @@ def test_disk_edge_length_budget(h):
 def test_disk_boundary_count_is_even():
     for h in (0.05, 0.13, 0.31):
         assert generate_disk(h).n_boundary_edges % 2 == 0
+
+
+# ------------------------------------------- ring-by-ring disk vs Delaunay
+#
+# generate_disk zips its rings by index arithmetic; the reference triangulates
+# the same points with scipy.spatial.Delaunay (tests/conftest.py).
+
+DISK_LADDER = (0.95, 0.524, 0.4, 0.3, 0.23, 0.15, 0.1, 0.07, 0.05, 0.04, 0.03, 0.0125)
+
+
+@pytest.fixture(scope="module", params=DISK_LADDER)
+def disk_and_reference(request, delaunay_disk):
+    h = request.param
+    return h, generate_disk(h), delaunay_disk(h)
+
+
+def _min_angle_degrees(mesh):
+    v = mesh.vertices[mesh.triangles]
+    cosines = []
+    for k in range(3):
+        a = v[:, (k + 1) % 3] - v[:, k]
+        b = v[:, (k + 2) % 3] - v[:, k]
+        cosines.append(np.einsum("ij,ij->i", a, b) / np.hypot(*a.T) / np.hypot(*b.T))
+    return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1.0, 1.0))))
+
+
+def _sorted_triangles(triangles):
+    """Each triangle cycled to start at its smallest vertex, rows sorted."""
+    first = triangles.argmin(axis=1)[:, None]
+    cycled = np.take_along_axis(triangles, (first + np.arange(3)) % 3, axis=1)
+    return cycled[np.lexsort(cycled.T[::-1])]
+
+
+def test_ring_disk_keeps_the_delaunay_vertices(disk_and_reference):
+    _, mesh, reference = disk_and_reference
+    assert _same_bits(mesh.vertices, reference.vertices)
+    assert len(mesh.triangles) == len(reference.triangles)
+
+
+def test_ring_disk_min_angle_is_not_below_delaunay(disk_and_reference):
+    # Delaunay maximizes the smallest angle over all triangulations of the
+    # points, so equality is the best possible; 1e-9 degrees absorbs the
+    # rounding of one angle computed from differently ordered vertices.
+    _, mesh, reference = disk_and_reference
+    assert _min_angle_degrees(mesh) >= _min_angle_degrees(reference) - 1e-9
+
+
+def test_ring_disk_triangles_are_ccw_as_generated_and_tile_the_polygon(disk_and_reference):
+    h, mesh, _ = disk_and_reference
+    assert mesh.diagnostics["reoriented_triangles"] == 0
+    v = mesh.vertices[mesh.triangles]
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert areas.min() > 0.0
+    n = mesh.n_boundary_edges
+    assert areas.sum() == pytest.approx(0.5 * n * math.sin(2.0 * math.pi / n), abs=1e-12)
+    assert mesh.all_edge_lengths().max() <= 1.5 * h
+
+
+def test_ring_disk_outer_annulus_turns_with_the_boundary(disk_and_reference):
+    # The leading rings with the boundary count n, stored as consecutive
+    # blocks of n vertices; rotating by one boundary edge sends vertex k of
+    # each block to vertex k + 1 and must map their strips onto themselves.
+    _, mesh, _ = disk_and_reference
+    n = mesh.n_boundary_edges
+    radii = np.hypot(*mesh.vertices.T)
+    blocks = 1
+    while np.ptp(radii[blocks * n : (blocks + 1) * n]) < 1e-12 and blocks * n + n < len(radii):
+        blocks += 1
+    outer = np.arange(blocks * n)
+    turned = outer // n * n + (outer % n + 1) % n
+    step = 2.0 * math.pi / n
+    rotation = np.array([[math.cos(step), -math.sin(step)], [math.sin(step), math.cos(step)]])
+    assert np.abs(mesh.vertices[outer] @ rotation.T - mesh.vertices[turned]).max() <= 1e-14
+
+    strips = mesh.triangles[(mesh.triangles < blocks * n).all(axis=1)]
+    assert len(strips) == 2 * n * (blocks - 1)
+    assert _same_bits(_sorted_triangles(turned[strips]), _sorted_triangles(strips))
+
+
+def test_rotated_caps_see_the_same_eigenvalue():
+    # 13 caps of mass pi/2, rotated by whole multiples of B // 12 boundary
+    # edges.  On the Delaunay triangulation of these points lambda spread
+    # by 2.2e-6; the inner rings, which do not turn with the boundary, leave
+    # about 2e-7 here.
+    mesh = generate_disk(0.04)
+    P, n = mesh.perimeter, mesh.n_boundary_edges
+    edge = P / n
+    lams = []
+    for k in range(13):
+        start = k * (n // 12) * edge
+        region = RegionSpec.from_intervals([(start, start + math.pi / 2)], P)
+        phi = rasterize_region(mesh, region)
+        pair = solve_linear(mesh, phi, 5.0, opts=SolverOptions(tol=1e-13))
+        assert pair.converged
+        lams.append(pair.lam)
+    assert (max(lams) - min(lams)) / np.mean(lams) < 1e-6
+
+
+def test_generating_a_disk_does_not_load_scipy_spatial():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, steklov; steklov.generate_disk(0.1); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------------------ rectangle
