@@ -14,8 +14,10 @@ row per mesh, each entry the median of ``--repeat`` runs in milliseconds:
     bathtub    one bathtub refill from the solve's eigenfunction
     defect     arc_defect of the refilled density
 
-The solve uses sigma = 5 and a constant density 0.25; the refill keeps a
-quarter of the perimeter.
+Two more columns describe the timed solve: ``iters``, the number of linear
+solves the p = 2 driver took for the eigenpair, and ``resid``, its relative
+eigen-residual.  The solve uses sigma = 5 and a constant density 0.25; the
+refill keeps a quarter of the perimeter.
 """
 
 import argparse
@@ -78,7 +80,7 @@ def ladder_row(generate, repeat):
     mass = 0.25 * mesh.perimeter
     row["bathtub"], (refill, _) = median_ms(lambda: bathtub(mesh, pair.u, mass), repeat)
     row["defect"], _ = median_ms(lambda: arc_defect(mesh, refill), repeat)
-    return mesh, row
+    return mesh, row, pair
 
 
 def main():
@@ -113,12 +115,14 @@ def main():
     print(
         f"{'mesh':<6} {'h':>7} {'n':>7} {'B':>5} "
         + " ".join(f"{name:>9}" for name in LAYERS)
+        + f" {'iters':>5} {'resid':>8}"
     )
     for kind, h, generate in ladder:
-        mesh, row = ladder_row(generate, args.repeat)
+        mesh, row, pair = ladder_row(generate, args.repeat)
         print(
             f"{kind:<6} {h:7.4f} {mesh.n_vertices:7d} {mesh.n_boundary_edges:5d} "
             + " ".join(f"{row[name]:9.2f}" for name in LAYERS)
+            + f" {pair.iterations:5d} {pair.residual:8.1e}"
         )
 
 

@@ -117,6 +117,17 @@ def _is_number(val: object) -> bool:
     return not isinstance(val, bool) and isinstance(val, (int, float))
 
 
+def _float(val: int | float) -> float:
+    """``float(val)``; a JSON integer beyond float range becomes +-inf.
+
+    The finiteness checks of each field then reject it like ``Infinity``.
+    """
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf
+
+
 def _number(obj: dict, key: str, context: str, required: bool = True) -> float | None:
     if key not in obj or obj[key] is None:
         if required:
@@ -124,7 +135,7 @@ def _number(obj: dict, key: str, context: str, required: bool = True) -> float |
         return None
     if not _is_number(obj[key]):
         raise ConfigError(f"'{key}' in {context} must be a number")
-    return float(obj[key])
+    return _float(obj[key])
 
 
 def _integer(obj: dict, key: str, context: str, default: int | None = None) -> int | None:
@@ -155,7 +166,7 @@ def _number_pairs(items: list, message: str) -> list[tuple[float, float]]:
     """``items`` as float pairs; raises ``message`` unless each is ``[a, b]``."""
     if not all(_is_number_list(item, 2) for item in items):
         raise ConfigError(message)
-    return [(float(a), float(b)) for a, b in items]
+    return [(_float(a), _float(b)) for a, b in items]
 
 
 def load_config(path: Path) -> dict:
@@ -418,7 +429,7 @@ def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
     sigma_list = cfg.get("sigma_list")
     if not (_is_number_list(sigma_list) and sigma_list):
         raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
-    sigmas = [float(s) for s in sigma_list]
+    sigmas = [_float(s) for s in sigma_list]
     if not all(map(math.isfinite, sigmas)):
         raise ConfigError("'sigma_list' must hold finite numbers")
     if any(s <= 0 for s in sigmas) or any(
@@ -484,7 +495,7 @@ def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
         region,
         tangent,
         params,
-        steps=[float(t) for t in steps],
+        steps=[_float(t) for t in steps],
         opts=opts,
         sign_convention=sign,
     )

@@ -2,8 +2,11 @@
 
 The object minimized is R(u) = energy(u, phi, params) / boundary_p_norm(u)^p.
 For p = 2 the minimizer solves the generalized problem A u = lambda Mb u
-(Mb is the boundary mass, singular on interior nodes) and is computed by
-inverse power iteration.  For general p > 1 a projected descent with
+(Mb is the boundary mass, singular on interior nodes) and is computed by a
+Rayleigh-Ritz step on the Krylov space of A^-1 Mb (:func:`_krylov_ritz`),
+which stops on the relative residual ``|A u - lambda Mb u| / |A u|`` of its
+Ritz pair, so ``converged`` at p = 2 means a residual of at most ``tol``.
+For general p > 1 a projected descent with
 Barzilai-Borwein steps in a reweighted metric and an Armijo backtracking
 safeguard is used; every accepted step decreases R, so warm-started solves
 never increase the eigenvalue estimate.
@@ -12,7 +15,7 @@ never increase the eigenvalue estimate.
 core: ``solve_dirichlet`` pins the trace to zero on its region and drops
 phi and sigma, ``solve_linear`` pins nothing.  The pinned set is one vertex
 mask, built once per solve and handed unchanged to the p = 2 core or, for
-p != 2, to the descent.  The core runs the inverse iteration on one of two
+p != 2, to the descent.  The core runs the Krylov-Ritz driver on one of two
 routes with the same iterates:
 
 - plain: a sparse LU of the n x n matrix for every solve, restricted to
@@ -112,6 +115,10 @@ _IN_ORDER = {
     "options": {"SymmetricMode": True},
 }
 
+# The p = 2 Krylov-Ritz driver keeps at most this many basis vectors, then
+# restarts from its Ritz vector.
+_RITZ_BASIS = 20
+
 # Nested dissection stops splitting parts of at most this many vertices.
 _DISSECTION_LEAF = 8
 
@@ -136,7 +143,11 @@ class SolverOptions:
     """Iteration controls shared by the linear and descent solvers.
 
     ``tol = None`` resolves to 1e-9 for p = 2 and 1e-7 otherwise; a given
-    ``tol`` must be finite and positive.  ``seed`` only matters for
+    ``tol`` must be finite and positive.  For p = 2 it bounds the relative
+    eigen-residual ``|K x - lambda Mb x| / |K x|`` of the returned pair and
+    ``max_iters`` counts linear solves; for p != 2 it is the descent's
+    gradient and eigenvalue-change test (see :func:`_descent`) and
+    ``max_iters`` counts descent steps.  ``seed`` only matters for
     randomized starts.
     """
 
@@ -197,33 +208,55 @@ def rayleigh(mesh, u, phi, params):
     return energy(mesh, u, phi, params) / denom
 
 
-def _inverse_iteration(apply_A, mb, solve, lam, u, tol, max_iters):
-    """Inverse power steps for the smallest finite eigenpair of A u = lam diag(mb) u.
+def _krylov_ritz(apply_K, mb, solve, x0, tol, max_iters):
+    """Smallest eigenpair of ``K x = theta diag(mb) x`` by Rayleigh-Ritz on K^-1 Mb.
 
-    ``u`` is the normalized start and ``lam`` its Rayleigh quotient;
-    ``solve`` applies A^-1.  Stops once lam moves by at most ``tol``
-    relative.  Returns ``(lam, u, iterations, converged)``.
+    ``solve`` applies K^-1 and ``apply_K`` applies K.  Every step solves
+    ``K w = mb * v`` for the newest basis vector v (the first for ``x0``),
+    makes w mb-orthonormal to the basis (classical Gram-Schmidt, twice) and
+    keeps w and K w, so the basis spans a Krylov space of K^-1 Mb (a
+    Lanczos process; Parlett, The Symmetric Eigenvalue Problem, 1998).  The
+    Ritz pair is the smallest eigenpair of the projected matrix V^T K V,
+    which grows by one row and column per step.  A full basis of
+    ``_RITZ_BASIS`` vectors restarts from the Ritz vector.  Every basis
+    vector is an image of K^-1 Mb, so it is fixed by its values where
+    mb > 0 and the mb inner product is definite on the basis.
+
+    Stops once the relative residual ``|K x - theta mb x| / |K x|`` is at
+    most ``tol``.  Returns ``(theta, x, solves, residual, converged)`` with x
+    of unit mb-norm.
     """
-    iters = 0
+    n = len(x0)
+    V = np.empty((_RITZ_BASIS, n))
+    KV = np.empty((_RITZ_BASIS, n))  # K V
+    H = np.empty((_RITZ_BASIS, _RITZ_BASIS))  # V^T K V
+    theta, x, residual = math.nan, x0, math.inf
     converged = False
-    for iters in range(1, max_iters + 1):
-        w = solve(mb * u)
-        norm = np.sqrt(w @ (mb * w))
-        if norm == 0.0 or not np.isfinite(norm):
+    v = x0
+    j = 0  # vectors in the basis
+    solves = 0
+    for solves in range(1, max_iters + 1):
+        if j == _RITZ_BASIS:
+            V[0], KV[0], H[0, 0] = x, Kx, theta
+            v, j = V[0], 1
+        w = solve(mb * v)
+        for _ in range(2):
+            w -= (V[:j] @ (mb * w)) @ V[:j]
+        norm = math.sqrt(w @ (mb * w))
+        if not (norm > 0.0 and math.isfinite(norm)):
             break
-        w = w / norm
-        lam_new = float(w @ apply_A(w))
-        u = w
-        delta = abs(lam_new - lam)
-        lam = lam_new
-        if delta <= tol * abs(lam_new):
+        v = np.divide(w, norm, out=V[j])
+        KV[j] = apply_K(v)
+        H[j, : j + 1] = H[: j + 1, j] = V[: j + 1] @ KV[j]
+        j += 1
+        vals, vecs = np.linalg.eigh(H[:j, :j])
+        theta, y = float(vals[0]), vecs[:, 0]
+        x, Kx = y @ V[:j], y @ KV[:j]
+        residual = float(np.linalg.norm(Kx - theta * (mb * x)) / np.linalg.norm(Kx))
+        if residual <= tol:
             converged = True
             break
-    return lam, u, iters, converged
-
-
-def _relative_residual(Au, Mu, lam):
-    return float(np.linalg.norm(Au - lam * Mu) / max(np.linalg.norm(Au), 1e-300))
+    return theta, x / math.sqrt(x @ (mb * x)), solves, residual, converged
 
 
 class BoundaryOperator:
@@ -392,22 +425,22 @@ def _eigenpair(mesh, lam, u, iterations, residual, converged, diagnostics):
 
 
 def _solve_p2(mesh, phi, sigma, pinned, opts, start):
-    """Inverse iteration for p = 2 with the field pinned to zero on ``pinned``.
+    """The Krylov-Ritz driver for p = 2 with the field pinned to zero on ``pinned``.
 
     ``pinned`` is a vertex mask that is False off the boundary; ``rows`` is
     its complement and ``free`` the unpinned positions of
     ``mesh.boundary_vertices``.  Each route of the module docstring supplies
     a matrix K of the unpinned unknowns, its solve and a lift back to all
     vertices.  Reduced: ``S0 + diag(d_b)`` on ``free``, its Cholesky factor
-    and the A0-harmonic extension (``d`` is zero off the boundary, so every
-    iterate after the start is A0-harmonic inside).  Plain: A restricted to
-    ``rows``, its ``splu`` and a scatter.  The start, its eigenvalue and the
-    residual, over ``rows``, use the full operator.
+    and the A0-harmonic extension (``d`` is zero off the boundary, so the
+    lifted field solves the interior rows of A u = lam Mb u).  Plain: A
+    restricted to ``rows``, its ``splu`` and a scatter.  The start enters
+    only through its values on the unknowns of K; the reported residual is
+    the driver's ``|K x - lam Mb x| / |K x|``, which on the plain route is the
+    residual of A over ``rows``.
     """
     mb = assembly.geometry(mesh).boundary_weights
     rows = ~pinned
-    u = _start_values(mesh, start, 2.0)
-    u[pinned] = 0.0
     op = _operators.get(mesh)
     if op is not None:
         d = sigma * assembly.density_weights(mesh, phi)
@@ -416,9 +449,6 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
         K = op.S0[np.ix_(free, free)]
         K[np.diag_indices_from(K)] += d[idx]
         factor = sla.cho_factor(K)
-
-        def apply_A(v):
-            return op.A0 @ v + d * v
 
         def solve(rhs):
             return sla.cho_solve(factor, rhs)
@@ -430,7 +460,6 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
 
     else:
         A, _ = assembly.assemble_linear(mesh, phi, sigma)
-        apply_A = A.__matmul__
         idx = np.flatnonzero(rows)
         K = A[np.ix_(idx, idx)].tocsr() if pinned.any() else A
         solve = spla.splu(K.tocsc()).solve
@@ -440,20 +469,14 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
             v[idx] = x
             return v
 
-    u = u / np.sqrt(u @ (mb * u))
-    lam, x, iters, converged = _inverse_iteration(
-        K.__matmul__,
-        mb[idx],
-        solve,
-        float(u @ apply_A(u)),
-        u[idx],
-        opts.resolved_tol(2.0),
-        opts.max_iters,
+    x0 = _start_values(mesh, start, 2.0)[idx]
+    if not (mb[idx] * x0).any():
+        raise ValueError("start has zero boundary trace")
+    lam, x, iters, residual, converged = _krylov_ritz(
+        K.__matmul__, mb[idx], solve, x0, opts.resolved_tol(2.0), opts.max_iters
     )
-    u = lift(x)
-    residual = _relative_residual(apply_A(u)[rows], mb[rows] * u[rows], lam)
-    diagnostics = {"method": "inverse_iteration", "boundary_operator": op is not None}
-    return _eigenpair(mesh, lam, u, iters, residual, converged, diagnostics)
+    diagnostics = {"method": "krylov_ritz", "boundary_operator": op is not None}
+    return _eigenpair(mesh, lam, lift(x), iters, residual, converged, diagnostics)
 
 
 def solve_linear(mesh, phi, sigma, opts=None, start=None):

@@ -170,33 +170,51 @@ def support_region(mesh, phi, threshold=0.5):
     return RegionSpec.from_intervals(intervals, P)
 
 
-def arc_defect(mesh, phi):
-    """Mass not captured by the best single window of length ``mass(phi)``.
+def _best_window(mesh, phi):
+    """Start and captured mass of the window of length ``mass(phi)`` that meets the most mass.
 
     Slides a window ``[alpha, alpha + mass)`` around the boundary and sums
-    the full mass ``phi_e len_e`` of every edge the window meets; the defect
-    is ``mass - max(captured)``.  Zero (up to rasterization) exactly when the
-    density is a single-arc indicator.
+    the full mass ``phi_e len_e`` of every edge the window meets.  The
+    met-edge set is constant between consecutive events (edge starts and
+    edge starts minus the mass), so the windows tried start at the
+    midpoints between events, which keeps window ends off edge boundaries.
+    Requires ``0 < mass(phi) < perimeter``.
     """
     m = phi.mass
-    if m <= 0.0:
-        return 0.0
     P = mesh.perimeter
-    if m >= P:
-        return 0.0
     edge_masses = phi.edge_values * mesh.edge_lengths
     starts = mesh.cum_arclength
     events = np.unique(np.concatenate([starts, (starts - m) % P]))
-    # Evaluate between consecutive events (cyclically) where the met-edge
-    # set is constant; midpoints keep window ends off edge boundaries.
     gaps = np.diff(np.concatenate([events, [events[0] + P]]))
     mids = (events + 0.5 * gaps) % P
-    best = 0.0
+    best, best_alpha = -1.0, 0.0
     for alpha in mids:
-        overlaps = _circular_overlaps(mesh, alpha, m)
-        best = max(best, float(edge_masses[overlaps > 0.0].sum()))
+        captured = float(edge_masses[_circular_overlaps(mesh, alpha, m) > 0.0].sum())
+        if captured > best:
+            best, best_alpha = captured, float(alpha)
+    return best_alpha, best
+
+
+def arc_defect(mesh, phi):
+    """Mass not captured by the best single window of length ``mass(phi)``.
+
+    The defect is ``mass - captured`` for the window of :func:`_best_window`.
+    Zero (up to rasterization) exactly when the density is a single-arc
+    indicator.
+    """
+    m = phi.mass
+    if m <= 0.0 or m >= mesh.perimeter:
+        return 0.0
+    _, captured = _best_window(mesh, phi)
     # full-capture windows can overshoot the mass by rounding
-    return max(0.0, m - best)
+    return max(0.0, m - captured)
+
+
+def _window_density(mesh, phi):
+    """The single arc of mass ``mass(phi)`` on :func:`_best_window`'s window."""
+    alpha, _ = _best_window(mesh, phi)
+    region = RegionSpec.from_intervals([(alpha, alpha + phi.mass)], mesh.perimeter)
+    return rasterize_region(mesh, region)
 
 
 @dataclass
@@ -267,6 +285,15 @@ def optimize_potential(
     relative eigenvalue change below ``outer_tol`` (finite and positive; by
     default ``opts.tol``, else 1e-9), on a detected cycle (flagged in
     diagnostics), or after ``max_outer`` iterations.
+
+    A fixed point whose support has more than one arc can be a saddle
+    between single caps (two antipodal arcs of half the mass each on the
+    disk).  There the run solves once, warm-started, on the single arc of
+    the same mass on :func:`arc_defect`'s best window and, if that
+    eigenvalue is lower, continues from that arc as its next outer
+    iteration (counted in ``diagnostics["window_restarts"]``); otherwise it
+    stops at the fixed point with ``diagnostics["window_rejected"]`` set.
+    Either way the recorded eigenvalues stay non-increasing.
     """
     opts = opts or SolverOptions()
     if outer_tol is None:
@@ -283,19 +310,25 @@ def optimize_potential(
     history = []
     converged = False
     diagnostics = {}
-    u_prev = None
 
-    for k in range(max_outer):
+    def solve(density, start, k):
         if params.p == 2.0:
-            eig = solve_linear(mesh, phi, params.sigma, opts, start=u_prev)
+            eig = solve_linear(mesh, density, params.sigma, opts, start=start)
         else:
-            eig = solve_nonlinear(mesh, phi, params, opts, start=u_prev)
+            eig = solve_nonlinear(mesh, density, params, opts, start=start)
         if not eig.converged:
             raise NonConvergenceError(
                 f"inner eigensolve failed at outer iteration {k}",
                 diagnostics={"outer_iteration": k, "eigen": eig.diagnostics},
             )
-        u_prev = eig.u
+        return eig
+
+    eig = window_eig = None
+    for k in range(max_outer):
+        if window_eig is not None:
+            eig, window_eig = window_eig, None
+        else:
+            eig = solve(phi, None if eig is None else eig.u, k)
         lambdas.append(eig.lam)
         potentials.append(phi)
         new_phi, level = bathtub(mesh, eig.u, mass, params.p)
@@ -303,6 +336,14 @@ def optimize_potential(
 
         delta = np.abs(new_phi.edge_values - phi.edge_values)
         if float(delta.max(initial=0.0)) <= 1e-12:
+            if len(support_region(mesh, phi, threshold=0.0).arcs) > 1:
+                window = _window_density(mesh, phi)
+                trial = solve(window, eig.u, k + 1)
+                if trial.lam < eig.lam:
+                    diagnostics["window_restarts"] = diagnostics.get("window_restarts", 0) + 1
+                    phi, window_eig = window, trial
+                    continue
+                diagnostics["window_rejected"] = True
             converged = True
             break
         cycle = any(

@@ -82,6 +82,14 @@ def test_reduced_path_repeats_the_plain_iteration(name, opts):
         assert_same_pair(p, r)
 
 
+def schur_complement(mesh, density, sigma):
+    """Dense elimination of the interior of A: the boundary Schur complement S."""
+    b = mesh.boundary_vertices
+    i = np.flatnonzero(~mesh.is_boundary_vertex)
+    A = assemble_linear(mesh, density, sigma)[0].toarray()
+    return A[np.ix_(b, b)] - A[np.ix_(b, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, b)])
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: generate_disk(0.3), lambda: generate_rectangle(2.0, 1.0, 0.4)],
@@ -93,20 +101,17 @@ def test_both_routes_match_the_dense_boundary_eigenproblem(make):
     # boundary positions with LAPACK.
     mesh = make()
     P = mesh.perimeter
-    b = mesh.boundary_vertices
-    i = np.flatnonzero(~mesh.is_boundary_vertex)
-    mb = assembly.geometry(mesh).boundary_weights[b]
+    mb = assembly.geometry(mesh).boundary_weights[mesh.boundary_vertices]
     phi = random_admissible(mesh, 0.3 * P, seed=4)
     zero = BoundaryDensity.constant(mesh, 0.0)
     region = RegionSpec.from_intervals([(0.1, 0.1 + 0.3 * P)], P)
     unpinned = ~region.contains_array(mesh.boundary_vertex_arclength, closed=True)
 
     def smallest(density, sigma, f):
-        A = assemble_linear(mesh, density, sigma)[0].toarray()
-        S = A[np.ix_(b, b)] - A[np.ix_(b, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, b)])
+        S = schur_complement(mesh, density, sigma)
         return sla.eigh(S[np.ix_(f, f)], np.diag(mb[f]), eigvals_only=True)[0]
 
-    expected_free = smallest(phi, 5.0, np.ones(len(b), dtype=bool))
+    expected_free = smallest(phi, 5.0, np.ones(len(mb), dtype=bool))
     expected_pinned = smallest(zero, 0.0, unpinned)
     for reduced in (False, True):
         if reduced:
@@ -118,6 +123,34 @@ def test_both_routes_match_the_dense_boundary_eigenproblem(make):
             assert pair.diagnostics["boundary_operator"] is reduced
             assert pair.converged
             assert pair.lam == pytest.approx(expected, rel=1e-8)
+
+
+def test_random_density_eigenvalue_is_within_its_residual_bound_of_the_dense_one():
+    # sigma = 4 and the second draw of default_rng(1234) on generate_disk(0.3):
+    # the lambda-change stop that the Krylov-Ritz driver replaced reported
+    # this pair converged 1.74e-9 relative above the exact discrete eigenvalue.
+    mesh = generate_disk(0.3)
+    rng = np.random.default_rng(1234)
+    rng.uniform(0, 1, 8)  # the first draw, for the 8 edges of the tiny square
+    phi = BoundaryDensity.of(mesh, rng.uniform(0, 1, mesh.n_boundary_edges))
+    S = schur_complement(mesh, phi, 4.0)
+    mb = assembly.geometry(mesh).boundary_weights[mesh.boundary_vertices]
+    exact = sla.eigh(S, np.diag(mb), eigvals_only=True)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        pair = solve_linear(mesh, phi, 4.0)
+        assert pair.diagnostics["boundary_operator"] is reduced
+        assert pair.converged
+        assert pair.residual <= 1e-9
+        # Kato-Temple for the pencil (S, diag(mb)): with x of unit mb-norm and
+        # r = S x - lam mb x, lam - lam_1 <= |r|^2_{mb^-1} / (lam_2 - lam), and
+        # |r|_{mb^-1} <= |r| / sqrt(min mb).  The floor covers the rounding
+        # of LAPACK's eigenvalue.
+        x = pair.u.values[mesh.boundary_vertices]
+        r = pair.residual * np.linalg.norm(S @ x)
+        bound = r**2 / (mb.min() * (exact[1] - pair.lam))
+        assert exact[0] * (1 - 1e-14) <= pair.lam <= exact[0] + bound + 1e-13 * exact[0]
 
 
 def test_dirichlet_solve_without_pins_is_the_free_linear_solve():

@@ -720,6 +720,20 @@ CONFIG_ERRORS = {
         {"sigma_list": [1.0, 2.0, math.inf]},
         "'sigma_list' must hold finite numbers",
     ),
+    # JSON integers beyond float range read as +-inf, so each field's own
+    # finiteness check rejects them
+    "overflowing-sigma": (
+        "solve",
+        SOLVE_CONFIG,
+        {"params": {"p": 2.0, "sigma": 10**400}},
+        "sigma must be finite and nonnegative, got inf",
+    ),
+    "overflowing-sigma-list": (
+        "sigma-sweep",
+        SWEEP_CONFIG,
+        {"sigma_list": [1.0, -(10**400)]},
+        "'sigma_list' must hold finite numbers",
+    ),
     "nan-cap-angle": (
         "solve",
         SOLVE_CONFIG,
@@ -749,6 +763,56 @@ def test_config_error_messages(tmp_path, capsys, case):
     cfg = write_config(tmp_path, **{k: v for k, v in cfg.items() if v is not None})
     assert run(command, cfg, tmp_path / "out") == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+OPTIMIZE_CONFIG = {**SOLVE_CONFIG, "mass": 1.0, "potential": None}
+RECTANGLE = {"type": "rectangle", "width": 1.0, "height": 1.0, "target_h": 0.3}
+
+# (command, base config, section or None, key, value before the overflow):
+# every numeric config field, each set to a JSON integer beyond float range.
+NUMERIC_FIELDS = [
+    ("solve", SOLVE_CONFIG, "geometry", "h", None),
+    ("solve", {**SOLVE_CONFIG, "geometry": RECTANGLE}, "geometry", "width", None),
+    ("solve", {**SOLVE_CONFIG, "geometry": RECTANGLE}, "geometry", "height", None),
+    ("solve", {**SOLVE_CONFIG, "geometry": RECTANGLE}, "geometry", "target_h", None),
+    ("solve", SOLVE_CONFIG, "params", "p", None),
+    ("solve", SOLVE_CONFIG, "params", "sigma", None),
+    ("solve", SOLVE_CONFIG, "params", "eps_reg", None),
+    ("solve", SOLVE_CONFIG, "solver", "tol", None),
+    ("solve", SOLVE_CONFIG, "potential", "value", None),
+    ("solve", {**SOLVE_CONFIG, "potential": {"type": "cap", "mass": 1.0}}, "potential", "angle", None),
+    ("solve", {**SOLVE_CONFIG, "potential": {"type": "cap", "angle": 0.0}}, "potential", "mass", None),
+    ("solve", {**SOLVE_CONFIG, "potential": {"type": "random"}}, "potential", "mass", None),
+    ("optimize", OPTIMIZE_CONFIG, None, "mass", None),
+    ("optimize", OPTIMIZE_CONFIG, None, "outer_tol", None),
+    ("sigma-sweep", SWEEP_CONFIG, None, "sigma_list", [1.0]),
+    ("shape-deriv", SHAPE_CONFIG, "region", "intervals", [0.5]),
+    ("shape-deriv", SHAPE_CONFIG, "tangent", "speeds", [0.0]),
+    ("shape-deriv", SHAPE_CONFIG, None, "fd_steps", [1e-2, 5e-3]),
+    ("shape-deriv", SHAPE_CONFIG, None, "sign_convention", None),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize(
+    "command, base, section, key, head",
+    NUMERIC_FIELDS,
+    ids=[f"{f[0]}-{f[2] or 'config'}-{f[3]}" for f in NUMERIC_FIELDS],
+)
+def test_integers_beyond_float_range_are_config_errors(
+    tmp_path, capsys, command, base, section, key, head, sign
+):
+    big = sign * 10**400
+    value = big if head is None else head + [big]
+    if key in ("intervals", "speeds"):
+        value = [value]
+    cfg = {k: v for k, v in base.items() if v is not None}
+    if section is None:
+        cfg[key] = value
+    else:
+        cfg[section] = {**cfg.get(section, {}), key: value}
+    assert run(command, write_config(tmp_path, **cfg), tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize(

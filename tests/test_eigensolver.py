@@ -13,9 +13,14 @@ from steklov import (
     ProblemParams,
     RegionSpec,
     SolverOptions,
+    assemble_linear,
+    assembly,
+    boundary_operator,
     eigenpair_from_json,
     eigenpair_to_json,
     generate_disk,
+    generate_rectangle,
+    random_admissible,
     random_positive_start,
     rayleigh,
     solve_dirichlet,
@@ -195,6 +200,8 @@ def test_fields_with_zero_boundary_trace_are_rejected(square_tiny):
         rayleigh(square_tiny, Field.of(square_tiny, bump), phi, params)
     with pytest.raises(ValueError, match="^start has zero boundary trace$"):
         solve_nonlinear(square_tiny, phi, params, start=bump)
+    with pytest.raises(ValueError, match="^start has zero boundary trace$"):
+        solve_linear(square_tiny, phi, 1.0, start=bump)
 
 
 def test_non_convergence_is_reported(square_tiny):
@@ -217,6 +224,111 @@ def test_eigenpair_json_round_trip(square_tiny):
         "converged",
         "u",
     }
+
+
+# ------------------------------------------------- p = 2 Krylov-Ritz driver
+#
+# Each mesh is generated inside its test, so no other test can have built a
+# boundary operator for it: solves before ``boundary_operator(mesh)`` run the
+# plain route, solves after it the reduced one.
+
+
+@pytest.mark.parametrize("tol", [None, 1e-11])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generate_disk(0.1), lambda: generate_rectangle(2.0, 1.0, 0.15)],
+    ids=["disk", "rectangle"],
+)
+def test_a_converged_pair_has_a_residual_within_the_tolerance(make, tol):
+    # On both routes, free and pinned, at a weak and a strong coupling: the
+    # reported residual is the residual of A over the unpinned rows, and a
+    # converged pair has it at most tol.
+    mesh = make()
+    P = mesh.perimeter
+    mb = assembly.geometry(mesh).boundary_weights
+    phi = random_admissible(mesh, 0.3 * P, seed=4)
+    zero = BoundaryDensity.constant(mesh, 0.0)
+    region = RegionSpec.from_intervals([(0.1, 0.1 + 0.3 * P)], P)
+    opts = SolverOptions(tol=tol)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        for sigma in (1.0, 25.0):
+            free = solve_linear(mesh, phi, sigma, opts)
+            pinned = solve_dirichlet(mesh, region, ProblemParams(sigma=sigma), opts)
+            for pair, A in (
+                (free, assemble_linear(mesh, phi, sigma)[0]),
+                (pinned, assemble_linear(mesh, zero, 0.0)[0]),
+            ):
+                assert pair.diagnostics["boundary_operator"] is reduced
+                assert pair.diagnostics["method"] == "krylov_ritz"
+                assert pair.converged
+                assert pair.residual <= opts.resolved_tol(2.0)
+                u = pair.u.values
+                rows = u != 0.0
+                Au = (A @ u)[rows]
+                full = np.linalg.norm(Au - pair.lam * (mb * u)[rows]) / np.linalg.norm(Au)
+                assert pair.residual == pytest.approx(full, rel=1e-2, abs=1e-14)
+
+
+def test_strong_coupling_random_density_converges_in_few_solves():
+    # A sigma = 25 random density on a disk near h = 0.05, where inverse
+    # iteration stopped on a settled eigenvalue after 64 solves at a
+    # residual of 2e-5.
+    mesh = generate_disk(0.05113892540707861)
+    phi = random_admissible(mesh, 2.294590882702329, seed=915969690)
+    pair = solve_linear(mesh, phi, 25.0)
+    assert pair.converged
+    assert pair.residual <= 1e-9
+    assert pair.iterations <= 30
+
+
+def test_a_restarted_basis_reaches_the_same_pair(monkeypatch):
+    # A three-vector basis restarts from its Ritz vector every two solves
+    # on both routes and still stops on the same residual test.
+    mesh = generate_disk(0.1)
+    phi = random_admissible(mesh, 0.3 * mesh.perimeter, seed=1)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        full = solve_linear(mesh, phi, 25.0)
+        with monkeypatch.context() as m:
+            m.setattr(eigensolver, "_RITZ_BASIS", 3)
+            restarted = solve_linear(mesh, phi, 25.0)
+        assert full.iterations < eigensolver._RITZ_BASIS < restarted.iterations
+        assert restarted.converged
+        assert restarted.residual <= 1e-9
+        assert restarted.lam == pytest.approx(full.lam, rel=1e-13)
+        np.testing.assert_allclose(restarted.u.values, full.u.values, rtol=0, atol=1e-7)
+
+
+def test_one_solve_is_never_a_converged_pair():
+    # max_iters = 1 gives a one-vector basis, whose Ritz pair is far from
+    # the tolerance; the optimizer's inner-failure exits rely on this.
+    mesh = generate_disk(0.1)
+    P = mesh.perimeter
+    phi = random_admissible(mesh, 0.3 * P, seed=1)
+    region = RegionSpec.from_intervals([(0.1, 0.1 + 0.3 * P)], P)
+    opts = SolverOptions(max_iters=1)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        for pair in (
+            solve_linear(mesh, phi, 5.0, opts),
+            solve_dirichlet(mesh, region, ProblemParams(), opts),
+        ):
+            assert pair.diagnostics["boundary_operator"] is reduced
+            assert (pair.iterations, pair.converged) == (1, False)
+            assert pair.residual > 1e-9
+
+
+def test_p2_start_with_a_nan_is_rejected(square_tiny):
+    # the first solve breaks down and the start comes back as the field
+    phi = BoundaryDensity.constant(square_tiny, 0.5)
+    start = np.ones(square_tiny.n_vertices)
+    start[square_tiny.boundary_vertices[0]] = np.nan
+    with pytest.raises(ValueError, match="^field contains non-finite values$"):
+        solve_linear(square_tiny, phi, 1.0, start=start)
 
 
 # --------------------------------------------------------- nonlinear solve

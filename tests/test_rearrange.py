@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -16,6 +17,7 @@ from steklov import (
     bathtub_objective,
     binarize,
     cap_indicator,
+    generate_disk,
     generate_rectangle,
     optimize_potential,
     random_admissible,
@@ -377,6 +379,96 @@ def test_optimize_raises_on_inner_failure(disk_coarse):
         optimize_potential(
             disk_coarse, params, 1.0, opts=SolverOptions(max_iters=1, tol=1e-14)
         )
+
+
+# ------------------------------------------------------- two-arc fixed points
+#
+# On this disk (sigma = 5, mass pi/2) the random start of seed
+# TWO_ARC_SEED + 4 refills to an exact bathtub fixed point on two antipodal
+# arcs of half the mass each, at lambda 0.87710, while the other four starts
+# of a symmetry check end on one cap at 0.684702.
+
+TWO_ARC_H = 0.025672260713638165
+TWO_ARC_SEED = 1425354459
+
+
+@pytest.fixture(scope="module")
+def two_arc_disk():
+    return generate_disk(TWO_ARC_H)
+
+
+def _two_arc_run(mesh, seed):
+    return optimize_potential(
+        mesh,
+        ProblemParams(p=2.0, sigma=5.0),
+        math.pi / 2,
+        opts=SolverOptions(seed=seed),
+        phi0="random",
+    )
+
+
+def test_two_arc_fixed_point_restarts_from_its_best_window(two_arc_disk):
+    mesh = two_arc_disk
+    traces = [_two_arc_run(mesh, TWO_ARC_SEED + k) for k in range(5)]
+    lams = [trace.final_lambda for trace in traces]
+    assert (max(lams) - min(lams)) / np.mean(lams) < 1e-6
+    for trace in traces:
+        assert trace.converged
+        assert len(support_region(mesh, trace.final_potential, threshold=0.0).arcs) == 1
+        assert arc_defect(mesh, trace.final_potential) <= 2.0 * mesh.max_boundary_edge_length
+        assert all(b <= a for a, b in zip(trace.lambdas, trace.lambdas[1:]))
+    restarted = traces[4]
+    assert restarted.diagnostics == {"window_restarts": 1}
+    assert [t.diagnostics for t in traces[:4]] == [{}] * 4
+    # the two-arc fixed point stays in the trace, and the window follows it
+    # as the next outer iteration, one arc of the same mass
+    k = next(k for k, lam in enumerate(restarted.lambdas) if abs(lam - 0.87710) < 1e-5)
+    two_arcs, window = restarted.potentials[k : k + 2]
+    assert len(support_region(mesh, two_arcs, threshold=0.0).arcs) == 2
+    assert len(support_region(mesh, window, threshold=0.0).arcs) == 1
+    assert window.mass == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def test_a_window_that_does_not_lower_lambda_leaves_the_trace_unchanged(
+    two_arc_disk, monkeypatch
+):
+    import steklov.rearrange as rearrange
+
+    mesh = two_arc_disk
+    seed = TWO_ARC_SEED + 4
+    with monkeypatch.context() as m:
+        # every support reads as one arc, so no window is ever tried
+        one_arc = RegionSpec(arcs=((0.0, 1.0),), perimeter=1.0)
+        m.setattr(rearrange, "support_region", lambda *args, **kwargs: one_arc)
+        plain = _two_arc_run(mesh, seed)
+
+    windows = []
+    window_density = rearrange._window_density
+    solve = rearrange.solve_linear
+
+    def recording_window(*args):
+        windows.append(window_density(*args))
+        return windows[-1]
+
+    def no_lower_on_windows(mesh, density, *args, **kwargs):
+        eig = solve(mesh, density, *args, **kwargs)
+        if any(density is w for w in windows):
+            return dataclasses.replace(eig, lam=math.inf)
+        return eig
+
+    monkeypatch.setattr(rearrange, "_window_density", recording_window)
+    monkeypatch.setattr(rearrange, "solve_linear", no_lower_on_windows)
+    rejected = _two_arc_run(mesh, seed)
+
+    assert len(windows) == 1
+    assert plain.diagnostics == {}
+    assert rejected.diagnostics == {"window_rejected": True}
+    assert rejected.converged and plain.converged
+    assert rejected.lambdas == plain.lambdas
+    assert rejected.levels == plain.levels
+    assert rejected.final_lambda == pytest.approx(0.87710, abs=1e-5)
+    for a, b in zip(rejected.potentials, plain.potentials, strict=True):
+        assert np.array_equal(a.edge_values, b.edge_values)
 
 
 # ------------------------------------------------------------- trace files

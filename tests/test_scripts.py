@@ -67,3 +67,20 @@ def test_script_runs_end_to_end(name, args, expected):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith(expected) for line in lines), proc.stdout
+
+
+def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
+    from steklov import BoundaryDensity, generate_disk, solve_linear
+
+    proc = _run_script(
+        ROOT / "scripts" / "layer_ladder.py", "--h", "0.3", "--square-h", "--repeat", "1"
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()[1:]
+    assert header.split()[-2:] == ["iters", "resid"]
+    iters, resid = row.split()[-2:]
+    mesh = generate_disk(0.3)
+    pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.25), 5.0)
+    assert int(iters) == pair.iterations
+    assert float(resid) == float(f"{pair.residual:.1e}")
+    assert float(resid) <= 1e-9
