@@ -2,13 +2,13 @@
 
 The discrete energy of a nodal field u with boundary density phi is
 
-    E(u) = sum_T |grad u|_T|^p area(T)                  (exact, gradient constant)
-         + sum_T area(T)/3 * sum_{v in T} |u_v|^p       (vertex-lumped volume term)
-         + sigma * sum_e phi_e len_e (|u_i|^p + |u_j|^p)/2   (trapezoid boundary term)
+    E(u) = sum_T area(T) s_T^(p/2)   with s_T = |grad u|_T|^2 + eps^2 (gradient constant)
+         + sum_v w_v |u_v|^p         with w = lumped_mass + sigma * density_weights(phi)
 
-and the boundary p-norm is the trapezoid rule raised to 1/p.  These
-quadratures are normative: every solver, eigenvalue and optimality check in
-the package reduces to them.
+and the boundary p-power is ``sum_v boundary_weights_v |u_v|^p``, the lumped
+mass being area/3 per corner and the boundary weights trapezoid rules.
+Value and gradient share s_T, so the gradient is exact for every eps.  These
+quadratures are normative: every solver and optimality check reduces to them.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ class ProblemParams:
 
     Every given value must be finite.
 
-    ``eps_reg`` smooths the degenerate gradient factor |grad u|^(p-2) near
-    zero gradients; ``None`` resolves to 1e-8 for p < 2 (where the factor
-    blows up) and to 0 for p >= 2 (where it is continuous).
+    ``eps_reg`` turns the gradient term into ``(|grad u|^2 + eps^2)^(p/2)``,
+    whose derivative stays finite at zero gradients; ``None`` resolves to
+    1e-8 for p < 2 (where |grad u|^(p-2) blows up) and to 0 for p >= 2.
     """
 
     p: float = 2.0
@@ -180,22 +180,17 @@ class EnergyKernel:
     """The energy of one ``(mesh, phi, params)``, evaluated field by field.
 
     The descent builds one per solve.  It holds what every evaluation
-    shares:
+    shares: the areas and the nodal and boundary weights of the module
+    docstring (and their multiples by p), and per triangle corner the vertex
+    index and the basis gradient's x and y components, each a contiguous row
+    of a corner-major array, so the vertex index is also the one
+    ``np.bincount`` scatters the gradient with.
 
-    - per triangle corner, the vertex index and the x and y components of
-      the basis gradient, each a contiguous row of a corner-major array, so
-      that the vertex index is also the one ``np.bincount`` scatters the
-      gradient with;
-    - the weights of the volume, lumped, coupling and boundary terms, the
-      coupling diagonal ``sigma * density_weights`` built once.
-
-    :meth:`evaluate` returns the energy and the boundary p-power of a field
-    from one set of element gradients and one pass of trace weights, and
-    keeps the gradients for :meth:`gradient` at the same field.  The
-    floating-point operations and their order are those of the element-wise
-    formulas (``einsum`` contractions and ``np.add.at`` scatters over the
-    corners in turn), so every result is bitwise the same.  ``phi`` is read
-    only when ``params.sigma != 0``.
+    :meth:`evaluate` forms the element term ``s = gx^2 + gy^2 + eps^2`` once
+    per field and returns the energy and the boundary p-power from it and
+    one array ``|u|^p``; :meth:`gradient` at that field takes its
+    coefficient ``p * area * s^((p-2)/2)`` from the same ``s``.  ``phi`` is
+    read only when ``params.sigma != 0``.
     """
 
     def __init__(self, mesh, phi, params):
@@ -207,15 +202,16 @@ class EnergyKernel:
         self._bx = np.ascontiguousarray(g.basis_grads[:, :, 0].T)
         self._by = np.ascontiguousarray(g.basis_grads[:, :, 1].T)
         self._areas = g.areas
-        self._lumped = g.lumped_mass
+        self._weights = _nodal_weights(mesh, phi, params.sigma)
+        self._boundary = mesh.boundary_vertices
+        self._boundary_weights = g.boundary_weights[self._boundary]
         self._p_areas = p * g.areas
         self._p_lumped = p * g.lumped_mass
         self._p_boundary = p * g.boundary_weights
         self._eps_sq = params.eps * params.eps
-        self._sigma = params.sigma
-        if params.sigma != 0.0:
-            self._weighted = _phi_values(phi, mesh) * mesh.edge_lengths
-            self._coupling = params.sigma * p * density_weights(mesh, phi)
+        self._coupling = (
+            params.sigma * p * density_weights(mesh, phi) if params.sigma != 0.0 else None
+        )
         self._point = None
 
     def element_gradients(self, vals):
@@ -233,14 +229,15 @@ class EnergyKernel:
     def evaluate(self, vals):
         """``(energy, boundary p-power)`` of ``vals``, which becomes the kernel's field."""
         gx, gy = self.element_gradients(vals)
-        self._point = (vals, gx, gy)
+        s = gx * gx
+        s += gy * gy
+        s += self._eps_sq
+        self._point = (vals, gx, gy, s)
         p = self.p
-        total = float(np.dot(np.hypot(gx, gy) ** p, self._areas))
-        total += float(np.dot(self._lumped, np.abs(vals) ** p))
-        tw = trace_weights(self.mesh, vals, p)
-        if self._sigma != 0.0:
-            total += self._sigma * float(np.dot(self._weighted, tw))
-        return total, float(np.dot(self.mesh.edge_lengths, tw))
+        powers = np.abs(vals) ** p
+        total = float(np.dot(s ** (p / 2.0), self._areas))
+        total += float(np.dot(self._weights, powers))
+        return total, float(np.dot(self._boundary_weights, powers[self._boundary]))
 
     def gradient(self, r=None):
         """Nodal energy gradient at the last evaluated field.
@@ -249,9 +246,9 @@ class EnergyKernel:
         subtracted: the gradient of the Rayleigh numerator minus ``r`` times
         that of its denominator.
         """
-        vals, gx, gy = self._point
+        vals, gx, gy, s = self._point
         p = self.p
-        coef = self._p_areas * (gx**2 + gy**2 + self._eps_sq) ** ((p - 2.0) / 2.0)
+        coef = self._p_areas * s ** ((p - 2.0) / 2.0)
         contrib = np.empty(self._corners.shape)
         for k in range(3):
             dot = gx * self._bx[k]
@@ -260,7 +257,7 @@ class EnergyKernel:
         out = np.bincount(self._corners.ravel(), weights=contrib.ravel(), minlength=len(vals))
         signed = _signed_power(vals, p - 1.0)
         out += self._p_lumped * signed
-        if self._sigma != 0.0:
+        if self._coupling is not None:
             out += self._coupling * signed
         if r is not None:
             out -= r * (self._p_boundary * signed)
@@ -281,8 +278,9 @@ def energy(mesh, u, phi, params):
 def trace_weights(mesh, u, p):
     """Per-edge trapezoid trace weight ``(|u_i|^p + |u_j|^p)/2``, in loop order.
 
-    The boundary p-norm, the coupling term of :func:`energy` and the bathtub
-    refill all integrate the trace with these weights.
+    The bathtub refill, whose unknown is the density, integrates the trace
+    edge by edge with these weights; everything that integrates over u uses
+    the nodal weights instead.
     """
     vals = _as_values(u, mesh)
     loop = mesh.boundary_loop
@@ -297,8 +295,10 @@ def boundary_p_norm(mesh, u, p):
 
 
 def boundary_p_power(mesh, u, p):
-    """The p-th power of :func:`boundary_p_norm` (the constraint functional)."""
-    return float(np.dot(mesh.edge_lengths, trace_weights(mesh, u, p)))
+    """The p-th power of :func:`boundary_p_norm`, bitwise that of :class:`EnergyKernel`."""
+    vals = _as_values(u, mesh)
+    bv = mesh.boundary_vertices
+    return float(np.dot(geometry(mesh).boundary_weights[bv], np.abs(vals[bv]) ** p))
 
 
 def _signed_power(vals, q):
@@ -307,23 +307,14 @@ def _signed_power(vals, q):
 
 
 def energy_gradient(mesh, u, phi, params):
-    """Nodal gradient of the discrete energy.
-
-    The gradient-term factor |grad u|^(p-2) is replaced by
-    (|grad u|^2 + eps^2)^((p-2)/2); with eps = 0 and p >= 2 this is the
-    exact derivative of :func:`energy`.
-    """
+    """Nodal gradient of the discrete energy, exact for every ``eps_reg``."""
     kernel = EnergyKernel(mesh, phi, params)
     kernel.evaluate(_as_values(u, mesh))
     return kernel.gradient()
 
 
 def density_weights(mesh, phi):
-    """Nodal trapezoid weights of the phi-weighted boundary mass.
-
-    ``sigma * density_weights(mesh, phi)`` is the diagonal that the coupling
-    adds to the p = 2 operator; it is zero off the boundary.
-    """
+    """Nodal trapezoid weights of the phi-weighted boundary length, zero inside."""
     pv = _phi_values(phi, mesh)
     loop = mesh.boundary_loop
     half = 0.5 * pv * mesh.edge_lengths
@@ -335,11 +326,18 @@ def density_weights(mesh, phi):
     )
 
 
+def _nodal_weights(mesh, phi, sigma):
+    """The nodal weights w of the energy, also the p = 2 diagonal; phi is unused at sigma = 0."""
+    lumped = geometry(mesh).lumped_mass
+    if sigma == 0.0:
+        return lumped
+    return lumped + sigma * density_weights(mesh, phi)
+
+
 def boundary_power_gradient(mesh, u, p):
     """Nodal gradient of :func:`boundary_p_power`."""
     vals = _as_values(u, mesh)
-    g = geometry(mesh)
-    return p * g.boundary_weights * _signed_power(vals, p - 1.0)
+    return p * geometry(mesh).boundary_weights * _signed_power(vals, p - 1.0)
 
 
 class WeightedStiffness:
@@ -396,9 +394,7 @@ def assemble_linear(mesh, phi, sigma):
     the number of boundary vertices), and ``u @ A @ u`` reproduces
     ``energy(u, phi, p=2, sigma)`` up to roundoff.
     """
-    g = geometry(mesh)
     stiff = WeightedStiffness(mesh).matrix()
-    bphi = density_weights(mesh, phi)
-    A = (stiff + sp.diags(g.lumped_mass + sigma * bphi)).tocsr()
-    Mb = sp.diags(g.boundary_weights).tocsr()
+    A = (stiff + sp.diags(_nodal_weights(mesh, phi, sigma))).tocsr()
+    Mb = sp.diags(geometry(mesh).boundary_weights).tocsr()
     return A, Mb

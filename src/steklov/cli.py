@@ -290,6 +290,8 @@ def build_region(cfg: dict, mesh: Mesh) -> RegionSpec:
     pairs = _number_pairs(
         intervals, "each region interval must be a [s_begin, s_end] number pair"
     )
+    if not all(math.isfinite(v) for pair in pairs for v in pair):
+        raise ConfigError("region 'intervals' must hold finite numbers")
     return RegionSpec.from_intervals(pairs, mesh.perimeter)
 
 
@@ -485,6 +487,9 @@ def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
     steps = cfg.get("fd_steps", list(DEFAULT_FD_STEPS))
     if not _is_number_list(steps):
         raise ConfigError("'fd_steps' must be a list of numbers")
+    steps = [_float(t) for t in steps]
+    if not all(map(math.isfinite, steps)):
+        raise ConfigError("'fd_steps' must hold finite numbers")
     sign = _number(cfg, "sign_convention", "config", required=False)
     sign = 1.0 if sign is None else sign
     if sign not in (1.0, -1.0):
@@ -495,7 +500,7 @@ def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
         region,
         tangent,
         params,
-        steps=[_float(t) for t in steps],
+        steps=steps,
         opts=opts,
         sign_convention=sign,
     )

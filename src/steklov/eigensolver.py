@@ -49,9 +49,10 @@ Comput. 32, 2007):
                                  + boundary_weights) * w_v),
     w_T = (|grad u|_T^2 + delta_T^2)^((p-2)/2),  w_v = (u_v^2 + delta_v^2)^((p-2)/2),
 
-with K_T the element stiffness and each delta^2 a floor of 1e-8 times the
-largest squared value over the mesh (all weights are 1 where that value is
-0, as for the gradient of the constant start).  At p = 2 every weight is 1
+with K_T the element stiffness, the energy's nodal weights and the boundary
+weights on the diagonal, and each delta^2 a floor of 1e-8 times the largest
+squared value over the mesh (all weights are 1 where that value is 0, as
+for the gradient of the constant start).  At p = 2 every weight is 1
 and M is the p = 2 matrix plus the boundary mass.  The Armijo test uses the
 slope ``g^T z`` and the BB step is ``s^T M s / s^T y``.  The iteration
 count stays flat under mesh refinement, where Euclidean gradient steps
@@ -64,14 +65,14 @@ the projection and the stopping test are those of a Euclidean-step descent,
 so the metric changes the path to the fixed point, not the fixed point or
 the meaning of ``converged``.  A solve whose R has dropped by at most
 ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps while the
-gradient test fails stops unconverged (``stop = "stall"``); p = 1.2 ends
-this way or on a failed line search.
+gradient test fails stops unconverged (``stop = "stall"``).  p = 1.2 ends on
+the gradient test or a failed line search, at ``|E' - lambda B'| / |E'| <= 1.3e-5``.
 
 The energy, its gradient and the boundary p-power come from one
 :class:`~steklov.assembly.EnergyKernel` per solve.  Per trial field it
-computes one set of element gradients and one pass of trace weights, which
-give the energy and the boundary p-power together; the gradient at an
-accepted field reuses those element gradients and scatters with a single
+computes one element term ``|grad u|^2 + eps^2`` and one array ``|u|^p``,
+which give the energy and the boundary p-power together; the gradient at an
+accepted field reuses that element term and scatters with a single
 ``np.bincount``.  Nothing of the descent is cached per mesh.
 """
 
@@ -262,16 +263,15 @@ def _krylov_ritz(apply_K, mb, solve, x0, tol, max_iters):
 class BoundaryOperator:
     """The p = 2 operator of one mesh, reduced to its boundary vertices.
 
-    ``A0`` is the part of A that depends on neither phi nor sigma (stiffness
-    plus lumped mass); the coupling adds ``sigma * density_weights`` to the
-    boundary diagonal only.  ``S0 = A0_bb - A0_bi A0_ii^-1 A0_ib`` is the
-    dense discrete Steklov-Poincare matrix, its rows and columns ordered
-    like ``mesh.boundary_vertices``.  Instances are never modified after
+    A0 = stiffness + lumped mass is A without the coupling, which adds
+    ``sigma * density_weights`` to the boundary diagonal only, and
+    ``S0 = A0_bb - A0_bi A0_ii^-1 A0_ib`` is the dense discrete
+    Steklov-Poincare matrix, its rows and columns ordered like
+    ``mesh.boundary_vertices``.  Instances are never modified after
     construction, so threads share them.
     """
 
-    def __init__(self, A0, S0, boundary, interior, coupling, interior_lu):
-        self.A0 = A0
+    def __init__(self, S0, boundary, interior, coupling, interior_lu):
         self.S0 = S0
         self._boundary = boundary
         self._interior = interior
@@ -280,7 +280,7 @@ class BoundaryOperator:
 
     def extend(self, ub):
         """The field with boundary values ``ub`` that is A0-harmonic inside."""
-        u = np.empty(self.A0.shape[0])
+        u = np.empty(len(self._boundary) + len(self._interior))
         u[self._boundary] = ub
         u[self._interior] = -self._interior_lu.solve(self._coupling @ ub)
         return u
@@ -365,7 +365,7 @@ def _build_boundary_operator(mesh):
     R = U_bb / np.sqrt(np.diag(U_bb))[:, None]
     S0 = R.T @ R
     interior_lu = spla.splu(A[:ni, :ni], **_IN_ORDER)
-    return BoundaryOperator(A0, S0, boundary, interior, A[:ni, ni:].tocsr(), interior_lu)
+    return BoundaryOperator(S0, boundary, interior, A[:ni, ni:].tocsr(), interior_lu)
 
 
 _operators = weakref.WeakKeyDictionary()
@@ -512,11 +512,7 @@ class _ReweightedMetric:
         self._p = params.p
         self._free = free
         self._stiffness = assembly.WeightedStiffness(mesh)
-        self._mass = (
-            geom.lumped_mass
-            + params.sigma * assembly.density_weights(mesh, phi)
-            + geom.boundary_weights
-        )
+        self._mass = assembly._nodal_weights(mesh, phi, params.sigma) + geom.boundary_weights
         self._matrix = None
         self._lu = None
         self.factorizations = 0
@@ -571,11 +567,11 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
     - ``method``: ``"reweighted_descent"``;
     - ``grad_norm``: the Euclidean norm of the final gradient;
     - ``stop``: why the loop ended, one of ``"tolerance"`` (the stopping
-      test holds), ``"line_search"`` (no step along -M^-1 g decreases R;
-      converged only if the gradient test holds), ``"stall"`` (R dropped by
-      at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted
-      steps while the gradient test fails; not converged) or
-      ``"max_iters"``;
+      test holds), ``"line_search"`` (no step along -M^-1 g that moves u
+      decreases R; converged only if the gradient test holds), ``"stall"``
+      (R dropped by at most ``_STALL_DROP * |R|`` over the last
+      ``_STALL_STEPS`` accepted steps while the gradient test fails; not
+      converged) or ``"max_iters"``;
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
     """
@@ -639,6 +635,8 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
         accepted = False
         while a > 1e-18:
             v = u - a * z
+            if np.array_equal(v, u):
+                break  # this step and every shorter one round to u itself
             nv = boundary_p_norm(mesh, v, p)
             if nv > 0.0:
                 v = v / nv

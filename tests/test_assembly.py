@@ -17,6 +17,7 @@ from steklov import (
     element_gradients,
     energy,
     energy_gradient,
+    generate_disk,
     generate_rectangle,
     load_density,
 )
@@ -201,11 +202,30 @@ def test_energy_gradient_matches_central_differences(square_tiny, rng, p):
     assert errs[1e-5] <= 1e-7
 
 
+@pytest.mark.parametrize("eps_reg", [0.1, 1e-3])
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+def test_energy_gradient_is_the_derivative_of_the_regularized_energy(rng, p, eps_reg):
+    # the gradient and the value share one element term, so the gradient is
+    # exact for every eps, not only for eps = 0
+    mesh = generate_disk(0.2)
+    params = ProblemParams(p=p, sigma=2.0, eps_reg=eps_reg)
+    phi = _random_density(mesh, rng)
+    u = _random_field(mesh, rng, lo=0.2, hi=1.0)
+    g = energy_gradient(mesh, u, phi, params)
+    t = 1e-6
+    for _ in range(3):
+        direction = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+        up = energy(mesh, Field.of(mesh, u.values + t * direction), phi, params)
+        dn = energy(mesh, Field.of(mesh, u.values - t * direction), phi, params)
+        assert (up - dn) / (2.0 * t) == pytest.approx(float(g @ direction), rel=1e-6)
+
+
 # ------------------------------------------- element-wise reference forms
 #
-# The formulas EnergyKernel replaced, transcribed: an einsum per contraction
-# and one np.add.at scatter per pass.  The kernel must reproduce them
-# bitwise, so that no descent iterate moves.
+# The energy and its gradient element by element, transcribed from the
+# module docstring: an einsum per contraction and one np.add.at scatter per
+# pass.  The kernel must reproduce them bitwise, so that no descent iterate
+# moves.
 
 
 def _reference_density_weights(mesh, phi):
@@ -229,16 +249,15 @@ def _reference_element_gradients(mesh, vals):
 
 def _reference_energy(mesh, vals, phi, params):
     p = params.p
+    eps = params.eps
     g = geometry(mesh)
     grads = _reference_element_gradients(mesh, vals)
-    gnorm = np.hypot(grads[:, 0], grads[:, 1])
-    total = float(np.dot(gnorm**p, g.areas))
-    total += float(np.dot(g.lumped_mass, np.abs(vals) ** p))
+    s = grads[:, 0] ** 2 + grads[:, 1] ** 2 + eps * eps
+    total = float(np.dot(s ** (p / 2.0), g.areas))
+    weights = _reference_lumped_mass(mesh)
     if params.sigma != 0.0:
-        loop = mesh.boundary_loop
-        tw = 0.5 * (np.abs(vals[loop[:, 0]]) ** p + np.abs(vals[loop[:, 1]]) ** p)
-        weighted = phi.edge_values * mesh.edge_lengths
-        total += params.sigma * float(np.dot(weighted, tw))
+        weights = weights + params.sigma * _reference_density_weights(mesh, phi)
+    total += float(np.dot(weights, np.abs(vals) ** p))
     return total
 
 

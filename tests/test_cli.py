@@ -752,6 +752,30 @@ CONFIG_ERRORS = {
         {"fd_steps": "small"},
         "'fd_steps' must be a list of numbers",
     ),
+    "infinite-interval-end": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"region": {"intervals": [[0.5, math.inf]]}},
+        "region 'intervals' must hold finite numbers",
+    ),
+    "overflowing-interval-end": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"region": {"intervals": [[-(10**400), 2.0]]}},
+        "region 'intervals' must hold finite numbers",
+    ),
+    "infinite-fd-step": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"fd_steps": [0.01, 0.005, math.inf]},
+        "'fd_steps' must hold finite numbers",
+    ),
+    "overflowing-fd-step": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"fd_steps": [0.01, 10**400]},
+        "'fd_steps' must hold finite numbers",
+    ),
     "output-dir": ("solve", SOLVE_CONFIG, {"output_dir": 3}, "'output_dir' must be a string"),
 }
 

@@ -84,3 +84,59 @@ def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
     assert int(iters) == pair.iterations
     assert float(resid) == float(f"{pair.residual:.1e}")
     assert float(resid) <= 1e-9
+
+
+def _fake_tree(root, code, csv_text):
+    """A source tree whose ``steklov.cli.main`` writes fixed outputs and returns ``code``."""
+    package = root / "src" / "steklov"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import json, time\n"
+        "from pathlib import Path\n"
+        "def main(argv):\n"
+        "    out = Path(argv[argv.index('--out') + 1])\n"
+        "    out.mkdir(parents=True)\n"
+        "    record = {'lambda': 1.5, 'iterations': 3, 'residual': 0.25,\n"
+        "              'timestamp': time.time_ns()}\n"
+        "    (out / 'eigenpair.json').write_text(json.dumps(record))\n"
+        f"    (out / 'trace.csv').write_text({csv_text!r})\n"
+        f"    return {code}\n"
+    )
+    return root
+
+
+def _compare(old, new, workload="nonlinear-p"):
+    return _run_script(
+        ROOT / "scripts" / "compare_ops.py",
+        *("--old", str(old), "--new", str(new), "--workload", workload),
+        *("--seed", "3", "--passes", "2", "--smoke"),
+    )
+
+
+def test_compare_ops_lists_differing_files_apart_from_timestamps(tmp_path):
+    proc = _compare(_fake_tree(tmp_path / "a", 0, "a\n"), _fake_tree(tmp_path / "b", 0, "b\n"))
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = proc.stdout.splitlines()
+    assert len(rows) == 22
+    for row in rows:
+        assert "exit 0/0  lambda 1.5/1.5  iters 3/3  resid 0.25/0.25  differ: trace.csv" in row
+    assert total == "22 ops: 0 with different exit codes, 22 with different output files"
+
+
+def test_compare_ops_fails_when_an_exit_code_differs(tmp_path):
+    proc = _compare(_fake_tree(tmp_path / "a", 0, "a\n"), _fake_tree(tmp_path / "b", 2, "a\n"))
+    assert proc.returncode == 1, proc.stderr
+    *rows, total = proc.stdout.splitlines()
+    assert all("exit 0/2" in row and row.endswith("differ: -") for row in rows)
+    assert total == "22 ops: 22 with different exit codes, 0 with different output files"
+
+
+def test_compare_ops_runs_the_cli_of_each_tree():
+    proc = _compare(ROOT, ROOT, workload="cold-cli")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[:-1]
+    assert len(rows) == 20
+    for row in rows:
+        old, new = row.split("  lambda ")[1].split()[0].split("/")
+        assert old == new and float(old) > 0.0
