@@ -124,16 +124,13 @@ def main():
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--passes", type=int, default=1, help="runs passes 0 .. K-1")
-    parser.add_argument(
-        "--smoke", action="store_true", help="the benchmark's coarsened smoke ops"
-    )
     args = parser.parse_args()
 
     code_changes = file_changes = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for index in range(args.passes):
-            ops = make_ops(args.workload, args.seed, index, smoke=args.smoke)
+            ops = make_ops(args.workload, args.seed, index)
             configs = work / f"pass{index}"
             configs.mkdir()
             for i, (_, cfg) in enumerate(ops):

@@ -180,8 +180,9 @@ class EnergyKernel:
     """The energy of one ``(mesh, phi, params)``, evaluated field by field.
 
     The descent builds one per solve.  It holds what every evaluation
-    shares: the areas and the nodal and boundary weights of the module
-    docstring (and their multiples by p), and per triangle corner the vertex
+    shares: the areas, the nodal weights w of the module docstring
+    (``weights``, which the descent's metric reuses) and the boundary
+    weights (and their multiples by p), and per triangle corner the vertex
     index and the basis gradient's x and y components, each a contiguous row
     of a corner-major array, so the vertex index is also the one
     ``np.bincount`` scatters the gradient with.
@@ -202,16 +203,14 @@ class EnergyKernel:
         self._bx = np.ascontiguousarray(g.basis_grads[:, :, 0].T)
         self._by = np.ascontiguousarray(g.basis_grads[:, :, 1].T)
         self._areas = g.areas
-        self._weights = _nodal_weights(mesh, phi, params.sigma)
+        self.weights, density = _nodal_weights(mesh, phi, params.sigma)
         self._boundary = mesh.boundary_vertices
         self._boundary_weights = g.boundary_weights[self._boundary]
         self._p_areas = p * g.areas
         self._p_lumped = p * g.lumped_mass
         self._p_boundary = p * g.boundary_weights
         self._eps_sq = params.eps * params.eps
-        self._coupling = (
-            params.sigma * p * density_weights(mesh, phi) if params.sigma != 0.0 else None
-        )
+        self._coupling = None if density is None else params.sigma * p * density
         self._point = None
 
     def element_gradients(self, vals):
@@ -236,7 +235,7 @@ class EnergyKernel:
         p = self.p
         powers = np.abs(vals) ** p
         total = float(np.dot(s ** (p / 2.0), self._areas))
-        total += float(np.dot(self._weights, powers))
+        total += float(np.dot(self.weights, powers))
         return total, float(np.dot(self._boundary_weights, powers[self._boundary]))
 
     def gradient(self, r=None):
@@ -327,11 +326,13 @@ def density_weights(mesh, phi):
 
 
 def _nodal_weights(mesh, phi, sigma):
-    """The nodal weights w of the energy, also the p = 2 diagonal; phi is unused at sigma = 0."""
+    """``(w, density_weights)``: the energy's nodal weights, also the p = 2
+    diagonal, and their phi part, which is None at sigma = 0 (phi unused)."""
     lumped = geometry(mesh).lumped_mass
     if sigma == 0.0:
-        return lumped
-    return lumped + sigma * density_weights(mesh, phi)
+        return lumped, None
+    density = density_weights(mesh, phi)
+    return lumped + sigma * density, density
 
 
 def boundary_power_gradient(mesh, u, p):
@@ -395,6 +396,6 @@ def assemble_linear(mesh, phi, sigma):
     ``energy(u, phi, p=2, sigma)`` up to roundoff.
     """
     stiff = WeightedStiffness(mesh).matrix()
-    A = (stiff + sp.diags(_nodal_weights(mesh, phi, sigma))).tocsr()
+    A = (stiff + sp.diags(_nodal_weights(mesh, phi, sigma)[0])).tocsr()
     Mb = sp.diags(geometry(mesh).boundary_weights).tocsr()
     return A, Mb

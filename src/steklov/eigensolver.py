@@ -65,8 +65,8 @@ the projection and the stopping test are those of a Euclidean-step descent,
 so the metric changes the path to the fixed point, not the fixed point or
 the meaning of ``converged``.  A solve whose R has dropped by at most
 ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps while the
-gradient test fails stops unconverged (``stop = "stall"``).  p = 1.2 ends on
-the gradient test or a failed line search, at ``|E' - lambda B'| / |E'| <= 1.3e-5``.
+gradient test fails stops unconverged (``stop = "stall"``); p = 1.2 ends
+this way or on a failed line search, at ``|E' - lambda B'| / |E'| <= 1.3e-5``.
 
 The energy, its gradient and the boundary p-power come from one
 :class:`~steklov.assembly.EnergyKernel` per solve.  Per trial field it
@@ -505,14 +505,13 @@ class _ReweightedMetric:
     principal submatrix, so directions vanish exactly off ``free``.
     """
 
-    def __init__(self, kernel, phi, params, free):
+    def __init__(self, kernel, free):
         mesh = kernel.mesh
-        geom = assembly.geometry(mesh)
         self._kernel = kernel
-        self._p = params.p
+        self._p = kernel.p
         self._free = free
         self._stiffness = assembly.WeightedStiffness(mesh)
-        self._mass = assembly._nodal_weights(mesh, phi, params.sigma) + geom.boundary_weights
+        self._mass = kernel.weights + assembly.geometry(mesh).boundary_weights
         self._matrix = None
         self._lu = None
         self.factorizations = 0
@@ -567,11 +566,11 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
     - ``method``: ``"reweighted_descent"``;
     - ``grad_norm``: the Euclidean norm of the final gradient;
     - ``stop``: why the loop ended, one of ``"tolerance"`` (the stopping
-      test holds), ``"line_search"`` (no step along -M^-1 g that moves u
-      decreases R; converged only if the gradient test holds), ``"stall"``
-      (R dropped by at most ``_STALL_DROP * |R|`` over the last
-      ``_STALL_STEPS`` accepted steps while the gradient test fails; not
-      converged) or ``"max_iters"``;
+      test holds), ``"line_search"`` (no step along -M^-1 g decreases R;
+      converged only if the gradient test holds), ``"stall"`` (R dropped by
+      at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted
+      steps while the gradient test fails; not converged) or
+      ``"max_iters"``;
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
     """
@@ -579,7 +578,7 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
     p = params.p
     kernel = assembly.EnergyKernel(mesh, phi, params)
     free = None if frozen is None else np.flatnonzero(~frozen)
-    metric = _ReweightedMetric(kernel, phi, params, free)
+    metric = _ReweightedMetric(kernel, free)
 
     u = np.array(u0, dtype=np.float64)
     if frozen is not None:
@@ -635,8 +634,6 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
         accepted = False
         while a > 1e-18:
             v = u - a * z
-            if np.array_equal(v, u):
-                break  # this step and every shorter one round to u itself
             nv = boundary_p_norm(mesh, v, p)
             if nv > 0.0:
                 v = v / nv
