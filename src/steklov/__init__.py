@@ -30,7 +30,6 @@ from .assembly import (
     boundary_p_norm,
     boundary_p_power,
     density_to_json,
-    element_gradients,
     energy,
     energy_gradient,
     load_density,
@@ -39,9 +38,7 @@ from .eigensolver import (
     EigenPair,
     SolverOptions,
     boundary_operator,
-    eigenpair_from_json,
     eigenpair_to_json,
-    random_positive_start,
     rayleigh,
     solve_dirichlet,
     solve_linear,
@@ -53,7 +50,6 @@ from .errors import (
     MeshResourceError,
     MeshTopologyError,
     NonConvergenceError,
-    OpenBoundaryError,
     RegionCollisionError,
     SteklovError,
 )
@@ -102,7 +98,6 @@ __all__ = [
     "MeshResourceError",
     "MeshTopologyError",
     "NonConvergenceError",
-    "OpenBoundaryError",
     "OptimizationTrace",
     "ProblemParams",
     "RegionCollisionError",
@@ -120,9 +115,7 @@ __all__ = [
     "boundary_p_power",
     "cap_indicator",
     "density_to_json",
-    "eigenpair_from_json",
     "eigenpair_to_json",
-    "element_gradients",
     "energy",
     "energy_gradient",
     "generate_disk",
@@ -134,7 +127,6 @@ __all__ = [
     "optimize_potential",
     "perturb_region",
     "random_admissible",
-    "random_positive_start",
     "rasterize_region",
     "rayleigh",
     "report_to_json",

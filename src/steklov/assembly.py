@@ -263,29 +263,9 @@ class EnergyKernel:
         return out
 
 
-def element_gradients(mesh, u):
-    """Constant gradient of a P1 field on each triangle, shape (m, 2)."""
-    kernel = EnergyKernel(mesh, None, ProblemParams())
-    return np.column_stack(kernel.element_gradients(_as_values(u, mesh)))
-
-
 def energy(mesh, u, phi, params):
     """Normative discrete energy; see the module docstring for the quadrature."""
     return EnergyKernel(mesh, phi, params).evaluate(_as_values(u, mesh))[0]
-
-
-def trace_weights(mesh, u, p):
-    """Per-edge trapezoid trace weight ``(|u_i|^p + |u_j|^p)/2``, in loop order.
-
-    The bathtub refill, whose unknown is the density, integrates the trace
-    edge by edge with these weights; everything that integrates over u uses
-    the nodal weights instead.
-    """
-    vals = _as_values(u, mesh)
-    loop = mesh.boundary_loop
-    ui = np.abs(vals[loop[:, 0]]) ** p
-    uj = np.abs(vals[loop[:, 1]]) ** p
-    return 0.5 * (ui + uj)
 
 
 def boundary_p_norm(mesh, u, p):

@@ -398,7 +398,7 @@ def cmd_solve(cfg, mesh, params, opts, out_dir, args) -> int:
     _write_record(out_dir / "eigenpair.json", eigenpair_to_json(pair))
     loop = mesh.boundary_vertices
     rows = [
-        [float(mesh.boundary_vertex_arclength[k]), float(pair.u.values[loop[k]])]
+        [float(mesh.cum_arclength[k]), float(pair.u.values[loop[k]])]
         for k in range(len(loop))
     ]
     _write_csv(out_dir / "boundary_trace.csv", ["s", "u"], rows)

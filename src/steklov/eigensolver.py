@@ -13,9 +13,11 @@ never increase the eigenvalue estimate.
 
 ``solve_linear`` and the p = 2 ``solve_dirichlet`` are two callers of one
 core: ``solve_dirichlet`` pins the trace to zero on its region and drops
-phi and sigma, ``solve_linear`` pins nothing.  The pinned set is one vertex
-mask, built once per solve and handed unchanged to the p = 2 core or, for
-p != 2, to the descent.  The core runs the Krylov-Ritz driver on one of two
+phi and sigma, ``solve_linear`` pins nothing.  Every solve builds one
+vertex mask ``pinned`` (all False for ``solve_linear`` and
+``solve_nonlinear``) and hands it unchanged to the p = 2 core or, for
+p != 2, to the descent; either slices its matrix only when the mask is
+not empty.  The p = 2 core runs the Krylov-Ritz driver on one of two
 routes with the same iterates:
 
 - plain: a sparse LU of the n x n matrix for every solve, restricted to
@@ -189,16 +191,6 @@ def eigenpair_to_json(eig):
         "converged": eig.converged,
         "u": [float(v) for v in eig.u.values],
     }
-
-
-def eigenpair_from_json(mesh, data):
-    return EigenPair(
-        lam=float(data["lambda"]),
-        u=Field.of(mesh, np.asarray(data["u"], dtype=np.float64)),
-        iterations=int(data["iterations"]),
-        residual=float(data["residual"]),
-        converged=bool(data["converged"]),
-    )
 
 
 def rayleigh(mesh, u, phi, params):
@@ -492,24 +484,19 @@ def solve_linear(mesh, phi, sigma, opts=None, start=None):
     return _solve_p2(mesh, phi, sigma, pinned, opts or SolverOptions(), start)
 
 
-def random_positive_start(mesh, seed):
-    """Strictly positive random field, for multistart experiments."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.1, 1.0, mesh.n_vertices)
-
-
 class _ReweightedMetric:
     """The descent's metric M(u), factored; see the module docstring.
 
-    ``free`` (increasing vertex indices, or None for all) restricts M to its
-    principal submatrix, so directions vanish exactly off ``free``.
+    M is restricted to its principal submatrix on the unpinned vertices
+    ``free``, so directions vanish exactly on ``pinned``.
     """
 
-    def __init__(self, kernel, free):
+    def __init__(self, kernel, pinned):
         mesh = kernel.mesh
         self._kernel = kernel
         self._p = kernel.p
-        self._free = free
+        self._sliced = bool(pinned.any())
+        self._free = np.flatnonzero(~pinned)
         self._stiffness = assembly.WeightedStiffness(mesh)
         self._mass = kernel.weights + assembly.geometry(mesh).boundary_weights
         self._matrix = None
@@ -524,24 +511,21 @@ class _ReweightedMetric:
         matrix = self._stiffness.matrix(
             _reweighting(gx * gx + gy * gy, self._p), self._mass * _reweighting(u * u, self._p)
         )
-        if self._free is not None:
+        if self._sliced:
             matrix = matrix[self._free][:, self._free]
         self._matrix = matrix
         self._lu = spla.splu(matrix.tocsc())
         self.factorizations += 1
 
     def direction(self, g):
-        """M^-1 g, zero off ``free``."""
-        if self._free is None:
-            return self._lu.solve(g)
+        """M^-1 g, zero on the pinned vertices."""
         z = np.zeros_like(g)
         z[self._free] = self._lu.solve(g[self._free])
         return z
 
     def norm_sq(self, s):
-        """s^T M s for an ``s`` that is zero off ``free``."""
-        if self._free is not None:
-            s = s[self._free]
+        """s^T M s for an ``s`` that is zero on the pinned vertices."""
+        s = s[self._free]
         return float(s @ (self._matrix @ s))
 
 
@@ -556,8 +540,8 @@ def _reweighting(sq, p):
     return (sq + _WEIGHT_FLOOR * top) ** ((p - 2.0) / 2.0)
 
 
-def _descent(mesh, phi, params, opts, u0, frozen=None):
-    """Projected BB descent on R in the reweighted metric; ``frozen`` pins vertices to zero.
+def _descent(mesh, phi, params, opts, u0, pinned):
+    """Projected BB descent on R in the reweighted metric, with u = 0 on ``pinned``.
 
     One energy kernel serves the whole solve, and the metric is refactored
     every ``_METRIC_REFRESH`` accepted steps (see the module docstring).
@@ -573,16 +557,20 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
       ``"max_iters"``;
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
+
+    ``pinned`` is a vertex mask (all False for a free solve).  For p < 2
+    the resolved ``eps_reg`` must be positive: at a zero element gradient,
+    as at the constant start, the gradient's ``s^((p-2)/2)`` is infinite.
     """
-    tol = opts.resolved_tol(params.p)
     p = params.p
+    if p < 2.0 and params.eps == 0.0:
+        raise ValueError(f"eps_reg must be positive for p < 2, got {params.eps}")
+    tol = opts.resolved_tol(p)
     kernel = assembly.EnergyKernel(mesh, phi, params)
-    free = None if frozen is None else np.flatnonzero(~frozen)
-    metric = _ReweightedMetric(kernel, free)
+    metric = _ReweightedMetric(kernel, pinned)
 
     u = np.array(u0, dtype=np.float64)
-    if frozen is not None:
-        u[frozen] = 0.0
+    u[pinned] = 0.0
     norm = boundary_p_norm(mesh, u, p)
     if norm == 0.0:
         raise ValueError("start has zero boundary trace")
@@ -593,10 +581,9 @@ def _descent(mesh, phi, params, opts, u0, frozen=None):
         return e / b
 
     def gradient(r):
-        """E' - r B' at the field of the last ``quotient`` call, 0 where frozen."""
+        """E' - r B' at the field of the last ``quotient`` call, 0 where pinned."""
         g = kernel.gradient(r)
-        if frozen is not None:
-            g[frozen] = 0.0
+        g[pinned] = 0.0
         return g
 
     def small(gnorm, R):
@@ -679,7 +666,8 @@ def solve_nonlinear(mesh, phi, params, opts=None, start=None):
     of the accepted steps can only lower the computed eigenvalue.
     """
     opts = opts or SolverOptions()
-    return _descent(mesh, phi, params, opts, _start_values(mesh, start, params.p))
+    pinned = np.zeros(mesh.n_vertices, dtype=bool)
+    return _descent(mesh, phi, params, opts, _start_values(mesh, start, params.p), pinned)
 
 
 def solve_dirichlet(mesh, region, params, opts=None, start=None):
@@ -693,7 +681,7 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
     opts = opts or SolverOptions()
     params = ProblemParams(p=params.p, sigma=0.0, eps_reg=params.eps_reg)
 
-    constrained_b = region.contains_array(mesh.boundary_vertex_arclength, closed=True)
+    constrained_b = region.contains_array(mesh.cum_arclength, closed=True)
     if constrained_b.all():
         raise InfeasibleConstraintError(
             "region covers every boundary vertex; no admissible trace remains"
@@ -705,6 +693,6 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
         eig = _solve_p2(mesh, phi0, 0.0, pinned, opts, start)
     else:
         u0 = _start_values(mesh, start, params.p)
-        eig = _descent(mesh, phi0, params, opts, u0, frozen=pinned)
+        eig = _descent(mesh, phi0, params, opts, u0, pinned)
     eig.diagnostics["constrained_vertices"] = int(constrained_b.sum())
     return eig

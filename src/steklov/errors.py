@@ -13,17 +13,6 @@ class MeshTopologyError(SteklovError):
     """Raised for non-manifold edges, degenerate triangles, or multiple boundary loops."""
 
 
-class OpenBoundaryError(MeshTopologyError):
-    """Raised when a boundary edge chain does not close into a loop.
-
-    The mesh loader no longer raises it: once no vertex has two outgoing
-    boundary edges, the boundary chain of a triangle mesh always closes (see
-    ``steklov.mesh._extract_boundary_loop``).  Several closed loops raise
-    :class:`MeshTopologyError`.  The name stays exported for callers that
-    catch it.
-    """
-
-
 class MeshResourceError(SteklovError):
     """Raised when a requested mesh resolution would exhaust memory."""
 

@@ -44,8 +44,8 @@ class Mesh:
     edge_lengths : (b,) float array
         Euclidean length of each boundary edge.
     cum_arclength : (b,) float array
-        Arc length at the start vertex of each boundary edge;
-        ``cum_arclength[0] == 0``.
+        Arc length at the start vertex of each boundary edge, so also the
+        arc coordinate of ``boundary_vertices[k]``; ``cum_arclength[0] == 0``.
     outward_normals : (b, 2) float array
         Unit outward normal of each boundary edge.
     kind : str
@@ -102,8 +102,6 @@ class Mesh:
         mask = np.zeros(len(vertices), dtype=bool)
         mask[self.boundary_vertices] = True
         self.is_boundary_vertex = mask
-        # Arc-length coordinate of each boundary vertex, aligned with boundary_vertices.
-        self.boundary_vertex_arclength = self.cum_arclength.copy()
 
         for arr in (
             self.vertices,
@@ -115,7 +113,6 @@ class Mesh:
             self.outward_normals,
             self.boundary_vertices,
             self.is_boundary_vertex,
-            self.boundary_vertex_arclength,
         ):
             arr.flags.writeable = False
 

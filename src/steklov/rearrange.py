@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assembly import BoundaryDensity, trace_weights
+from .assembly import BoundaryDensity, _as_values, density_weights
 from .errors import NonConvergenceError
 from .eigensolver import (
     SolverOptions,
@@ -77,15 +77,17 @@ def _check_mass(mesh, mass):
 def bathtub(mesh, u, mass, p=2.0):
     """Exact minimizer of ``sum_e phi_e w_e len_e`` at the given mass.
 
-    ``w_e`` is the trapezoid trace weight of edge e
-    (:func:`~steklov.assembly.trace_weights`).  Edges are filled in
+    ``w_e = (|u_i|^p + |u_j|^p) / 2`` is the trapezoid trace weight of the
+    edge e from boundary vertex i to j, so the sum is the energy's coupling
+    term without sigma (:func:`bathtub_objective`).  Edges are filled in
     ascending-weight order (ties by lower edge index) with at most one
     fractional edge; this greedy fill is the exact optimum of the
     underlying LP.  Returns ``(BoundaryDensity, level)`` where ``level`` is
     the weight of the last edge touched.
     """
     _check_mass(mesh, mass)
-    w = trace_weights(mesh, u, p)
+    pb = np.abs(_as_values(u, mesh)[mesh.boundary_vertices]) ** p
+    w = 0.5 * (pb + np.roll(pb, -1))
     phi = np.zeros(mesh.n_boundary_edges)
     order = np.lexsort((np.arange(len(w)), w))
     remaining = float(mass)
@@ -105,9 +107,12 @@ def bathtub(mesh, u, mass, p=2.0):
 
 
 def bathtub_objective(mesh, u, phi, p=2.0):
-    """The boundary LP objective ``sum_e phi_e w_e len_e`` for density phi."""
-    pv = phi.edge_values if isinstance(phi, BoundaryDensity) else np.asarray(phi)
-    return float(np.dot(pv * mesh.edge_lengths, trace_weights(mesh, u, p)))
+    """The boundary LP objective ``sum_e phi_e w_e len_e`` for density phi.
+
+    Summed vertex by vertex as ``density_weights(phi) @ |u|^p``, the
+    energy's coupling term without sigma.
+    """
+    return float(np.dot(density_weights(mesh, phi), np.abs(_as_values(u, mesh)) ** p))
 
 
 def random_admissible(mesh, mass, seed):

@@ -101,11 +101,6 @@ class TangentField:
         pairs[arc][1 if end else 0] = float(speed)
         return cls(region, tuple((vb, ve) for vb, ve in pairs))
 
-    @classmethod
-    def translation(cls, region: RegionSpec, speed: float = 1.0) -> "TangentField":
-        """Rigid translation: every endpoint moves at the same speed."""
-        return cls(region, tuple((float(speed), float(speed)) for _ in region.arcs))
-
 
 @dataclass(frozen=True)
 class DerivativeReport:

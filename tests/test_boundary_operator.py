@@ -105,7 +105,7 @@ def test_both_routes_match_the_dense_boundary_eigenproblem(make):
     phi = random_admissible(mesh, 0.3 * P, seed=4)
     zero = BoundaryDensity.constant(mesh, 0.0)
     region = RegionSpec.from_intervals([(0.1, 0.1 + 0.3 * P)], P)
-    unpinned = ~region.contains_array(mesh.boundary_vertex_arclength, closed=True)
+    unpinned = ~region.contains_array(mesh.cum_arclength, closed=True)
 
     def smallest(density, sigma, f):
         S = schur_complement(mesh, density, sigma)

@@ -734,6 +734,12 @@ CONFIG_ERRORS = {
         {"sigma_list": [1.0, -(10**400)]},
         "'sigma_list' must hold finite numbers",
     ),
+    "zero-eps-reg-below-two": (
+        "solve",
+        SOLVE_CONFIG,
+        {"params": {"p": 1.5, "sigma": 2.0, "eps_reg": 0}},
+        "eps_reg must be positive for p < 2, got 0.0",
+    ),
     "nan-cap-angle": (
         "solve",
         SOLVE_CONFIG,

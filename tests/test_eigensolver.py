@@ -16,12 +16,10 @@ from steklov import (
     assemble_linear,
     assembly,
     boundary_operator,
-    eigenpair_from_json,
     eigenpair_to_json,
     generate_disk,
     generate_rectangle,
     random_admissible,
-    random_positive_start,
     rayleigh,
     solve_dirichlet,
     solve_linear,
@@ -176,7 +174,7 @@ def test_random_starts_agree_on_lowest_eigenvalue(square_tiny):
     opts = SolverOptions(tol=1e-11)
     lams = []
     for seed in range(20):
-        start = random_positive_start(square_tiny, seed)
+        start = np.random.default_rng(seed).uniform(0.1, 1.0, square_tiny.n_vertices)
         lams.append(solve_linear(square_tiny, phi, 3.0, opts=opts, start=start).lam)
     spread = max(lams) - min(lams)
     assert spread <= 5 * 1e-11 * abs(lams[0])
@@ -204,6 +202,19 @@ def test_fields_with_zero_boundary_trace_are_rejected(square_tiny):
         solve_linear(square_tiny, phi, 1.0, start=bump)
 
 
+def test_descent_below_two_rejects_zero_regularization(disk_coarse):
+    # At the constant start every element gradient is 0, so without eps the
+    # descent's first gradient would be inf * 0.
+    params = ProblemParams(p=1.5, sigma=2.0, eps_reg=0.0)
+    phi = BoundaryDensity.constant(disk_coarse, 0.3)
+    region = RegionSpec.from_intervals([(0.0, 1.0)], disk_coarse.perimeter)
+    message = "^eps_reg must be positive for p < 2, got 0.0$"
+    with pytest.raises(ValueError, match=message):
+        solve_nonlinear(disk_coarse, phi, params)
+    with pytest.raises(ValueError, match=message):
+        solve_dirichlet(disk_coarse, region, params)
+
+
 def test_non_convergence_is_reported(square_tiny):
     phi = BoundaryDensity.constant(square_tiny, 0.3)
     pair = solve_linear(square_tiny, phi, 1.0, opts=SolverOptions(max_iters=1))
@@ -214,10 +225,12 @@ def test_eigenpair_json_round_trip(square_tiny):
     phi = BoundaryDensity.constant(square_tiny, 0.0)
     pair = solve_linear(square_tiny, phi, 0.0)
     data = json.loads(json.dumps(eigenpair_to_json(pair)))
-    again = eigenpair_from_json(square_tiny, data)
-    assert again.lam == pair.lam
-    assert np.array_equal(again.u.values, pair.u.values)
-    assert set(eigenpair_to_json(pair)) == {
+    assert data["lambda"] == pair.lam
+    assert data["iterations"] == pair.iterations
+    assert data["residual"] == pair.residual
+    assert data["converged"] is pair.converged
+    assert np.array_equal(np.asarray(data["u"]), pair.u.values)
+    assert set(data) == {
         "lambda",
         "iterations",
         "residual",
@@ -422,7 +435,7 @@ def test_dirichlet_hairline_region_pins_one_vertex(disk_fine):
 def test_dirichlet_solution_vanishes_on_region(square_tiny):
     region = RegionSpec.from_intervals([(0.0, 1.0)], square_tiny.perimeter)
     pair = solve_dirichlet(square_tiny, region, ProblemParams(p=2.0))
-    s = square_tiny.boundary_vertex_arclength
+    s = square_tiny.cum_arclength
     pinned = [
         square_tiny.boundary_vertices[k]
         for k in range(square_tiny.n_boundary_edges)
@@ -514,7 +527,7 @@ def _pinned_descent(mesh, p):
     assert pair.converged
     assert pair.diagnostics["constrained_vertices"] == 17
     pinned = mesh.boundary_vertices[
-        region.contains_array(mesh.boundary_vertex_arclength, closed=True)
+        region.contains_array(mesh.cum_arclength, closed=True)
     ]
     assert np.all(pair.u.values[pinned] == 0.0)
     return pair.lam.hex(), pair.iterations, pair.residual.hex()

@@ -16,7 +16,6 @@ from steklov import (
     MeshParseError,
     MeshResourceError,
     MeshTopologyError,
-    OpenBoundaryError,
     RegionSpec,
     SolverOptions,
     generate_disk,
@@ -631,10 +630,6 @@ def test_closed_surface_has_no_boundary():
         with pytest.raises(MeshTopologyError, match="^mesh has no boundary$") as err:
             extract(faces)
         assert type(err.value) is MeshTopologyError
-
-
-def test_open_boundary_error_stays_exported_as_a_topology_error():
-    assert issubclass(OpenBoundaryError, MeshTopologyError)
 
 
 # --------------------------------------------------------- arc locations

@@ -17,6 +17,7 @@ from steklov import (
     bathtub_objective,
     binarize,
     cap_indicator,
+    energy,
     generate_disk,
     generate_rectangle,
     optimize_potential,
@@ -26,6 +27,7 @@ from steklov import (
     support_region,
     trace_to_json,
 )
+from test_boundary_operator import l_shape
 
 
 def _edge_weights(mesh, values, p=2.0):
@@ -126,6 +128,57 @@ def test_bathtub_rejects_mass_outside_range(disk_coarse):
         bathtub(disk_coarse, values, -0.1)
     with pytest.raises(ValueError):
         bathtub(disk_coarse, values, disk_coarse.perimeter * 1.01)
+
+
+def _reference_bathtub(mesh, values, mass, p):
+    """The greedy fill on per-edge weights ``(|u_i|^p + |u_j|^p) / 2``."""
+    w = _edge_weights(mesh, values, p)
+    phi = np.zeros(mesh.n_boundary_edges)
+    remaining = float(mass)
+    level = 0.0
+    for e in np.lexsort((np.arange(len(w)), w)):
+        if remaining <= 0.0:
+            break
+        le = mesh.edge_lengths[e]
+        if remaining >= le:
+            phi[e] = 1.0
+            remaining -= le
+        else:
+            phi[e] = remaining / le
+            remaining = 0.0
+        level = float(w[e])
+    return phi, level
+
+
+BATHTUB_MESHES = {
+    "disk": lambda: generate_disk(0.1),
+    "rectangle": lambda: generate_rectangle(2.0, 1.0, 0.15),
+    "l-shape-file": l_shape,
+}
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+@pytest.mark.parametrize("name", sorted(BATHTUB_MESHES))
+def test_bathtub_repeats_the_per_edge_fill_bitwise(rng, name, p):
+    mesh = BATHTUB_MESHES[name]()
+    for fraction in (0.1, 0.3, 0.7):
+        values = rng.normal(0.0, 1.0, mesh.n_vertices)
+        mass = fraction * mesh.perimeter
+        phi, level = bathtub(mesh, values, mass, p)
+        ref_phi, ref_level = _reference_bathtub(mesh, values, mass, p)
+        assert phi.edge_values.tobytes() == ref_phi.tobytes()
+        assert level.hex() == ref_level.hex()
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+def test_bathtub_objective_is_the_energys_coupling_term(disk_fine, rng, p):
+    sigma = 3.0
+    values = rng.uniform(0.1, 2.0, disk_fine.n_vertices)
+    phi = random_admissible(disk_fine, 0.3 * disk_fine.perimeter, seed=5)
+    coupled = energy(disk_fine, values, phi, ProblemParams(p=p, sigma=sigma))
+    uncoupled = energy(disk_fine, values, phi, ProblemParams(p=p, sigma=0.0))
+    objective = bathtub_objective(disk_fine, values, phi, p)
+    assert abs(sigma * objective - (coupled - uncoupled)) <= 1e-12 * coupled
 
 
 # ---------------------------------------------------- indicators and masks
