@@ -9,7 +9,9 @@ row per mesh, each entry the median of ``--repeat`` runs in milliseconds:
     loop       the boundary-loop extraction inside that construction
     geometry   the per-mesh P1 geometry (areas, basis gradients, masses)
     assemble   assemble_linear with the geometry already built
-    splu       sparse LU of the assembled matrix
+    order      the nested-dissection order of all vertices
+    splu       sparse LU of the assembled matrix in that order, unpivoted,
+               as the plain p = 2 route factors it
     solve      one solve_linear from scratch (assembly and LU included)
     bathtub    one bathtub refill from the solve's eigenfunction
     defect     arc_defect of the refilled density
@@ -24,6 +26,7 @@ import argparse
 import statistics
 import time
 
+import numpy as np
 import scipy.sparse.linalg as spla
 
 from steklov import (
@@ -37,6 +40,7 @@ from steklov import (
     solve_linear,
 )
 from steklov.assembly import _Geometry, geometry
+from steklov.eigensolver import _IN_ORDER, _nested_dissection
 from steklov.mesh import _extract_boundary_loop
 
 SIGMA = 5.0
@@ -46,6 +50,7 @@ LAYERS = (
     "loop",
     "geometry",
     "assemble",
+    "order",
     "splu",
     "solve",
     "bathtub",
@@ -74,8 +79,10 @@ def ladder_row(generate, repeat):
     phi = BoundaryDensity.constant(mesh, 0.25)
     geometry(mesh)
     row["assemble"], (A, _) = median_ms(lambda: assemble_linear(mesh, phi, SIGMA), repeat)
-    A = A.tocsc()
-    row["splu"], _ = median_ms(lambda: spla.splu(A), repeat)
+    vertices = np.arange(mesh.n_vertices)
+    row["order"], order = median_ms(lambda: _nested_dissection(mesh, vertices), repeat)
+    A = A[order][:, order].tocsc()
+    row["splu"], _ = median_ms(lambda: spla.splu(A, **_IN_ORDER), repeat)
     row["solve"], pair = median_ms(lambda: solve_linear(mesh, phi, SIGMA), repeat)
     mass = 0.25 * mesh.perimeter
     row["bathtub"], (refill, _) = median_ms(lambda: bathtub(mesh, pair.u, mass), repeat)

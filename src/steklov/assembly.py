@@ -111,7 +111,7 @@ def load_density(mesh, path):
 
 
 def density_to_json(phi):
-    return {"edge_values": [float(v) for v in phi.edge_values]}
+    return {"edge_values": phi.edge_values.tolist()}
 
 
 def _as_values(u, mesh):

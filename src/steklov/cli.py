@@ -329,8 +329,30 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _json_text(obj: object, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` as it reads ``indent`` deep, byte for byte.
+
+    ``indent`` makes ``json`` take its pure-Python encoder, one call per
+    item.  A list of finite floats is joined here from ``float.__repr__``,
+    the text that encoder writes for each; lists and string-keyed dicts are
+    walked to find such lists at any depth, and everything else goes
+    through ``json.dumps``.
+    """
+    inner = indent + "  "
+    if isinstance(obj, list) and obj:
+        if all(isinstance(v, float) for v in obj) and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
 def _write_json(path: Path, obj: object) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2) + "\n")
+    _write_atomic(path, _json_text(obj) + "\n")
 
 
 def _write_record(path: Path, record: dict) -> None:

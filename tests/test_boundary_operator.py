@@ -193,13 +193,15 @@ def test_optimize_takes_the_same_steps_on_both_paths(monkeypatch):
         assert all(b <= a for a, b in zip(trace.lambdas, trace.lambdas[1:]))
 
 
-def _stack_walk_dissection(mesh):
-    """Nested dissection ordered by an explicit post-order walk of the part heap."""
-    interior = np.flatnonzero(~mesh.is_boundary_vertex)
-    m = len(interior)
-    xy = mesh.vertices[interior]
+def _stack_walk_dissection(mesh, vertices):
+    """Nested dissection of ``vertices`` ordered by a post-order walk of the part heap.
+
+    Every triangle side is an edge here, in both directions for an inner one.
+    """
+    m = len(vertices)
+    xy = mesh.vertices[vertices]
     local = np.full(mesh.n_vertices, -1)
-    local[interior] = np.arange(m)
+    local[vertices] = np.arange(m)
     t = mesh.triangles
     edges = local[np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])]
     a, b = edges[(edges >= 0).all(axis=1)].T
@@ -240,7 +242,7 @@ def _stack_walk_dissection(mesh):
             count += 1
         else:
             stack += [(k, True), (2 * k + 1, False), (2 * k, False)]
-    return interior[np.argsort(post[part], kind="stable")]
+    return vertices[np.argsort(post[part], kind="stable")]
 
 
 DISSECTED = {
@@ -256,8 +258,9 @@ DISSECTED = {
 def test_keyed_dissection_order_is_the_stack_walk(name):
     make, *args = DISSECTED[name]
     mesh = make(*args)
-    order = eigensolver._nested_dissection(mesh)
-    assert np.array_equal(order, _stack_walk_dissection(mesh))
+    for vertices in (np.flatnonzero(~mesh.is_boundary_vertex), np.arange(mesh.n_vertices)):
+        order = eigensolver._nested_dissection(mesh, vertices)
+        assert np.array_equal(order, _stack_walk_dissection(mesh, vertices))
 
 
 def test_mesh_without_interior_vertices_keeps_the_plain_path():

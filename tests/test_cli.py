@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from steklov import NonConvergenceError, generate_disk, serialize_mesh
@@ -904,3 +905,70 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "lambda =" in proc.stdout
     assert (out / "eigenpair.json").exists()
+
+
+# ------------------------------------------------------------- JSON output
+#
+# The writer joins lists of finite floats itself; its bytes must stay those
+# of json.dumps(obj, indent=2).
+
+
+def test_every_json_record_is_what_json_dumps_writes(tmp_path, monkeypatch):
+    written = []
+    write = cli._write_json
+
+    def capture(path, obj):
+        write(path, obj)
+        written.append((path, obj))
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    p2 = {"p": 2.0, "sigma": 5.0}
+    runs = {
+        "solve": dict(params=p2, potential={"type": "random", "seed": 3, "mass": 2.0}),
+        "solve-p3": dict(
+            params={"p": 3.0, "sigma": 2.0}, potential={"type": "constant", "value": 0.3}
+        ),
+        "optimize": dict(params=p2, mass=1.3),
+        "sigma-sweep": dict(params=p2, mass=math.pi / 2, sigma_list=[1.0, 10.0]),
+        "shape-deriv": dict(
+            params=p2, region=_half_disk_region_config(0.3), tangent={"speeds": [[0.0, 1.0]]}
+        ),
+        "symmetry-check": dict(params=p2, mass=math.pi / 2),
+    }
+    for name, cfg in runs.items():
+        path = write_config(tmp_path, name=f"{name}.json", geometry=DISK_COARSE, **cfg)
+        assert run(name.removesuffix("-p3"), path, tmp_path / name) in (0, 2)
+    assert sorted(path.name for path, _ in written) == [
+        "derivative_report.json",
+        "eigenpair.json",
+        "eigenpair.json",
+        "final_potential.json",
+        "reference_eigenpair.json",
+        "symmetry_report.json",
+        "trace.json",
+    ]
+    for path, obj in written:
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+
+
+JSON_EDGE_CASES = {
+    "empty-list": [],
+    "empty-dict": {},
+    "empty-containers-nested": {"a": [], "b": {}, "c": [[], {}]},
+    "non-finite-floats": {"u": [1.5, math.nan, -0.0], "v": [math.inf, 2.0, -math.inf]},
+    "overflowing-sum": [1e308, 1e308, 5e-324],
+    "nested-lists": [[0.1, 2.5e-300], [[1.0, -3.25]], [1, 2.0, True, None], 7],
+    "non-ascii": {"λ": ["σ-sweep", "naïve   \"q\""], "φ": [0.5, 1.0]},
+    "non-string-keys": {"s": {1: [0.5, 1.5], 2.5: None, True: "x"}},
+    "tuple": {"t": (0.25, 0.5), "nested": [(1.0, (2.0,))]},
+    "shortest-reprs": {"x": [float.fromhex("0x1.8p-3"), 1e16, 1.0000000000000002]},
+    "numpy-floats": {"x": [np.float64(0.1), np.float64(-2.5)], "y": np.float64(3.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_EDGE_CASES))
+def test_json_writer_matches_json_dumps_on_edge_cases(tmp_path, case):
+    obj = JSON_EDGE_CASES[case]
+    path = tmp_path / "out.json"
+    cli._write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
