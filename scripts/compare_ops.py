@@ -6,7 +6,8 @@ one ``steklov.cli.main`` call with ``--jobs 1``, once on each tree.  Every
 pass of every tree runs in its own Python process whose ``steklov`` is
 imported from ``TREE/src``.  For each op the script prints both exit codes,
 the eigenvalue, iteration count and residual the op reports, and the
-output files that differ apart from their ``timestamp`` key.  It exits 1
+output files that differ apart from their ``timestamp`` key (in content or
+in key order).  It exits 1
 when some op's exit codes differ, 0 otherwise.
 
 Usage:
@@ -84,13 +85,17 @@ def run_tree(tree, argvs, work):
 
 
 def _canonical(path):
-    """File content for comparison: JSON without its ``timestamp`` key, else bytes."""
+    """File content for comparison: JSON without its ``timestamp`` key, else bytes.
+
+    Keys keep the order they were written in, so a change of key order
+    counts as a difference.
+    """
     if path.suffix != ".json":
         return path.read_bytes()
     data = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(data, dict):
         data.pop("timestamp", None)
-    return json.dumps(data, sort_keys=True)
+    return json.dumps(data)
 
 
 def differing_files(old, new):

@@ -29,16 +29,13 @@ from .assembly import (
     assemble_linear,
     boundary_p_norm,
     boundary_p_power,
-    density_to_json,
     energy,
     energy_gradient,
-    load_density,
 )
 from .eigensolver import (
     EigenPair,
     SolverOptions,
     boundary_operator,
-    eigenpair_to_json,
     rayleigh,
     solve_dirichlet,
     solve_linear,
@@ -68,19 +65,16 @@ from .rearrange import (
     arc_defect,
     bathtub,
     bathtub_objective,
-    binarize,
     cap_indicator,
     optimize_potential,
     random_admissible,
     rasterize_region,
     support_region,
-    trace_to_json,
 )
 from .shapederiv import (
     DerivativeReport,
     TangentField,
     perturb_region,
-    report_to_json,
     shape_derivative_fd,
     shape_derivative_formula,
 )
@@ -109,18 +103,14 @@ __all__ = [
     "assemble_linear",
     "bathtub",
     "bathtub_objective",
-    "binarize",
     "boundary_operator",
     "boundary_p_norm",
     "boundary_p_power",
     "cap_indicator",
-    "density_to_json",
-    "eigenpair_to_json",
     "energy",
     "energy_gradient",
     "generate_disk",
     "generate_rectangle",
-    "load_density",
     "load_mesh",
     "load_mesh_file",
     "locate_arc_point",
@@ -129,7 +119,6 @@ __all__ = [
     "random_admissible",
     "rasterize_region",
     "rayleigh",
-    "report_to_json",
     "serialize_mesh",
     "shape_derivative_fd",
     "shape_derivative_formula",
@@ -137,6 +126,5 @@ __all__ = [
     "solve_linear",
     "solve_nonlinear",
     "support_region",
-    "trace_to_json",
     "__version__",
 ]

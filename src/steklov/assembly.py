@@ -13,7 +13,6 @@ quadratures are normative: every solver and optimality check reduces to them.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass
@@ -99,19 +98,6 @@ class BoundaryDensity:
     @staticmethod
     def constant(mesh, value):
         return BoundaryDensity.of(mesh, np.full(mesh.n_boundary_edges, float(value)))
-
-
-def load_density(mesh, path):
-    """Read a ``{"edge_values": [...]}`` JSON file, validating range and length."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "edge_values" not in data:
-        raise ValueError(f"{path}: expected a JSON object with an 'edge_values' key")
-    return BoundaryDensity.of(mesh, np.asarray(data["edge_values"], dtype=np.float64))
-
-
-def density_to_json(phi):
-    return {"edge_values": phi.edge_values.tolist()}
 
 
 def _as_values(u, mesh):

@@ -16,6 +16,18 @@ Subcommands
     Endpoint-derivative formula versus its finite-difference oracle.
 ``symmetry-check``
     Five random-start optimizations on a disk; succeeds when they agree.
+    The starts are ``random_admissible(mesh, mass, seed)`` for the seeds
+    ``solver.seed + 0 .. 4``.
+
+Every output file format lives here: the eigenpair, trace, density and
+derivative records and the ``{"edge_values": [...]}`` potential files that
+``optimize`` writes and the ``file`` potential reads.  So does the
+``shape-deriv`` key ``sign_convention``.  The library's formula carries the
+envelope-theorem sign, under which enlarging the region increases the
+eigenvalue for positive coupling; ``sign_convention: -1`` writes the
+negated ``formula_value`` and leaves every other key as it is, so
+``sign_consistent`` and ``relative_error`` compare the formula with the
+oracle in the library's sign and read the same under either convention.
 
 All commands read a single JSON config (``--config``).  Configs are
 versioned and validated fail-closed: unknown keys are rejected so typos in
@@ -23,9 +35,12 @@ experiment scripts surface immediately.  Exit codes are a stable contract:
 0 success, 1 usage/config error, 2 numerical failure.  Every usage or
 config error -- a bad flag, a bad config value, or an argument the library
 rejects with ``ValueError`` -- takes one path: ``main`` prints
-``config error: <message>`` to stderr and returns 1.  Output files are
-written atomically (temp file + rename) and, seeds being part of the
-config, re-runs are byte-identical except for ``timestamp`` fields.
+``config error: <message>`` to stderr and returns 1.  A run that runs out
+of memory (``MemoryError``, for instance from the sparse factorization of a
+mesh too fine for the machine) prints one ``resource error:`` line and
+returns 1 as well.  Output files are written atomically (temp file +
+rename) and, seeds being part of the config, re-runs are byte-identical
+except for ``timestamp`` fields.
 """
 
 from __future__ import annotations
@@ -43,10 +58,12 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .assembly import BoundaryDensity, ProblemParams, density_to_json, load_density
+import numpy as np
+
+from .assembly import BoundaryDensity, ProblemParams
 from .eigensolver import (
+    EigenPair,
     SolverOptions,
-    eigenpair_to_json,
     prepare_repeated_solves,
     solve_dirichlet,
     solve_linear,
@@ -63,19 +80,12 @@ from .errors import (
 from .mesh import Mesh, RegionSpec, generate_disk, generate_rectangle, load_mesh_file
 from .rearrange import (
     arc_defect,
-    binarize,
     cap_indicator,
     optimize_potential,
     random_admissible,
     support_region,
-    trace_to_json,
 )
-from .shapederiv import (
-    DEFAULT_FD_STEPS,
-    TangentField,
-    report_to_json,
-    shape_derivative_fd,
-)
+from .shapederiv import DEFAULT_FD_STEPS, TangentField, shape_derivative_fd
 
 __all__ = ["main"]
 
@@ -227,16 +237,30 @@ def build_params(cfg: dict) -> ProblemParams:
     )
 
 
+def _solver_seed(cfg: dict) -> int:
+    """``solver.seed``: the first of ``symmetry-check``'s five start seeds."""
+    return _integer(cfg.get("solver", {}), "seed", "solver", default=0)
+
+
 def build_solver_options(cfg: dict) -> SolverOptions:
     raw = cfg.get("solver", {})
     _check_keys(raw, {"tol", "max_iters", "seed"}, "solver")
     tol = _number(raw, "tol", "solver", required=False)
     max_iters = _integer(raw, "max_iters", "solver")
-    seed = _integer(raw, "seed", "solver", default=0)
-    kwargs = {"tol": tol, "seed": seed}
+    _solver_seed(cfg)  # checked for every subcommand; symmetry-check reads it
+    kwargs = {"tol": tol}
     if max_iters is not None:
         kwargs["max_iters"] = max_iters
     return SolverOptions(**kwargs)
+
+
+def _load_density(mesh: Mesh, path: Path) -> BoundaryDensity:
+    """Read a ``{"edge_values": [...]}`` JSON file, validating range and length."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or "edge_values" not in data:
+        raise ValueError(f"{path}: expected a JSON object with an 'edge_values' key")
+    return BoundaryDensity.of(mesh, np.asarray(data["edge_values"], dtype=np.float64))
 
 
 def build_potential(cfg: dict, mesh: Mesh) -> BoundaryDensity:
@@ -250,7 +274,7 @@ def build_potential(cfg: dict, mesh: Mesh) -> BoundaryDensity:
     kind = raw.get("type")
     if kind == "file":
         _check_keys(raw, {"type", "path"}, "file potential")
-        return load_density(mesh, Path(_string(raw, "path", "file potential")))
+        return _load_density(mesh, Path(_string(raw, "path", "file potential")))
     if kind == "constant":
         _check_keys(raw, {"type", "value"}, "constant potential")
         return BoundaryDensity.constant(mesh, _number(raw, "value", "constant potential"))
@@ -369,28 +393,46 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
     _write_atomic(path, buf.getvalue())
 
 
+def _eigenpair_record(pair: EigenPair) -> dict:
+    return {
+        "lambda": pair.lam,
+        "iterations": pair.iterations,
+        "residual": pair.residual,
+        "converged": pair.converged,
+        "u": pair.u.values.tolist(),
+    }
+
+
 # --------------------------------------------------------------------------
 # shared runners
 
 
 def _run_optimize(
-    cfg: dict, mesh: Mesh, params: ProblemParams, opts: SolverOptions, phi0=None
+    cfg: dict,
+    mesh: Mesh,
+    params: ProblemParams,
+    opts: SolverOptions,
+    seed: int | None = None,
 ):
     """``optimize_potential`` with the config's mass and outer-loop settings.
 
-    The start is ``phi0`` if given, else the config's ``potential`` if any.
+    The start is ``random_admissible(mesh, mass, seed)`` if a seed is given,
+    else the config's ``potential`` if any.
     """
     a = _mass(cfg, mesh)
-    if phi0 is None and "potential" in cfg:
-        phi0 = build_potential(cfg, mesh)
+    phi0 = build_potential(cfg, mesh) if "potential" in cfg else None
+    max_outer = _integer(cfg, "max_outer", "config", default=100)
+    outer_tol = _number(cfg, "outer_tol", "config", required=False)
+    if seed is not None:
+        phi0 = random_admissible(mesh, a, seed)
     return optimize_potential(
         mesh,
         params,
         a,
         opts=opts,
         phi0=phi0,
-        max_outer=_integer(cfg, "max_outer", "config", default=100),
-        outer_tol=_number(cfg, "outer_tol", "config", required=False),
+        max_outer=max_outer,
+        outer_tol=outer_tol,
     )
 
 
@@ -417,7 +459,7 @@ def cmd_solve(cfg, mesh, params, opts, out_dir, args) -> int:
     else:
         pair = solve_nonlinear(mesh, phi, params, opts=opts)
 
-    _write_record(out_dir / "eigenpair.json", eigenpair_to_json(pair))
+    _write_record(out_dir / "eigenpair.json", _eigenpair_record(pair))
     loop = mesh.boundary_vertices
     rows = [
         [float(mesh.cum_arclength[k]), float(pair.u.values[loop[k]])]
@@ -433,14 +475,22 @@ def cmd_solve(cfg, mesh, params, opts, out_dir, args) -> int:
 def cmd_optimize(cfg, mesh, params, opts, out_dir, args) -> int:
     trace = _run_optimize(cfg, mesh, params, opts)
 
-    final = trace.final_potential
+    final = trace.final_potential.edge_values
     if args.binarize:
-        final = binarize(mesh, final)
+        # Rounds each edge at 1/2; the mass is not preserved.
+        final = (final >= 0.5).astype(np.float64)
 
-    _write_json(out_dir / "trace.json", trace_to_json(trace))
+    history = zip(trace.lambdas, trace.levels, trace.potentials)
+    _write_json(
+        out_dir / "trace.json",
+        [
+            {"iter": k, "lambda": lam, "level": level, "mass": phi.mass}
+            for k, (lam, level, phi) in enumerate(history)
+        ],
+    )
     rows = [[k, float(lam)] for k, lam in enumerate(trace.lambdas)]
     _write_csv(out_dir / "trace.csv", ["iter", "lambda"], rows)
-    _write_json(out_dir / "final_potential.json", density_to_json(final))
+    _write_json(out_dir / "final_potential.json", {"edge_values": final.tolist()})
 
     print(
         f"final lambda = {trace.final_lambda!r} after {trace.outer_iterations} "
@@ -492,7 +542,7 @@ def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
         for s, tr in zip(sigmas, traces)
     ]
     _write_csv(csv_path, header, rows)
-    _write_record(out_dir / "reference_eigenpair.json", eigenpair_to_json(ref_pair))
+    _write_record(out_dir / "reference_eigenpair.json", _eigenpair_record(ref_pair))
 
     for s, tr in zip(sigmas, traces):
         print(
@@ -517,16 +567,20 @@ def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
     if sign not in (1.0, -1.0):
         raise ConfigError("'sign_convention' must be +1 or -1")
 
-    report = shape_derivative_fd(
-        mesh,
-        region,
-        tangent,
-        params,
-        steps=steps,
-        opts=opts,
-        sign_convention=sign,
+    report = shape_derivative_fd(mesh, region, tangent, params, steps=steps, opts=opts)
+    if sign == -1.0:
+        report = replace(report, formula_value=-report.formula_value)
+    _write_record(
+        out_dir / "derivative_report.json",
+        {
+            "formula_value": report.formula_value,
+            "fd_value": report.fd_value,
+            "fd_table": [{"t": t, "diff": d} for t, d in report.fd_table],
+            "sign_consistent": report.sign_consistent,
+            "relative_error": report.relative_error,
+            "vertex_crossings": report.vertex_crossings,
+        },
     )
-    _write_record(out_dir / "derivative_report.json", report_to_json(report))
 
     print(f"formula_value = {report.formula_value!r}")
     for t, diff in report.fd_table:
@@ -548,11 +602,10 @@ def cmd_symmetry_check(cfg, mesh, params, opts, out_dir, args) -> int:
     if mesh.kind != "disk":
         raise ConfigError("symmetry-check requires disk geometry")
 
-    seeds = [opts.seed + k for k in range(5)]
+    seeds = [_solver_seed(cfg) + k for k in range(5)]
 
     def one(seed: int):
-        seed_opts = replace(opts, seed=seed)
-        trace = _run_optimize(cfg, mesh, params, seed_opts, phi0="random")
+        trace = _run_optimize(cfg, mesh, params, opts, seed=seed)
         return (
             float(trace.final_lambda),
             float(arc_defect(mesh, trace.final_potential)),
@@ -658,6 +711,11 @@ def main(argv=None) -> int:
         return handler(cfg, mesh, params, opts, out_dir, args)
     except (MeshParseError, MeshTopologyError, MeshResourceError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        detail = f" ({detail})" if detail else ""
+        print(f"resource error: out of memory{detail}", file=sys.stderr)
         return _EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

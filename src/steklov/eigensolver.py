@@ -144,6 +144,22 @@ _STALL_STEPS = 100
 _STALL_DROP = 1e-14
 
 
+def _splu(A, **options):
+    """``spla.splu(A, **options)`` that reports running out of memory as ``MemoryError``.
+
+    SuperLU raises a bare ``MemoryError`` for some failed allocations and a
+    ``RuntimeError`` ("SUPERLU_MALLOC fails for ...", "... out of memory")
+    for others; the second kind is raised again as ``MemoryError``.
+    """
+    try:
+        return spla.splu(A, **options)
+    except RuntimeError as exc:
+        message = str(exc).strip()
+        if "malloc fail" in message.lower() or "memory" in message.lower():
+            raise MemoryError(message) from exc
+        raise
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration controls shared by the linear and descent solvers.
@@ -153,13 +169,11 @@ class SolverOptions:
     eigen-residual ``|K x - lambda Mb x| / |K x|`` of the returned pair and
     ``max_iters`` counts linear solves; for p != 2 it is the descent's
     gradient and eigenvalue-change test (see :func:`_descent`) and
-    ``max_iters`` counts descent steps.  ``seed`` only matters for
-    randomized starts.
+    ``max_iters`` counts descent steps.
     """
 
     tol: float | None = None
     max_iters: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -184,16 +198,6 @@ class EigenPair:
     converged: bool
     positivity_violation: bool = False
     diagnostics: dict = dc_field(default_factory=dict)
-
-
-def eigenpair_to_json(eig):
-    return {
-        "lambda": eig.lam,
-        "iterations": eig.iterations,
-        "residual": eig.residual,
-        "converged": eig.converged,
-        "u": eig.u.values.tolist(),
-    }
 
 
 def rayleigh(mesh, u, phi, params):
@@ -367,7 +371,7 @@ def _build_boundary_operator(mesh):
     A0, _ = assembly.assemble_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0)
     order = np.concatenate([interior, boundary])
     A = A0[order][:, order].tocsc()
-    lu = spla.splu(A, **_IN_ORDER)
+    lu = _splu(A, **_IN_ORDER)
     kept = np.arange(ni, mesh.n_vertices)
     if not (np.array_equal(lu.perm_r[ni:], kept) and np.array_equal(lu.perm_c[ni:], kept)):
         return None
@@ -379,7 +383,7 @@ def _build_boundary_operator(mesh):
     del lu
     R = U_bb / np.sqrt(np.diag(U_bb))[:, None]
     S0 = R.T @ R
-    interior_lu = spla.splu(A[:ni, :ni], **_IN_ORDER)
+    interior_lu = _splu(A[:ni, :ni], **_IN_ORDER)
     return BoundaryOperator(S0, boundary, interior, A[:ni, ni:].tocsr(), interior_lu)
 
 
@@ -479,7 +483,7 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
         order = _nested_dissection(mesh, np.arange(mesh.n_vertices))
         idx = order[rows[order]]
         K = A[idx][:, idx]
-        solve = spla.splu(K.tocsc(), **_IN_ORDER).solve
+        solve = _splu(K.tocsc(), **_IN_ORDER).solve
 
         def lift(x):
             v = np.zeros(mesh.n_vertices)
@@ -539,7 +543,7 @@ class _ReweightedMetric:
         if self._sliced:
             matrix = matrix[self._free][:, self._free]
         self._matrix = matrix
-        self._lu = spla.splu(matrix.tocsc())
+        self._lu = _splu(matrix.tocsc())
         self.factorizations += 1
 
     def direction(self, g):

@@ -2,8 +2,8 @@
 
 All domains are simply connected polygons triangulated by straight P1
 triangles.  The boundary is kept as an ordered, counterclockwise, closed
-loop of directed edges so that boundary quantities (arc length, densities,
-normals) can be addressed by a single circular coordinate
+loop of directed edges so that boundary quantities (arc length,
+densities) can be addressed by a single circular coordinate
 ``s in [0, perimeter)``.
 
 Meshes are immutable after construction: every array is marked read-only,
@@ -46,8 +46,6 @@ class Mesh:
     cum_arclength : (b,) float array
         Arc length at the start vertex of each boundary edge, so also the
         arc coordinate of ``boundary_vertices[k]``; ``cum_arclength[0] == 0``.
-    outward_normals : (b, 2) float array
-        Unit outward normal of each boundary edge.
     kind : str
         Generator tag: ``"disk"``, ``"rectangle"`` or ``"file"``.
     diagnostics : dict
@@ -79,7 +77,7 @@ class Mesh:
         if not used.all():
             raise MeshTopologyError("vertex not referenced by any triangle")
 
-        loop, edge_tri = _extract_boundary_loop(triangles)
+        loop = _extract_boundary_loop(triangles)
         self.boundary_loop = loop
         seg = vertices[loop[:, 1]] - vertices[loop[:, 0]]
         self.edge_lengths = np.hypot(seg[:, 0], seg[:, 1])
@@ -89,14 +87,6 @@ class Mesh:
         self.cum_arclength = cum[:-1]
         self.perimeter = float(cum[-1])
         self._cum_ext = cum
-
-        normals = np.column_stack((seg[:, 1], -seg[:, 0])) / self.edge_lengths[:, None]
-        # The outward normal must point away from the adjacent triangle.
-        centroids = vertices[triangles[edge_tri]].mean(axis=1)
-        mid = 0.5 * (vertices[loop[:, 0]] + vertices[loop[:, 1]])
-        if np.any(np.einsum("ij,ij->i", normals, mid - centroids) <= 0.0):
-            raise MeshTopologyError("boundary normal points into the domain")
-        self.outward_normals = normals
 
         self.boundary_vertices = loop[:, 0].copy()
         mask = np.zeros(len(vertices), dtype=bool)
@@ -110,7 +100,6 @@ class Mesh:
             self.edge_lengths,
             self.cum_arclength,
             self._cum_ext,
-            self.outward_normals,
             self.boundary_vertices,
             self.is_boundary_vertex,
         ):
@@ -161,9 +150,10 @@ def _orient_ccw(vertices, triangles):
 def _extract_boundary_loop(triangles):
     """Chain the directed boundary edges of a CCW triangulation into one loop.
 
-    Returns ``(loop, edge_tri)`` where ``loop[k] = (i, j)`` is the k-th
-    directed boundary edge and ``edge_tri[k]`` the index of its unique
-    adjacent triangle.  The loop starts at the smallest boundary vertex.
+    Returns ``loop`` with ``loop[k] = (i, j)`` the k-th directed boundary
+    edge; the loop starts at the smallest boundary vertex.  Each boundary
+    edge is an edge of a counterclockwise triangle, which lies to its left,
+    so the loop runs counterclockwise around the domain.
 
     Edges are matched by one sort: the directed edges are listed in
     triangle-major order ``(a, b), (b, c), (c, a)`` and packed into integer
@@ -220,8 +210,6 @@ def _extract_boundary_loop(triangles):
 
     succ = np.full(n, -1, dtype=np.int64)
     succ[starts] = dst[edges]
-    tri = np.full(n, -1, dtype=np.int64)
-    tri[starts] = edges // 3
 
     start = int(starts.min())
     nxt = succ.tolist()
@@ -233,7 +221,7 @@ def _extract_boundary_loop(triangles):
     if len(walk) != len(edges):
         raise MeshTopologyError("boundary has multiple loops")
     walk = np.asarray(walk, dtype=np.int64)
-    return np.column_stack((walk, succ[walk])), tri[walk]
+    return np.column_stack((walk, succ[walk]))
 
 
 def generate_disk(target_h):

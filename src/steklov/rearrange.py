@@ -143,11 +143,6 @@ def random_admissible(mesh, mass, seed):
     return BoundaryDensity.of(mesh, np.clip(vals, 0.0, 1.0))
 
 
-def binarize(mesh, phi):
-    """Round fractional edges to {0, 1} at threshold 1/2 (mass is not preserved)."""
-    return BoundaryDensity.of(mesh, (phi.edge_values >= 0.5).astype(np.float64))
-
-
 def support_region(mesh, phi, threshold=0.5):
     """Arcs spanned by maximal runs of edges with ``phi_e > threshold``.
 
@@ -242,32 +237,18 @@ class OptimizationTrace:
         return self.lambdas[-1]
 
 
-def trace_to_json(trace):
-    return [
-        {
-            "iter": k,
-            "lambda": trace.lambdas[k],
-            "level": trace.levels[k],
-            "mass": trace.potentials[k].mass,
-        }
-        for k in range(len(trace.lambdas))
-    ]
-
-
-def _initial_density(mesh, mass, phi0, seed):
-    P = mesh.perimeter
+def _initial_density(mesh, mass, phi0):
+    """``phi0``, or for ``None`` the single arc ``[0, mass)``."""
     if isinstance(phi0, BoundaryDensity):
         return phi0
-    if phi0 == "random":
-        return random_admissible(mesh, mass, seed)
-    if phi0 is None:
-        if mass == 0.0:
-            return BoundaryDensity.of(mesh, np.zeros(mesh.n_boundary_edges))
-        if mass >= P:
-            return BoundaryDensity.constant(mesh, 1.0)
-        region = RegionSpec.from_intervals([(0.0, mass)], P)
-        return rasterize_region(mesh, region)
-    raise ValueError(f"unsupported initial density {phi0!r}")
+    if phi0 is not None:
+        raise TypeError(f"phi0 must be a BoundaryDensity or None, got {phi0!r}")
+    P = mesh.perimeter
+    if mass == 0.0:
+        return BoundaryDensity.of(mesh, np.zeros(mesh.n_boundary_edges))
+    if mass >= P:
+        return BoundaryDensity.constant(mesh, 1.0)
+    return rasterize_region(mesh, RegionSpec.from_intervals([(0.0, mass)], P))
 
 
 def optimize_potential(
@@ -282,8 +263,11 @@ def optimize_potential(
     """Minimize the first eigenvalue over densities of the given mass.
 
     Alternates an eigensolve for the current density with a bathtub refill
-    for the current trace.  Inner solves are warm-started with the previous
-    eigenfunction, which makes the recorded eigenvalues non-increasing.
+    for the current trace.  The run starts from the ``BoundaryDensity``
+    ``phi0`` (a random start is ``random_admissible(mesh, mass, seed)``) or,
+    for ``None``, from the single arc ``[0, mass)``.  Inner solves are
+    warm-started with the previous eigenfunction, which makes the recorded
+    eigenvalues non-increasing.
     :func:`prepare_repeated_solves` runs first, so for p = 2 the solves of
     this run and of later runs on the same mesh share one factorization.
     Stops on an edgewise-identical refill (a bathtub fixed point), on a
@@ -309,7 +293,7 @@ def optimize_potential(
     if not (math.isfinite(outer_tol) and outer_tol > 0.0):
         raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
 
-    phi = _initial_density(mesh, mass, phi0, opts.seed)
+    phi = _initial_density(mesh, mass, phi0)
     prepare_repeated_solves(mesh, params)
     lambdas, potentials, levels = [], [], []
     history = []

@@ -8,12 +8,9 @@ at the endpoints.  This module evaluates that formula and arbitrates it
 against a finite-difference oracle that re-rasterizes the perturbed region
 on the *same* mesh (the domain never moves, only the indicator does).
 
-Sign convention: ``sign_convention=+1`` is the envelope-theorem sign, under
-which enlarging the region increases the eigenvalue for positive coupling.
-``-1`` is exposed for callers who prefer the opposite orientation of the
-endpoint normal.  The finite-difference oracle is convention-free and tests
-should be anchored to it; :func:`shape_derivative_fd` compares the formula
-with the oracle times ``sign_convention``, so either convention passes.
+The formula carries the envelope-theorem sign, under which enlarging the
+region increases the eigenvalue for positive coupling, and so does the
+finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "shape_derivative_formula",
     "perturb_region",
     "shape_derivative_fd",
-    "report_to_json",
 ]
 
 #: Default finite-difference steps; geometric with ratio 2 so the two
@@ -109,11 +105,8 @@ class DerivativeReport:
     ``fd_table`` holds ``(step, central_difference)`` rows, largest step
     first; at least three steps in decreasing geometric progression are
     required so Richardson extrapolation of the two smallest is meaningful.
-    ``fd_value`` and ``fd_table`` are convention-free; the formula is
-    compared with ``sign_convention * fd_value``, so ``sign_consistent`` is
-    ``formula_value * sign_convention * fd_value > 0`` and
-    ``relative_error`` is ``|formula_value - sign_convention * fd_value|``
-    over ``|fd_value|``.  Both are the same under either convention.
+    ``sign_consistent`` is ``formula_value * fd_value > 0`` and
+    ``relative_error`` is ``|formula_value - fd_value|`` over ``|fd_value|``.
 
     ``vertex_crossings`` is set when some finite-difference evaluation moved
     an endpoint across a mesh boundary vertex.  The discrete eigenvalue is
@@ -168,7 +161,6 @@ def shape_derivative_formula(
     region: RegionSpec,
     tangent: TangentField,
     params: ProblemParams,
-    sign_convention: float = 1.0,
 ) -> float:
     """Endpoint-sum formula for d(lambda)/dt under tangential endpoint flow.
 
@@ -181,8 +173,6 @@ def shape_derivative_formula(
     Raises ``ValueError`` if the eigenpair was not solved with this region's
     indicator potential (checked through the Rayleigh quotient).
     """
-    if sign_convention not in (1.0, -1.0, 1, -1):
-        raise ValueError("sign_convention must be +1 or -1")
     if tangent.region != region:
         raise ValueError("tangent field was built for a different region")
     if region.perimeter != mesh.perimeter:
@@ -204,7 +194,7 @@ def shape_derivative_formula(
         s_end = (start + length) % region.perimeter
         total += _trace_p_power_at(mesh, values, s_end, params.p) * v_end
         total -= _trace_p_power_at(mesh, values, start, params.p) * v_begin
-    return float(sign_convention) * params.sigma * total / norm
+    return params.sigma * total / norm
 
 
 def perturb_region(
@@ -281,7 +271,6 @@ def shape_derivative_fd(
     params: ProblemParams,
     steps: Sequence[float] = DEFAULT_FD_STEPS,
     opts: SolverOptions | None = None,
-    sign_convention: float = 1.0,
 ) -> DerivativeReport:
     """Central-difference oracle for the endpoint derivative.
 
@@ -290,8 +279,7 @@ def shape_derivative_fd(
     fractional), the eigenvalue recomputed, and the central difference
     formed.  ``fd_value`` is the Richardson extrapolation of the two
     smallest steps; the closed-form value comes from
-    ``shape_derivative_formula`` on the unperturbed region, in
-    ``sign_convention``, and is compared with ``sign_convention * fd_value``.
+    ``shape_derivative_formula`` on the unperturbed region.
     """
     steps = [float(t) for t in steps]
     _validate_steps(steps)
@@ -313,9 +301,7 @@ def shape_derivative_fd(
     # The 2 * len(steps) + 1 solves differ only in the boundary density.
     prepare_repeated_solves(mesh, params)
     base = _solve_indicator(mesh, region, params, opts, start=None)
-    formula = shape_derivative_formula(
-        mesh, base, region, tangent, params, sign_convention=sign_convention
-    )
+    formula = shape_derivative_formula(mesh, base, region, tangent, params)
 
     table: list[tuple[float, float]] = []
     for t in steps:
@@ -332,24 +318,13 @@ def shape_derivative_fd(
     r = table[-2][0] / table[-1][0]
     d_large, d_small = table[-2][1], table[-1][1]
     fd_value = (r * r * d_small - d_large) / (r * r - 1.0)
-    oracle = float(sign_convention) * fd_value
 
     return DerivativeReport(
         formula_value=formula,
         fd_value=fd_value,
         fd_table=tuple(table),
-        sign_consistent=bool(formula * oracle > 0.0),
-        relative_error=abs(formula - oracle) / max(abs(fd_value), 1e-14),
+        sign_consistent=bool(formula * fd_value > 0.0),
+        relative_error=abs(formula - fd_value) / max(abs(fd_value), 1e-14),
         vertex_crossings=crossings,
     )
 
-
-def report_to_json(report: DerivativeReport) -> dict:
-    return {
-        "formula_value": report.formula_value,
-        "fd_value": report.fd_value,
-        "fd_table": [{"t": t, "diff": d} for t, d in report.fd_table],
-        "sign_consistent": report.sign_consistent,
-        "relative_error": report.relative_error,
-        "vertex_crossings": report.vertex_crossings,
-    }

@@ -1,10 +1,12 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from steklov import Mesh, generate_disk, generate_rectangle
+from steklov import Mesh, cli, generate_disk, generate_rectangle
 
 # Numerics per example are not cheap; keep hypothesis off the default 100
 # and disable deadlines (sparse factorizations have noisy timing).
@@ -105,3 +107,22 @@ def pytest_configure(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def run_cli(tmp_path):
+    """``run_cli(command, *flags, **config)`` runs one ``steklov`` subcommand.
+
+    The config gets ``"version": 1``; returns the exit code and the run's
+    fresh output directory.
+    """
+    runs = itertools.count()
+
+    def run(command, *flags, **config):
+        k = next(runs)
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps({"version": 1, **config}), encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        return cli.main([command, "--config", str(path), "--out", str(out), *flags]), out
+
+    return run

@@ -28,6 +28,7 @@ from steklov import (
     generate_disk,
     generate_rectangle,
     optimize_potential,
+    random_admissible,
     rasterize_region,
     shape_derivative_fd,
     solve_dirichlet,
@@ -312,9 +313,7 @@ def test_optimal_caps_ignore_mesh_orientation(capfd):
     params = ProblemParams(p=2.0, sigma=5.0)
     lams, defects = [], []
     for seed in range(5):
-        trace = optimize_potential(
-            mesh, params, a, opts=SolverOptions(seed=seed), phi0="random"
-        )
+        trace = optimize_potential(mesh, params, a, phi0=random_admissible(mesh, a, seed))
         assert trace.converged
         lams.append(trace.final_lambda)
         defects.append(arc_defect(mesh, trace.final_potential))

@@ -13,11 +13,10 @@ from steklov import (
     assemble_linear,
     boundary_p_norm,
     boundary_p_power,
-    density_to_json,
     energy,
     energy_gradient,
     generate_rectangle,
-    load_density,
+    solve_linear,
 )
 from steklov.assembly import (
     EnergyKernel,
@@ -82,13 +81,21 @@ def test_density_validation(square_tiny):
     assert phi.mass == pytest.approx(0.25 * square_tiny.perimeter, rel=1e-14)
 
 
-def test_density_json_round_trip(square_tiny, rng, tmp_path):
+def test_density_json_round_trip(square_tiny, rng, tmp_path, run_cli):
+    # a {"edge_values": [...]} file is read back bitwise by the CLI's file potential
     phi = _random_density(square_tiny, rng)
     path = tmp_path / "phi.json"
-    path.write_text(json.dumps(density_to_json(phi)))
-    again = load_density(square_tiny, path)
-    assert np.array_equal(again.edge_values, phi.edge_values)
-
+    path.write_text(json.dumps({"edge_values": phi.edge_values.tolist()}))
+    code, out = run_cli(
+        "solve",
+        geometry={"type": "rectangle", "width": 1.0, "height": 1.0, "target_h": 0.34},
+        params={"p": 2.0, "sigma": 2.0},
+        potential={"type": "file", "path": str(path)},
+    )
+    assert code == 0
+    record = json.loads((out / "eigenpair.json").read_text())
+    pair = solve_linear(square_tiny, phi, 2.0)
+    assert (record["lambda"], record["u"]) == (pair.lam, pair.u.values.tolist())
 
 # -------------------------------------------------------------- gradients
 

@@ -180,7 +180,9 @@ def test_optimize_takes_the_same_steps_on_both_paths(monkeypatch):
 
     def run():
         mesh = generate_disk(0.1)
-        return optimize_potential(mesh, params, math.pi / 2, phi0="random")
+        return optimize_potential(
+            mesh, params, math.pi / 2, phi0=random_admissible(mesh, math.pi / 2, 0)
+        )
 
     with monkeypatch.context() as m:
         m.setattr(rearrange, "prepare_repeated_solves", lambda mesh, params: None)

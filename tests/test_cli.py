@@ -7,8 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from steklov import NonConvergenceError, generate_disk, serialize_mesh
-from steklov import cli
+from steklov import (
+    BoundaryDensity,
+    NonConvergenceError,
+    OptimizationTrace,
+    ProblemParams,
+    generate_disk,
+    optimize_potential,
+    random_admissible,
+    serialize_mesh,
+)
+from steklov import cli, eigensolver
 from steklov.cli import main
 
 DISK_COARSE = {"type": "disk", "h": 0.3}
@@ -163,6 +172,32 @@ def test_solve_reads_the_final_potential_of_an_optimize_run(tmp_path):
     assert record["lambda"] == pytest.approx(final, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([0.5], "{path}: expected a JSON object with an 'edge_values' key"),
+        ({"values": [0.5]}, "{path}: expected a JSON object with an 'edge_values' key"),
+        ({"edge_values": [0.5]}, "density has (1,) values, boundary has {edges} edges"),
+        ({"edge_values": [1.5] * 22}, "density values must lie in [0, 1]"),
+    ],
+    ids=["not-an-object", "no-edge-values", "wrong-length", "out-of-range"],
+)
+def test_file_potential_errors_are_config_errors(tmp_path, capsys, content, message):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 2.0},
+        potential={"type": "file", "path": str(path)},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    edges = generate_disk(0.3).n_boundary_edges
+    assert edges == 22
+    expected = message.format(path=path, edges=edges)
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
 # ---------------------------------------------------------------- optimize
 
 
@@ -202,6 +237,24 @@ def test_optimize_without_binarize_keeps_fractional_edges(tmp_path):
     lengths = generate_disk(0.3).edge_lengths
     mass = sum(v * le for v, le in zip(density["edge_values"], lengths))
     assert mass == pytest.approx(1.3, abs=1e-10)
+
+
+def test_optimize_binarize_rounds_each_edge_at_one_half(tmp_path, monkeypatch):
+    mesh = generate_disk(0.3)
+    vals = np.zeros(mesh.n_boundary_edges)
+    vals[:4] = [0.2, 0.5, 0.9, 0.49999]
+    phi = BoundaryDensity.of(mesh, vals)
+    trace = OptimizationTrace([1.0], [phi], [0.0], converged=True, outer_iterations=1)
+    monkeypatch.setattr(cli, "optimize_potential", lambda *args, **kwargs: trace)
+    cfg = write_config(
+        tmp_path, geometry=DISK_COARSE, params={"p": 2.0, "sigma": 5.0}, mass=phi.mass
+    )
+    out = tmp_path / "out"
+    assert run("optimize", cfg, out, "--binarize") == 0
+    density = json.loads((out / "final_potential.json").read_text())
+    assert density == {"edge_values": [0.0, 1.0, 1.0] + [0.0] * (len(vals) - 3)}
+    # the trace keeps the mass of the fractional density
+    assert json.loads((out / "trace.json").read_text())[0]["mass"] == phi.mass
 
 
 # ------------------------------------------------------------- sigma-sweep
@@ -324,20 +377,29 @@ def test_shape_deriv_midedge_run_passes(tmp_path, capsys):
 
 
 def test_shape_deriv_passes_under_the_opposite_sign_convention(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        geometry=DISK_MEDIUM,
-        params={"p": 2.0, "sigma": 5.0},
-        region=_half_disk_region_config(0.1),
-        tangent={"speeds": [[0.0, 1.0]]},
-        sign_convention=-1,
-    )
-    out = tmp_path / "out"
-    assert run("shape-deriv", cfg, out) == 0
-    record = json.loads((out / "derivative_report.json").read_text())
-    assert record["sign_consistent"] is True
-    assert record["formula_value"] * record["fd_value"] < 0
-    assert record["relative_error"] <= 0.05
+    # the -1 record is the +1 record with formula_value negated, bitwise
+    records = {}
+    for sign in (1, -1):
+        cfg = write_config(
+            tmp_path,
+            name=f"sign{sign}.json",
+            geometry=DISK_MEDIUM,
+            params={"p": 2.0, "sigma": 5.0},
+            region=_half_disk_region_config(0.1),
+            tangent={"speeds": [[0.0, 1.0]]},
+            sign_convention=sign,
+        )
+        out = tmp_path / f"out{sign}"
+        assert run("shape-deriv", cfg, out) == 0
+        records[sign] = json.loads((out / "derivative_report.json").read_text())
+        records[sign].pop("timestamp")
+    plus, minus = records[1], records[-1]
+    assert minus["sign_consistent"] is True
+    assert minus["formula_value"] * minus["fd_value"] < 0
+    assert minus["relative_error"] <= 0.05
+    assert list(minus) == list(plus)
+    assert minus["formula_value"].hex() == (-plus["formula_value"]).hex()
+    assert json.dumps({**minus, "formula_value": plus["formula_value"]}) == json.dumps(plus)
 
 
 def test_shape_deriv_flags_and_fails_on_vertex_crossing_steps(tmp_path, capsys):
@@ -405,6 +467,29 @@ def test_symmetry_check_passes_where_the_delaunay_disk_failed(tmp_path):
     record = json.loads((out / "symmetry_report.json").read_text())
     assert record["passed"] is True
     assert record["lambda_relative_spread"] <= cli.SYMMETRY_LAMBDA_RTOL
+
+
+def test_symmetry_check_starts_from_the_seeded_random_densities(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 5.0},
+        mass=math.pi / 2,
+        solver={"seed": 7},
+    )
+    out = tmp_path / "out"
+    assert run("symmetry-check", cfg, out, "--jobs", "2") in (0, 2)
+    record = json.loads((out / "symmetry_report.json").read_text())
+    assert record["seeds"] == [7, 8, 9, 10, 11]
+    mesh = generate_disk(0.3)
+    params = ProblemParams(p=2.0, sigma=5.0)
+    expected = [
+        optimize_potential(
+            mesh, params, math.pi / 2, phi0=random_admissible(mesh, math.pi / 2, seed)
+        ).final_lambda
+        for seed in record["seeds"]
+    ]
+    assert [lam.hex() for lam in record["lambdas"]] == [lam.hex() for lam in expected]
 
 
 def test_symmetry_check_requires_disk_geometry(tmp_path):
@@ -874,6 +959,58 @@ def test_inner_solver_failure_is_a_numerical_exit(tmp_path):
         solver={"tol": 1e-14, "max_iters": 1},
     )
     assert run("optimize", cfg, tmp_path / "out") == 2
+
+
+SUPERLU_MALLOC = "SUPERLU_MALLOC fails for buf in intCalloc() at line 173 in file memory.c"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "resource error: out of memory"),
+        (RuntimeError(SUPERLU_MALLOC + "\n"), f"resource error: out of memory ({SUPERLU_MALLOC})"),
+    ],
+    ids=["memory-error", "superlu-malloc"],
+)
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("solve", {"potential": {"type": "constant", "value": 0.5}}),
+        ("sigma-sweep", {"mass": 1.0, "sigma_list": [1.0, 2.0]}),
+    ],
+    ids=["solve", "sigma-sweep"],
+)
+def test_out_of_memory_is_one_line_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command, extra, error, message
+):
+    # SuperLU reports a factorization that the address space cannot hold
+    # either as a bare MemoryError or as a RuntimeError naming the failed malloc
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(eigensolver.spla, "splu", no_memory)
+    cfg = write_config(tmp_path, geometry=DISK_COARSE, params={"p": 2.0, "sigma": 5.0}, **extra)
+    out = tmp_path / "out"
+    assert run(command, cfg, out, "--jobs", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_other_factorization_errors_are_not_memory_errors(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(eigensolver.spla, "splu", singular)
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 5.0},
+        potential={"type": "constant", "value": 0.5},
+    )
+    with pytest.raises(RuntimeError, match="^Factor is exactly singular$"):
+        run("solve", cfg, tmp_path / "out")
 
 
 def test_output_dir_from_config_is_created(tmp_path):

@@ -16,7 +16,6 @@ from steklov import (
     assemble_linear,
     assembly,
     boundary_operator,
-    eigenpair_to_json,
     generate_disk,
     generate_rectangle,
     random_admissible,
@@ -221,23 +220,25 @@ def test_non_convergence_is_reported(square_tiny):
     assert not pair.converged
 
 
-def test_eigenpair_json_round_trip(square_tiny):
-    phi = BoundaryDensity.constant(square_tiny, 0.0)
-    pair = solve_linear(square_tiny, phi, 0.0)
-    data = json.loads(json.dumps(eigenpair_to_json(pair)))
-    assert data["lambda"] == pair.lam
-    assert data["iterations"] == pair.iterations
-    assert data["residual"] == pair.residual
-    assert data["converged"] is pair.converged
-    assert np.array_equal(np.asarray(data["u"]), pair.u.values)
-    assert set(data) == {
-        "lambda",
-        "iterations",
-        "residual",
-        "converged",
-        "u",
+def test_eigenpair_json_round_trip(square_tiny, run_cli):
+    # solve's eigenpair record holds the library's pair bitwise, keys in order
+    code, out = run_cli(
+        "solve",
+        geometry={"type": "rectangle", "width": 1.0, "height": 1.0, "target_h": 0.34},
+        potential={"type": "constant", "value": 0.0},
+    )
+    assert code == 0
+    data = json.loads((out / "eigenpair.json").read_text())
+    assert data.pop("timestamp")
+    pair = solve_linear(square_tiny, BoundaryDensity.constant(square_tiny, 0.0), 0.0)
+    assert data == {
+        "lambda": pair.lam,
+        "iterations": pair.iterations,
+        "residual": pair.residual,
+        "converged": True,
+        "u": pair.u.values.tolist(),
     }
-
+    assert list(data) == ["lambda", "iterations", "residual", "converged", "u"]
 
 # ------------------------------------------------- p = 2 Krylov-Ritz driver
 #
@@ -598,8 +599,7 @@ def _warm_started_p3_optimize(mesh, monkeypatch):
         mesh,
         ProblemParams(p=3.0, sigma=5.0),
         math.pi / 2,
-        opts=SolverOptions(seed=3),
-        phi0="random",
+        phi0=random_admissible(mesh, math.pi / 2, 3),
     )
     assert trace.converged
     return tuple(lam.hex() for lam in trace.lambdas), inner

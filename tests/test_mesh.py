@@ -279,9 +279,11 @@ def test_mesh_invariants(make):
     assert mesh.cum_arclength[0] == 0.0
     assert np.all(np.diff(mesh.cum_arclength) > 0)
 
-    # outward normals: unit length, pointing away from the adjacent interior
-    norms = np.hypot(mesh.outward_normals[:, 0], mesh.outward_normals[:, 1])
-    assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    # the loop runs counterclockwise around the whole domain: the shoelace
+    # area of the boundary polygon is the total triangle area
+    x, y = mesh.vertices[loop].transpose(2, 0, 1)
+    shoelace = 0.5 * np.sum(x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0])
+    assert shoelace == pytest.approx(areas.sum(), rel=1e-12)
 
 
 def test_mesh_arrays_are_immutable(disk_coarse):
@@ -470,29 +472,28 @@ def _reference_boundary_loop(triangles):
             directed[key] = t
 
     boundary = {}
-    for (i, j), t in directed.items():
+    for i, j in directed:
         if (j, i) not in directed:
             if i in boundary:
                 raise MeshTopologyError(
                     f"vertex {i} has two outgoing boundary edges (non-manifold pinch)"
                 )
-            boundary[i] = (j, t)
+            boundary[i] = j
     if not boundary:
         raise MeshTopologyError("mesh has no boundary")
 
     start = min(boundary)
-    loop, edge_tri = [], []
+    loop = []
     v = start
     for _ in range(len(boundary)):
-        w, t = boundary[v]
+        w = boundary[v]
         loop.append((v, w))
-        edge_tri.append(t)
         v = w
         if v == start:
             break
     if len(loop) != len(boundary):
         raise MeshTopologyError("boundary has multiple loops")
-    return np.asarray(loop, dtype=np.int64), np.asarray(edge_tri, dtype=np.int64)
+    return np.asarray(loop, dtype=np.int64)
 
 
 def _reference_rectangle_triangles(nx, ny):
@@ -521,15 +522,12 @@ def _assert_same_construction(mesh, build, monkeypatch):
         "boundary_loop",
         "edge_lengths",
         "cum_arclength",
-        "outward_normals",
     ):
         assert _same_bits(getattr(mesh, name), getattr(reference, name)), name
     assert mesh.perimeter == reference.perimeter
     assert mesh.diagnostics == reference.diagnostics
-    loop, edge_tri = mesh_module._extract_boundary_loop(mesh.triangles)
-    ref_loop, ref_edge_tri = _reference_boundary_loop(mesh.triangles)
-    assert _same_bits(loop, ref_loop)
-    assert _same_bits(edge_tri, ref_edge_tri)
+    loop = mesh_module._extract_boundary_loop(mesh.triangles)
+    assert _same_bits(loop, _reference_boundary_loop(mesh.triangles))
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3, 0.1, 0.05, 0.0125])

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from steklov import (
     arc_defect,
     bathtub,
     bathtub_objective,
-    binarize,
     cap_indicator,
     energy,
     generate_disk,
@@ -25,7 +25,6 @@ from steklov import (
     rasterize_region,
     solve_linear,
     support_region,
-    trace_to_json,
 )
 from test_boundary_operator import l_shape
 
@@ -220,14 +219,6 @@ def test_cap_indicator_requires_disk(square_tiny):
         cap_indicator(square_tiny, 0.0, 1.0)
 
 
-def test_binarize_thresholds_at_half(disk_coarse):
-    vals = np.zeros(disk_coarse.n_boundary_edges)
-    vals[:4] = [0.2, 0.5, 0.9, 0.49999]
-    out = binarize(disk_coarse, BoundaryDensity.of(disk_coarse, vals))
-    assert list(out.edge_values[:4]) == [0.0, 1.0, 1.0, 0.0]
-    assert set(np.unique(out.edge_values)) <= {0.0, 1.0}
-
-
 def test_support_region_threshold_semantics(octagon_boundary_mesh):
     mesh = octagon_boundary_mesh
     vals = np.zeros(mesh.n_boundary_edges)
@@ -363,7 +354,7 @@ def test_optimize_random_starts_reach_fixed_points(disk_coarse):
     a = math.pi / 2
     for seed in (0, 1):
         trace = optimize_potential(
-            disk_coarse, params, a, opts=SolverOptions(seed=seed), phi0="random"
+            disk_coarse, params, a, phi0=random_admissible(disk_coarse, a, seed)
         )
         lams = trace.lambdas
         assert all(b <= a0 * (1 + 1e-10) for a0, b in zip(lams, lams[1:]))
@@ -406,8 +397,8 @@ def test_optimize_stops_on_the_eigenvalue_tolerance(disk_fine):
     # from this start lambda drops by 18 % and then by 2 %, so a 20 % tolerance
     # stops the run one refill before its fixed point
     params = ProblemParams(p=2.0, sigma=5.0)
-    opts = SolverOptions(seed=1)
-    run = functools.partial(optimize_potential, disk_fine, params, math.pi / 2, opts, "random")
+    phi0 = random_admissible(disk_fine, math.pi / 2, 1)
+    run = functools.partial(optimize_potential, disk_fine, params, math.pi / 2, phi0=phi0)
     full = run()
     assert full.converged
     assert full.outer_iterations == 4
@@ -455,8 +446,7 @@ def _two_arc_run(mesh, seed):
         mesh,
         ProblemParams(p=2.0, sigma=5.0),
         math.pi / 2,
-        opts=SolverOptions(seed=seed),
-        phi0="random",
+        phi0=random_admissible(mesh, math.pi / 2, seed),
     )
 
 
@@ -527,9 +517,33 @@ def test_a_window_that_does_not_lower_lambda_leaves_the_trace_unchanged(
 # ------------------------------------------------------------- trace files
 
 
-def test_trace_serialization_round_trip(disk_coarse):
+def test_trace_serialization_round_trip(disk_coarse, run_cli):
+    # optimize's trace and final density records hold the library's run bitwise
     params = ProblemParams(p=2.0, sigma=5.0)
-    trace = optimize_potential(disk_coarse, params, 1.0, max_outer=5)
-    rows = trace_to_json(trace)
-    assert [r["iter"] for r in rows] == list(range(len(trace.lambdas)))
-    assert [r["lambda"] for r in rows] == trace.lambdas
+    phi0 = random_admissible(disk_coarse, 1.0, 3)
+    trace = optimize_potential(disk_coarse, params, 1.0, phi0=phi0, max_outer=5)
+    assert trace.outer_iterations > 1
+    code, out = run_cli(
+        "optimize",
+        geometry={"type": "disk", "h": 0.3},
+        params={"p": 2.0, "sigma": 5.0},
+        mass=1.0,
+        potential={"type": "random", "seed": 3, "mass": 1.0},
+        max_outer=5,
+    )
+    assert code == (0 if trace.converged else 2)
+    rows = json.loads((out / "trace.json").read_text())
+    assert rows == [
+        {"iter": k, "lambda": lam, "level": level, "mass": phi.mass}
+        for k, (lam, level, phi) in enumerate(
+            zip(trace.lambdas, trace.levels, trace.potentials, strict=True)
+        )
+    ]
+    assert all(list(row) == ["iter", "lambda", "level", "mass"] for row in rows)
+    density = json.loads((out / "final_potential.json").read_text())
+    assert density == {"edge_values": trace.final_potential.edge_values.tolist()}
+
+
+def test_optimize_takes_a_density_or_none_as_its_start(disk_coarse):
+    with pytest.raises(TypeError, match="^phi0 must be a BoundaryDensity or None, got 'random'$"):
+        optimize_potential(disk_coarse, ProblemParams(p=2.0, sigma=5.0), 1.0, phi0="random")

@@ -89,8 +89,11 @@ def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
     assert float(resid) <= 1e-9
 
 
-def _fake_tree(root, code, csv_text):
-    """A source tree whose ``steklov.cli.main`` writes fixed outputs and returns ``code``."""
+def _fake_tree(root, code, csv_text, keys=("lambda", "iterations", "residual")):
+    """A source tree whose ``steklov.cli.main`` writes fixed outputs and returns ``code``.
+
+    ``keys`` is the order of the eigenpair record's keys.
+    """
     package = root / "src" / "steklov"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -100,8 +103,9 @@ def _fake_tree(root, code, csv_text):
         "def main(argv):\n"
         "    out = Path(argv[argv.index('--out') + 1])\n"
         "    out.mkdir(parents=True)\n"
-        "    record = {'lambda': 1.5, 'iterations': 3, 'residual': 0.25,\n"
-        "              'timestamp': time.time_ns()}\n"
+        "    values = {'lambda': 1.5, 'iterations': 3, 'residual': 0.25}\n"
+        f"    record = {{key: values[key] for key in {list(keys)!r}}}\n"
+        "    record['timestamp'] = time.time_ns()\n"
         "    (out / 'eigenpair.json').write_text(json.dumps(record))\n"
         f"    (out / 'trace.csv').write_text({csv_text!r})\n"
         f"    return {code}\n"
@@ -125,6 +129,18 @@ def test_compare_ops_lists_differing_files_apart_from_timestamps(tmp_path):
     for row in rows:
         assert "exit 0/0  lambda 1.5/1.5  iters 3/3  resid 0.25/0.25  differ: trace.csv" in row
     assert total == "22 ops: 0 with different exit codes, 22 with different output files"
+
+
+def test_compare_ops_reports_a_change_of_key_order(tmp_path):
+    old = _fake_tree(tmp_path / "a", 0, "a\n")
+    new = _fake_tree(tmp_path / "b", 0, "a\n", keys=("residual", "lambda", "iterations"))
+    proc = _compare(old, new, passes=1)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = proc.stdout.splitlines()
+    assert len(rows) == 11
+    for row in rows:
+        assert "exit 0/0  lambda 1.5/1.5  iters 3/3  resid 0.25/0.25  differ: eigenpair.json" in row
+    assert total == "11 ops: 0 with different exit codes, 11 with different output files"
 
 
 def test_compare_ops_fails_when_an_exit_code_differs(tmp_path):

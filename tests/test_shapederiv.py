@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from steklov import (
     TangentField,
     perturb_region,
     rasterize_region,
-    report_to_json,
     shape_derivative_fd,
     shape_derivative_formula,
     solve_linear,
@@ -71,18 +71,6 @@ def test_translation_cancels_on_symmetric_configuration(half_disk_setup):
     slide = _slide(region)
     s_slide = shape_derivative_formula(mesh, pair, region, slide, params)
     assert abs(s_slide) <= 1e-3 * abs(s_single)
-
-
-def test_sign_convention_flips_the_value(half_disk_setup):
-    mesh, region, params, pair = half_disk_setup
-    v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
-    plus = shape_derivative_formula(mesh, pair, region, v, params)
-    minus = shape_derivative_formula(
-        mesh, pair, region, v, params, sign_convention=-1.0
-    )
-    assert minus == -plus
-    with pytest.raises(ValueError):
-        shape_derivative_formula(mesh, pair, region, v, params, sign_convention=0.5)
 
 
 def test_formula_rejects_mismatched_inputs(half_disk_setup, disk_coarse):
@@ -176,17 +164,6 @@ def test_fd_report_on_midedge_half_disk(half_disk_setup):
     assert isinstance(rep.fd_value, float)
 
 
-def test_fd_report_agrees_under_either_sign_convention(half_disk_setup):
-    mesh, region, params, _ = half_disk_setup
-    v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
-    plus = shape_derivative_fd(mesh, region, v, params)
-    minus = shape_derivative_fd(mesh, region, v, params, sign_convention=-1.0)
-    assert minus.formula_value == -plus.formula_value
-    assert (minus.fd_value, minus.fd_table) == (plus.fd_value, plus.fd_table)
-    assert minus.relative_error == plus.relative_error <= 0.05
-    assert plus.sign_consistent and minus.sign_consistent
-
-
 def test_fd_flags_vertex_crossings_for_large_steps(half_disk_setup):
     mesh, region, params, _ = half_disk_setup
     v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
@@ -219,18 +196,36 @@ def test_fd_descent_branch_keeps_the_sign(disk_coarse):
     assert rep.relative_error <= 0.25  # coarse mesh, loose agreement only
 
 
-def test_report_json_layout(half_disk_setup):
+def test_report_json_layout(half_disk_setup, run_cli):
+    # shape-deriv's record holds the library's report bitwise, keys in order
     mesh, region, params, _ = half_disk_setup
     v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
     rep = shape_derivative_fd(mesh, region, v, params)
-    data = report_to_json(rep)
-    assert set(data) == {
+    (start, length), = region.arcs
+    code, out = run_cli(
+        "shape-deriv",
+        geometry={"type": "disk", "h": 0.1},
+        params={"p": params.p, "sigma": params.sigma},
+        region={"intervals": [[start, (start + length) % region.perimeter]]},
+        tangent={"speeds": [[0.0, 1.0]]},
+    )
+    assert code == 0
+    data = json.loads((out / "derivative_report.json").read_text())
+    assert data.pop("timestamp")
+    assert data == {
+        "formula_value": rep.formula_value,
+        "fd_value": rep.fd_value,
+        "fd_table": [{"t": t, "diff": d} for t, d in rep.fd_table],
+        "sign_consistent": True,
+        "relative_error": rep.relative_error,
+        "vertex_crossings": False,
+    }
+    assert list(data) == [
         "formula_value",
         "fd_value",
         "fd_table",
         "sign_consistent",
         "relative_error",
         "vertex_crossings",
-    }
+    ]
     assert [row["t"] for row in data["fd_table"]] == [1e-2, 5e-3, 2.5e-3]
-    assert all(isinstance(row["diff"], float) for row in data["fd_table"])
