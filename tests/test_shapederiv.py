@@ -35,6 +35,25 @@ def _slide(region):
     return TangentField(region, tuple((1.0, 1.0) for _ in region.arcs))
 
 
+def _shape_deriv_record(run_cli, region, params, **config):
+    """Run ``shape-deriv`` on the half-disk setup; exit code and record."""
+    (start, length), = region.arcs
+    code, out = run_cli(
+        "shape-deriv",
+        geometry={"type": "disk", "h": 0.1},
+        params={"p": params.p, "sigma": params.sigma},
+        region={"intervals": [[start, (start + length) % region.perimeter]]},
+        tangent={"speeds": [[0.0, 1.0]]},
+        **config,
+    )
+    path = out / "derivative_report.json"
+    if not path.exists():
+        return code, None
+    data = json.loads(path.read_text())
+    data.pop("timestamp")
+    return code, data
+
+
 # ------------------------------------------------------- closed-form value
 
 
@@ -71,6 +90,19 @@ def test_translation_cancels_on_symmetric_configuration(half_disk_setup):
     slide = _slide(region)
     s_slide = shape_derivative_formula(mesh, pair, region, slide, params)
     assert abs(s_slide) <= 1e-3 * abs(s_single)
+
+
+def test_sign_convention_flips_the_value(half_disk_setup, run_cli):
+    # the library's value is the +1 convention; the CLI negates it for -1
+    mesh, region, params, _ = half_disk_setup
+    v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
+    value = shape_derivative_fd(mesh, region, v, params).formula_value
+    _, plus = _shape_deriv_record(run_cli, region, params, sign_convention=1)
+    _, minus = _shape_deriv_record(run_cli, region, params, sign_convention=-1)
+    assert plus["formula_value"].hex() == value.hex()
+    assert minus["formula_value"].hex() == (-value).hex()
+    code, record = _shape_deriv_record(run_cli, region, params, sign_convention=0.5)
+    assert code == 1 and record is None
 
 
 def test_formula_rejects_mismatched_inputs(half_disk_setup, disk_coarse):
@@ -162,6 +194,19 @@ def test_fd_report_on_midedge_half_disk(half_disk_setup):
     assert 3.0 < ratio < 5.0  # central differences converge at second order
     assert isinstance(rep.formula_value, float)
     assert isinstance(rep.fd_value, float)
+
+
+def test_fd_report_agrees_under_either_sign_convention(half_disk_setup, run_cli):
+    mesh, region, params, _ = half_disk_setup
+    v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
+    rep = shape_derivative_fd(mesh, region, v, params)
+    _, plus = _shape_deriv_record(run_cli, region, params, sign_convention=1)
+    _, minus = _shape_deriv_record(run_cli, region, params, sign_convention=-1)
+    assert minus["formula_value"] == -plus["formula_value"] == -rep.formula_value
+    assert (minus["fd_value"], minus["fd_table"]) == (plus["fd_value"], plus["fd_table"])
+    assert plus["fd_table"] == [{"t": t, "diff": d} for t, d in rep.fd_table]
+    assert minus["relative_error"] == plus["relative_error"] == rep.relative_error <= 0.05
+    assert plus["sign_consistent"] and minus["sign_consistent"]
 
 
 def test_fd_flags_vertex_crossings_for_large_steps(half_disk_setup):
