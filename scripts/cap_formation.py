@@ -45,7 +45,7 @@ def main():
 
     # pin the support of the strongest-coupling optimum (fractional edges
     # included, so the soft densities are dominated by the indicator)
-    region = support_region(mesh, traces[-1].final_potential, threshold=0.0)
+    region = support_region(mesh, traces[-1].final_potential)
     reference = solve_dirichlet(mesh, region, params)
     print(
         f"pinned reference on the final support "

@@ -260,6 +260,8 @@ def _load_density(mesh: Mesh, path: Path) -> BoundaryDensity:
         data = json.load(fh)
     if not isinstance(data, dict) or "edge_values" not in data:
         raise ValueError(f"{path}: expected a JSON object with an 'edge_values' key")
+    if not _is_number_list(data["edge_values"]):
+        raise ConfigError(f"{path}: 'edge_values' must be a list of numbers")
     return BoundaryDensity.of(mesh, np.asarray(data["edge_values"], dtype=np.float64))
 
 
@@ -534,7 +536,7 @@ def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
     # fractional end edges included -- so that the final potential is
     # dominated by the region's indicator and the hard-constraint eigenvalue
     # is a true upper bound for every coupling in the sweep.
-    e_ref = support_region(mesh, traces[-1].final_potential, threshold=0.0)
+    e_ref = support_region(mesh, traces[-1].final_potential)
     ref_pair = solve_dirichlet(mesh, e_ref, params)
 
     rows = [

@@ -16,9 +16,8 @@ core: ``solve_dirichlet`` pins the trace to zero on its region and drops
 phi and sigma, ``solve_linear`` pins nothing.  Every solve builds one
 vertex mask ``pinned`` (all False for ``solve_linear`` and
 ``solve_nonlinear``) and hands it unchanged to the p = 2 core or, for
-p != 2, to the descent, which slices its matrix only when the mask is
-not empty.  The p = 2 core runs the Krylov-Ritz driver on one of two
-routes with the same iterates:
+p != 2, to the descent.  The p = 2 core runs the Krylov-Ritz driver on one
+of two routes with the same iterates:
 
 - plain: a sparse LU of A for every solve, restricted to the unpinned
   vertices and taken in the nested-dissection order of all vertices
@@ -63,15 +62,17 @@ slope ``g^T z`` and the BB step is ``s^T M s / s^T y``.  The iteration
 count stays flat under mesh refinement, where Euclidean gradient steps
 needed about h^-2 iterations.  M is refactored by
 ``splu`` every ``_METRIC_REFRESH`` accepted steps on a sparsity pattern
-built once per solve (:class:`~steklov.assembly.WeightedStiffness`); a
-pinned solve factors the principal submatrix on its free vertices, so the
-pinned values of every direction are exactly 0.  The energy, the gradient,
-the projection and the stopping test are those of a Euclidean-step descent,
-so the metric changes the path to the fixed point, not the fixed point or
-the meaning of ``converged``.  A solve whose R has dropped by at most
-``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps while the
-gradient test fails stops unconverged (``stop = "stall"``); p = 1.2 ends
-this way or on a failed line search, at ``|E' - lambda B'| / |E'| <= 1.3e-5``.
+built once per solve (:class:`~steklov.assembly.WeightedStiffness`) and
+restricted to the unpinned vertices, so the pinned values of every
+direction are exactly 0.  The energy, the gradient, the projection and
+the stopping test are those of a Euclidean-step descent, so the metric
+changes the path to the fixed point, not the fixed point or the meaning of
+``converged``.  A line search ends unaccepted once
+``u - a z`` rounds to u (``stop = "line_search"``), and a solve whose R has
+dropped by at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS``
+accepted steps while the gradient test fails stops unconverged
+(``stop = "stall"``); p = 1.2 ends on the first, at
+``|E' - lambda B'| / |E'| <= 1.3e-5``.
 
 The energy, its gradient and the boundary p-power come from one
 :class:`~steklov.assembly.EnergyKernel` per solve.  Per trial field it
@@ -524,7 +525,6 @@ class _ReweightedMetric:
         mesh = kernel.mesh
         self._kernel = kernel
         self._p = kernel.p
-        self._sliced = bool(pinned.any())
         self._free = np.flatnonzero(~pinned)
         self._stiffness = assembly.WeightedStiffness(mesh)
         self._mass = kernel.weights + assembly.geometry(mesh).boundary_weights
@@ -540,10 +540,8 @@ class _ReweightedMetric:
         matrix = self._stiffness.matrix(
             _reweighting(gx * gx + gy * gy, self._p), self._mass * _reweighting(u * u, self._p)
         )
-        if self._sliced:
-            matrix = matrix[self._free][:, self._free]
-        self._matrix = matrix
-        self._lu = _splu(matrix.tocsc())
+        self._matrix = matrix[self._free][:, self._free]
+        self._lu = _splu(self._matrix.tocsc())
         self.factorizations += 1
 
     def direction(self, g):
@@ -579,11 +577,11 @@ def _descent(mesh, phi, params, opts, u0, pinned):
     - ``method``: ``"reweighted_descent"``;
     - ``grad_norm``: the Euclidean norm of the final gradient;
     - ``stop``: why the loop ended, one of ``"tolerance"`` (the stopping
-      test holds), ``"line_search"`` (no step along -M^-1 g decreases R;
-      converged only if the gradient test holds), ``"stall"`` (R dropped by
-      at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted
-      steps while the gradient test fails; not converged) or
-      ``"max_iters"``;
+      test holds), ``"line_search"`` (the halved steps along -M^-1 g fail
+      the Armijo test until ``u - a z`` rounds to u bitwise; converged only
+      if the gradient test holds), ``"stall"`` (R dropped by at most
+      ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps
+      while the gradient test fails; not converged) or ``"max_iters"``;
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
 
@@ -648,8 +646,10 @@ def _descent(mesh, phi, params, opts, u0, pinned):
         a = alpha
         slope = float(g @ z)
         accepted = False
-        while a > 1e-18:
+        while a > 0.0:
             v = u - a * z
+            if np.array_equal(v, u):
+                break
             nv = boundary_p_norm(mesh, v, p)
             if nv > 0.0:
                 v = v / nv
@@ -660,7 +660,7 @@ def _descent(mesh, phi, params, opts, u0, pinned):
             a *= _ARMIJO_BACKTRACK
             backtracks += 1
         if not accepted:
-            # Step underflow: the quotient cannot be decreased along -M^-1 g.
+            # Every step that still moves u fails the Armijo test.
             converged = small(gnorm, R)
             stop = "line_search"
             break

@@ -28,6 +28,9 @@ from .errors import MeshParseError, MeshResourceError, MeshTopologyError
 # Refuse disk/rectangle resolutions that would allocate more vertices than this.
 _MAX_GENERATED_VERTICES = 5_000_000
 
+# A closed region holds every arc coordinate within this of an endpoint.
+_CLOSED_SLACK = 1e-12
+
 
 class Mesh:
     """Immutable triangle mesh of a simply connected planar domain.
@@ -498,26 +501,24 @@ class RegionSpec:
             s1 = arcs[(k + 1) % len(arcs)][0] + (perimeter if k + 1 == len(arcs) else 0.0)
             if len(arcs) > 1 and s0 + l0 > s1:
                 raise ValueError("arcs overlap")
-            if len(arcs) == 1 and l0 > perimeter:
-                raise ValueError("arc longer than the boundary")
         return RegionSpec(arcs=tuple(arcs), perimeter=float(perimeter))
 
     @property
     def total_mass(self):
         return float(sum(length for _, length in self.arcs))
 
-    def contains(self, s, closed=False, tol=1e-12):
+    def contains(self, s, closed=False):
         """Membership of an arc coordinate; ``closed`` includes both endpoints."""
         s = s % self.perimeter
         for start, length in self.arcs:
             d = (s - start) % self.perimeter
             if d < length:
                 return True
-            if closed and (d <= length + tol or d >= self.perimeter - tol):
+            if closed and (d <= length + _CLOSED_SLACK or d >= self.perimeter - _CLOSED_SLACK):
                 return True
         return False
 
-    def contains_array(self, s, closed=False, tol=1e-12):
+    def contains_array(self, s, closed=False):
         """:meth:`contains` for every entry of an array of arc coordinates."""
         s = np.asarray(s, dtype=np.float64) % self.perimeter
         if not self.arcs:
@@ -526,5 +527,5 @@ class RegionSpec:
         d = (s[..., None] - starts) % self.perimeter
         inside = d < lengths
         if closed:
-            inside |= (d <= lengths + tol) | (d >= self.perimeter - tol)
+            inside |= (d <= lengths + _CLOSED_SLACK) | (d >= self.perimeter - _CLOSED_SLACK)
         return inside.any(axis=-1)

@@ -44,12 +44,25 @@ def rasterize_region(mesh, region):
     return BoundaryDensity.of(mesh, np.minimum(vals, 1.0))
 
 
+def _single_arc(mesh, start, mass):
+    """The arc ``[start, start + mass)``, ``mass > 0``, as ``(RegionSpec, BoundaryDensity)``.
+
+    The density rasterizes the arc, with fractional end edges, and is
+    exactly 1 from the full perimeter up.
+    """
+    P = mesh.perimeter
+    if mass >= P:
+        return RegionSpec(((start, P),), P), BoundaryDensity.constant(mesh, 1.0)
+    region = RegionSpec.from_intervals([(start, start + mass)], P)
+    return region, rasterize_region(mesh, region)
+
+
 def cap_indicator(mesh, center_angle, mass):
     """Single boundary arc of the given mass centered at polar angle ``center_angle``.
 
     Only meaningful on generator-tagged disk meshes, where arc length and
     polar angle are proportional.  Returns ``(RegionSpec, BoundaryDensity)``
-    with fractional end edges so the density mass is matched exactly.
+    as :func:`_single_arc` builds them.
     """
     if mesh.kind != "disk":
         raise ValueError(f"cap_indicator requires a disk mesh, got kind={mesh.kind!r}")
@@ -59,12 +72,7 @@ def cap_indicator(mesh, center_angle, mass):
     if not (0.0 < mass <= P):
         raise ValueError(f"cap mass must lie in (0, perimeter], got {mass}")
     center_s = (center_angle % (2.0 * math.pi)) / (2.0 * math.pi) * P
-    start = (center_s - 0.5 * mass) % P
-    if mass == P:
-        region = RegionSpec(arcs=((start, P),), perimeter=P)
-    else:
-        region = RegionSpec.from_intervals([(start, start + mass)], P)
-    return region, rasterize_region(mesh, region)
+    return _single_arc(mesh, (center_s - 0.5 * mass) % P, mass)
 
 
 def _check_mass(mesh, mass):
@@ -143,13 +151,13 @@ def random_admissible(mesh, mass, seed):
     return BoundaryDensity.of(mesh, np.clip(vals, 0.0, 1.0))
 
 
-def support_region(mesh, phi, threshold=0.5):
-    """Arcs spanned by maximal runs of edges with ``phi_e > threshold``.
+def support_region(mesh, phi):
+    """The support of the density: arcs of maximal runs of edges with ``phi_e > 0``.
 
-    ``threshold=0.0`` yields the support of the density, fractional edges
-    included.
+    Fractional edges are included, so the support's indicator dominates the
+    density edgewise.
     """
-    mask = phi.edge_values > threshold
+    mask = phi.edge_values > 0.0
     P = mesh.perimeter
     if not mask.any():
         return RegionSpec(arcs=(), perimeter=P)
@@ -213,20 +221,22 @@ def arc_defect(mesh, phi):
 def _window_density(mesh, phi):
     """The single arc of mass ``mass(phi)`` on :func:`_best_window`'s window."""
     alpha, _ = _best_window(mesh, phi)
-    region = RegionSpec.from_intervals([(alpha, alpha + phi.mass)], mesh.perimeter)
-    return rasterize_region(mesh, region)
+    return _single_arc(mesh, alpha, phi.mass)[1]
 
 
 @dataclass
 class OptimizationTrace:
-    """History of one alternating optimize run."""
+    """History of one alternating optimize run, one entry per outer iteration."""
 
     lambdas: list
     potentials: list
     levels: list
     converged: bool
-    outer_iterations: int
     diagnostics: dict = dc_field(default_factory=dict)
+
+    @property
+    def outer_iterations(self):
+        return len(self.lambdas)
 
     @property
     def final_potential(self):
@@ -243,12 +253,9 @@ def _initial_density(mesh, mass, phi0):
         return phi0
     if phi0 is not None:
         raise TypeError(f"phi0 must be a BoundaryDensity or None, got {phi0!r}")
-    P = mesh.perimeter
     if mass == 0.0:
         return BoundaryDensity.of(mesh, np.zeros(mesh.n_boundary_edges))
-    if mass >= P:
-        return BoundaryDensity.constant(mesh, 1.0)
-    return rasterize_region(mesh, RegionSpec.from_intervals([(0.0, mass)], P))
+    return _single_arc(mesh, 0.0, mass)[1]
 
 
 def optimize_potential(
@@ -325,7 +332,7 @@ def optimize_potential(
 
         delta = np.abs(new_phi.edge_values - phi.edge_values)
         if float(delta.max(initial=0.0)) <= 1e-12:
-            if len(support_region(mesh, phi, threshold=0.0).arcs) > 1:
+            if len(support_region(mesh, phi).arcs) > 1:
                 window = _window_density(mesh, phi)
                 trial = solve(window, eig.u, k + 1)
                 if trial.lam < eig.lam:
@@ -356,6 +363,5 @@ def optimize_potential(
         potentials=potentials,
         levels=levels,
         converged=converged,
-        outer_iterations=len(lambdas),
         diagnostics=diagnostics,
     )

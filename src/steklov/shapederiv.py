@@ -213,20 +213,10 @@ def perturb_region(
         return region
 
     period = region.perimeter
-    # Unwrap all endpoints into one increasing sequence starting at the
-    # first arc's begin, so cyclic order is an ordinary monotonicity check.
-    positions: list[float] = []
-    base = region.arcs[0][0]
-    offset = 0.0
-    prev = -math.inf
-    for start, length in region.arcs:
-        begin = base + ((start - base) % period) + offset
-        if begin < prev:
-            offset += period
-            begin += period
-        end = begin + length
-        positions.extend((begin, end))
-        prev = end
+    # The arcs are sorted by start and disjoint, so their endpoints already
+    # form one increasing sequence from the first arc's begin, and cyclic
+    # order is an ordinary monotonicity check.
+    positions = [q for start, length in region.arcs for q in (start, start + length)]
     speeds = [v for pair_ in tangent.speeds for v in pair_]
 
     moved = [q + t * v for q, v in zip(positions, speeds)]

@@ -282,7 +282,7 @@ def test_soft_potentials_stay_below_the_pinned_limit(capfd):
     ]
     lams = [tr.final_lambda for tr in traces]
 
-    region = support_region(mesh, traces[-1].final_potential, threshold=0.0)
+    region = support_region(mesh, traces[-1].final_potential)
     indicator = rasterize_region(mesh, region)
     # the pinned region dominates the optimizer's density edge by edge
     assert np.all(

@@ -179,8 +179,21 @@ def test_solve_reads_the_final_potential_of_an_optimize_run(tmp_path):
         ({"values": [0.5]}, "{path}: expected a JSON object with an 'edge_values' key"),
         ({"edge_values": [0.5]}, "density has (1,) values, boundary has {edges} edges"),
         ({"edge_values": [1.5] * 22}, "density values must lie in [0, 1]"),
+        ({"edge_values": {"a": 1}}, "{path}: 'edge_values' must be a list of numbers"),
+        ({"edge_values": [[0.5]] * 22}, "{path}: 'edge_values' must be a list of numbers"),
+        ({"edge_values": "0.5"}, "{path}: 'edge_values' must be a list of numbers"),
+        ({"edge_values": [True] * 22}, "{path}: 'edge_values' must be a list of numbers"),
     ],
-    ids=["not-an-object", "no-edge-values", "wrong-length", "out-of-range"],
+    ids=[
+        "not-an-object",
+        "no-edge-values",
+        "wrong-length",
+        "out-of-range",
+        "values-an-object",
+        "values-nested",
+        "values-a-string",
+        "values-booleans",
+    ],
 )
 def test_file_potential_errors_are_config_errors(tmp_path, capsys, content, message):
     path = tmp_path / "phi.json"
@@ -196,6 +209,7 @@ def test_file_potential_errors_are_config_errors(tmp_path, capsys, content, mess
     assert edges == 22
     expected = message.format(path=path, edges=edges)
     assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------- optimize
@@ -244,7 +258,7 @@ def test_optimize_binarize_rounds_each_edge_at_one_half(tmp_path, monkeypatch):
     vals = np.zeros(mesh.n_boundary_edges)
     vals[:4] = [0.2, 0.5, 0.9, 0.49999]
     phi = BoundaryDensity.of(mesh, vals)
-    trace = OptimizationTrace([1.0], [phi], [0.0], converged=True, outer_iterations=1)
+    trace = OptimizationTrace([1.0], [phi], [0.0], converged=True)
     monkeypatch.setattr(cli, "optimize_potential", lambda *args, **kwargs: trace)
     cfg = write_config(
         tmp_path, geometry=DISK_COARSE, params={"p": 2.0, "sigma": 5.0}, mass=phi.mass
@@ -782,6 +796,18 @@ CONFIG_ERRORS = {
         {"region": {"intervals": []}},
         "region 'intervals' must be a non-empty list",
     ),
+    "interval-not-a-pair": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"region": {"intervals": [[0.5, 2.0, 3.0]]}},
+        "each region interval must be a [s_begin, s_end] number pair",
+    ),
+    "speed-not-a-pair": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"tangent": {"speeds": [["0", 1.0]]}},
+        "each tangent speed entry must be a [v_begin, v_end] pair",
+    ),
     "speed-count": (
         "shape-deriv",
         SHAPE_CONFIG,
@@ -1011,6 +1037,22 @@ def test_other_factorization_errors_are_not_memory_errors(tmp_path, monkeypatch)
     )
     with pytest.raises(RuntimeError, match="^Factor is exactly singular$"):
         run("solve", cfg, tmp_path / "out")
+
+
+def test_a_failed_rename_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    # the temp file is removed when the rename onto the output path fails
+    def no_rename(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", no_rename)
+    cfg = write_config(tmp_path, **SOLVE_CONFIG)
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: cannot rename ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_output_dir_from_config_is_created(tmp_path):

@@ -636,6 +636,9 @@ GATE_SIZES = (0.1, 0.07, 0.05)
 # p = 1.2, where it did not converge.
 EUCLIDEAN_P12_LAMBDA = {0.1: 1.0990335107452576, 0.07: 1.0993644621843688}
 
+# lambda of the reweighted descent at p = 1.2 on generate_disk(0.07), as float hex.
+P12_LAMBDA_H007 = "0x1.196c62f754603p+0"
+
 DESCENT_DIAGNOSTICS = {"method", "grad_norm", "stop", "metric_factorizations", "backtracks"}
 
 
@@ -674,6 +677,29 @@ def test_p12_descent_stops_early_below_the_euclidean_value(gate_disks, h):
     grad_e = assembly.energy_gradient(mesh, pair.u, BoundaryDensity.constant(mesh, 0.3), params)
     residual = grad_e - pair.lam * assembly.boundary_power_gradient(mesh, pair.u, params.p)
     assert np.linalg.norm(residual) <= 1e-4 * np.linalg.norm(grad_e)
+
+
+def test_p12_descent_never_takes_two_gradients_at_one_field(gate_disks, monkeypatch):
+    # Near the rounding floor the line search halves the step until u - a z
+    # rounds to u; that trial ends the search unaccepted, so every accepted
+    # step moves u and no gradient is taken twice at the same field.
+    fields, last = [], []
+    evaluate, gradient = assembly.EnergyKernel.evaluate, assembly.EnergyKernel.gradient
+
+    def recording_evaluate(self, vals):
+        last[:] = [vals.copy()]
+        return evaluate(self, vals)
+
+    def recording_gradient(self, r=None):
+        fields.append(last[0])
+        return gradient(self, r)
+
+    monkeypatch.setattr(assembly.EnergyKernel, "evaluate", recording_evaluate)
+    monkeypatch.setattr(assembly.EnergyKernel, "gradient", recording_gradient)
+    pair = _gate_solve(gate_disks[0.07], 1.2)
+    assert pair.lam.hex() == P12_LAMBDA_H007
+    assert not any(np.array_equal(a, b) for a, b in zip(fields, fields[1:]))
+    assert pair.diagnostics["stop"] == "line_search"
 
 
 def test_stalled_descent_stops_unconverged(disk_regression, monkeypatch):

@@ -371,6 +371,13 @@ PARSE_ERRORS = {
     "triangle-row": ("0 1 2", "0 1", "line 7: expected 'i j k', got '0 1'"),
     "index": ("0 1 2", "0 1 x", "line 7: bad index in '0 1 x'"),
     "end": ("triangles 1", "triangles 2", "unexpected end of mesh text"),
+    "end-before-triangles": ("triangles 1\n0 1 2\n", "", "unexpected end of mesh text"),
+    "end-in-vertices": ("0 1\ntriangles 1\n0 1 2\n", "", "unexpected end of mesh text"),
+    "end-before-vertices": (
+        SINGLE_TRIANGLE[SINGLE_TRIANGLE.index("vertices") :],
+        "",
+        "unexpected end of mesh text",
+    ),
     "trailing": ("0 1 2\n", "0 1 2\nextra 42\n", "line 8: trailing content 'extra 42'"),
 }
 
@@ -708,8 +715,6 @@ def test_region_contains_array_matches_scalar_contains(name, closed):
     s = np.array(probes)
     expected = [region.contains(float(v), closed=closed) for v in s]
     assert region.contains_array(s, closed=closed).tolist() == expected
-    wide = [region.contains(float(v), closed=closed, tol=1e-3) for v in s]
-    assert region.contains_array(s, closed=closed, tol=1e-3).tolist() == wide
 
 
 @given(

@@ -4,11 +4,14 @@ import inspect
 
 import steklov
 from steklov import (
+    OptimizationTrace,
+    RegionSpec,
     SolverOptions,
     TangentField,
     generate_disk,
     shape_derivative_fd,
     shape_derivative_formula,
+    support_region,
 )
 
 MODULES = ("assembly", "cli", "eigensolver", "errors", "mesh", "rearrange", "shapederiv")
@@ -54,3 +57,12 @@ def test_config_only_knobs_stay_in_the_cli():
     assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iters"]
     for fn in (shape_derivative_formula, shape_derivative_fd):
         assert "sign_convention" not in inspect.signature(fn).parameters
+
+
+def test_options_no_caller_sets_stay_gone():
+    # the support is phi_e > 0, a closed region's endpoint slack is a module
+    # constant, and the outer iteration count is len(lambdas), not a field
+    assert list(inspect.signature(support_region).parameters) == ["mesh", "phi"]
+    for fn in (RegionSpec.contains, RegionSpec.contains_array):
+        assert list(inspect.signature(fn).parameters) == ["self", "s", "closed"]
+    assert "outer_iterations" not in [f.name for f in dataclasses.fields(OptimizationTrace)]

@@ -210,7 +210,8 @@ def test_cap_indicator_of_the_whole_boundary(disk_coarse):
     (start, length), = region.arcs
     assert length == P
     assert start == pytest.approx((1.1 / (2 * math.pi) - 0.5) * P % P, abs=1e-12)
-    assert np.all(phi.edge_values >= 1.0 - 1e-12)
+    # the same exact constant 1 that optimize starts from at this mass
+    assert np.all(phi.edge_values == 1.0)
     assert phi.mass == pytest.approx(P, rel=1e-12)
 
 
@@ -225,9 +226,8 @@ def test_support_region_threshold_semantics(octagon_boundary_mesh):
     vals[0] = 1.0
     vals[1] = 0.5
     phi = BoundaryDensity.of(mesh, vals)
-    half = support_region(mesh, phi)  # default threshold 1/2 is strict
-    assert half.total_mass == pytest.approx(float(mesh.edge_lengths[0]), rel=1e-12)
-    full = support_region(mesh, phi, threshold=0.0)
+    # the support keeps the fractional edge
+    full = support_region(mesh, phi)
     assert full.total_mass == pytest.approx(
         float(mesh.edge_lengths[0] + mesh.edge_lengths[1]), rel=1e-12
     )
@@ -457,7 +457,7 @@ def test_two_arc_fixed_point_restarts_from_its_best_window(two_arc_disk):
     assert (max(lams) - min(lams)) / np.mean(lams) < 1e-6
     for trace in traces:
         assert trace.converged
-        assert len(support_region(mesh, trace.final_potential, threshold=0.0).arcs) == 1
+        assert len(support_region(mesh, trace.final_potential).arcs) == 1
         assert arc_defect(mesh, trace.final_potential) <= 2.0 * mesh.max_boundary_edge_length
         assert all(b <= a for a, b in zip(trace.lambdas, trace.lambdas[1:]))
     restarted = traces[4]
@@ -467,8 +467,8 @@ def test_two_arc_fixed_point_restarts_from_its_best_window(two_arc_disk):
     # as the next outer iteration, one arc of the same mass
     k = next(k for k, lam in enumerate(restarted.lambdas) if abs(lam - 0.87710) < 1e-5)
     two_arcs, window = restarted.potentials[k : k + 2]
-    assert len(support_region(mesh, two_arcs, threshold=0.0).arcs) == 2
-    assert len(support_region(mesh, window, threshold=0.0).arcs) == 1
+    assert len(support_region(mesh, two_arcs).arcs) == 2
+    assert len(support_region(mesh, window).arcs) == 1
     assert window.mass == pytest.approx(math.pi / 2, abs=1e-12)
 
 
