@@ -31,16 +31,23 @@ oracle in the library's sign and read the same under either convention.
 
 All commands read a single JSON config (``--config``).  Configs are
 versioned and validated fail-closed: unknown keys are rejected so typos in
-experiment scripts surface immediately.  Exit codes are a stable contract:
-0 success, 1 usage/config error, 2 numerical failure.  Every usage or
-config error -- a bad flag, a bad config value, or an argument the library
-rejects with ``ValueError`` -- takes one path: ``main`` prints
-``config error: <message>`` to stderr and returns 1.  A run that runs out
-of memory (``MemoryError``, for instance from the sparse factorization of a
-mesh too fine for the machine) prints one ``resource error:`` line and
-returns 1 as well.  Output files are written atomically (temp file +
-rename) and, seeds being part of the config, re-runs are byte-identical
-except for ``timestamp`` fields.
+experiment scripts surface immediately.  A run has two phases.  Phase 1,
+``_read``, reads each key once and checks it before any mesh exists.  Only
+the mesh generators' own size checks, the mass against the perimeter, the
+region's arcs and building the potential wait for ``main`` to build the
+mesh with ``build_mesh``; phase 2, ``_with_mesh``, then runs them.  No
+check runs after a factorization, and subcommands get the values the two
+phases read, never the config.
+
+Exit codes are a stable contract: 0 success, 1 usage/config error, 2
+numerical failure.  Every usage or config error -- a bad flag, a bad
+config value, or an argument the library rejects with ``ValueError`` --
+takes one path: ``main`` prints ``config error: <message>`` to stderr and
+returns 1.  A run that runs out of memory (``MemoryError``, for instance
+from the sparse factorization of a mesh too fine for the machine) prints
+one ``resource error:`` line and returns 1 as well.  Output files are
+written atomically (temp file + rename) and, seeds being part of the
+config, re-runs are byte-identical except for ``timestamp`` fields.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .assembly import BoundaryDensity, ProblemParams
 from .eigensolver import (
     EigenPair,
     SolverOptions,
+    _check_regularization,
     prepare_repeated_solves,
     solve_dirichlet,
     solve_linear,
@@ -79,13 +87,15 @@ from .errors import (
 )
 from .mesh import Mesh, RegionSpec, generate_disk, generate_rectangle, load_mesh_file
 from .rearrange import (
+    _check_cap,
+    _check_outer_loop,
     arc_defect,
     cap_indicator,
     optimize_potential,
     random_admissible,
     support_region,
 )
-from .shapederiv import DEFAULT_FD_STEPS, TangentField, shape_derivative_fd
+from .shapederiv import DEFAULT_FD_STEPS, TangentField, _validate_steps, shape_derivative_fd
 
 __all__ = ["main"]
 
@@ -157,13 +167,6 @@ def _integer(obj: dict, key: str, context: str, default: int | None = None) -> i
     return val
 
 
-def _string(obj: dict, key: str, context: str) -> str:
-    val = obj.get(key)
-    if not isinstance(val, str):
-        raise ConfigError(f"{context} requires a string '{key}'")
-    return val
-
-
 def _is_number_list(val: object, length: int | None = None) -> bool:
     return (
         isinstance(val, list)
@@ -172,11 +175,19 @@ def _is_number_list(val: object, length: int | None = None) -> bool:
     )
 
 
-def _number_pairs(items: list, message: str) -> list[tuple[float, float]]:
-    """``items`` as float pairs; raises ``message`` unless each is ``[a, b]``."""
+def _finite(values: list, message: str) -> list[float]:
+    """The numbers ``values`` as floats; raises ``message`` unless all are finite."""
+    floats = [_float(v) for v in values]
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(message)
+    return floats
+
+
+def _number_pairs(items: list, message: str, finite_message: str) -> list[tuple[float, float]]:
+    """``items`` as finite float pairs; raises ``message`` unless each is ``[a, b]``."""
     if not all(_is_number_list(item, 2) for item in items):
         raise ConfigError(message)
-    return [(_float(a), _float(b)) for a, b in items]
+    return [tuple(_finite(item, finite_message)) for item in items]
 
 
 def load_config(path: Path) -> dict:
@@ -197,61 +208,78 @@ def load_config(path: Path) -> dict:
     return data
 
 
+# --------------------------------------------------------------------------
+# the two phases: the config read whole, then what needs the mesh
+
+
+def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
+    if name not in cfg:
+        raise ConfigError(f"config requires a '{name}' object")
+    return _check_keys(cfg[name], allowed, name)
+
+
+def _value(obj: dict, key: str, context: str):
+    """``obj[key]`` as a path, a non-negative seed (default 0) or a number."""
+    if key == "path":
+        if not isinstance(obj.get(key), str):
+            raise ConfigError(f"{context} requires a string '{key}'")
+        return Path(obj[key])
+    if key == "seed":
+        seed = _integer(obj, key, context, default=0)
+        if seed < 0:  # numpy's message would name neither the key nor the cause
+            raise ConfigError(f"'seed' in {context} must be a non-negative integer, got {seed}")
+        return seed
+    return _number(obj, key, context)
+
+
+# type: (keys, builder from their values).  The builders are lambdas so that
+# each library function is looked up in this module when one runs.
+_GEOMETRIES = {
+    "disk": (("h",), lambda h: generate_disk(h)),
+    "rectangle": (("width", "height", "target_h"), lambda *sizes: generate_rectangle(*sizes)),
+    "mesh_file": (("path",), lambda path: load_mesh_file(path)),
+}
+_POTENTIALS = {
+    "file": (("path",), lambda mesh, path: _load_density(mesh, path)),
+    "constant": (("value",), lambda mesh, value: BoundaryDensity.constant(mesh, value)),
+    "cap": (("angle", "mass"), lambda mesh, angle, mass: cap_indicator(mesh, angle, mass)[1]),
+    "random": (("seed", "mass"), lambda mesh, seed, mass: random_admissible(mesh, mass, seed)),
+}
+
+
+def _typed(cfg: dict, name: str, table: dict):
+    """Section ``name``'s ``type``, that type's builder and its keys' values."""
+    raw = _section(cfg, name, {"type"}.union(*(keys for keys, _ in table.values())))
+    kind = raw.get("type")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{name} 'type' must be one of {', '.join(table)}; got {kind!r}")
+    keys, build = table[kind]
+    context = f"{kind.replace('_', '-')} {name}"
+    _check_keys(raw, {"type", *keys}, context)
+    return kind, build, [_value(raw, key, context) for key in keys]
+
+
 def build_mesh(cfg: dict) -> Mesh:
-    if "geometry" not in cfg:
-        raise ConfigError("config requires a 'geometry' object")
-    geom = _check_keys(
-        cfg["geometry"],
-        {"type", "h", "width", "height", "target_h", "path"},
-        "geometry",
-    )
-    kind = geom.get("type")
-    if kind == "disk":
-        _check_keys(geom, {"type", "h"}, "disk geometry")
-        return generate_disk(_number(geom, "h", "disk geometry"))
-    if kind == "rectangle":
-        _check_keys(geom, {"type", "width", "height", "target_h"}, "rectangle geometry")
-        return generate_rectangle(
-            _number(geom, "width", "rectangle geometry"),
-            _number(geom, "height", "rectangle geometry"),
-            _number(geom, "target_h", "rectangle geometry"),
-        )
-    if kind == "mesh_file":
-        _check_keys(geom, {"type", "path"}, "mesh-file geometry")
-        return load_mesh_file(Path(_string(geom, "path", "mesh-file geometry")))
-    raise ConfigError(
-        f"geometry 'type' must be one of disk, rectangle, mesh_file; got {kind!r}"
-    )
+    """The mesh of the config's ``geometry`` section."""
+    _, build, values = _typed(cfg, "geometry", _GEOMETRIES)
+    return build(*values)
 
 
 def build_params(cfg: dict) -> ProblemParams:
-    raw = cfg.get("params", {})
-    _check_keys(raw, {"p", "sigma", "eps_reg"}, "params")
-    p = _number(raw, "p", "params", required=False)
-    sigma = _number(raw, "sigma", "params", required=False)
-    eps = _number(raw, "eps_reg", "params", required=False)
-    return ProblemParams(
-        p=2.0 if p is None else p,
-        sigma=0.0 if sigma is None else sigma,
-        eps_reg=eps,
-    )
+    """The ``params`` section; a key left out takes ``ProblemParams``' default."""
+    keys = ("p", "sigma", "eps_reg")
+    raw = _check_keys(cfg.get("params", {}), set(keys), "params")
+    values = {key: _number(raw, key, "params", required=False) for key in keys}
+    return ProblemParams(**{key: v for key, v in values.items() if v is not None})
 
 
-def _solver_seed(cfg: dict) -> int:
-    """``solver.seed``: the first of ``symmetry-check``'s five start seeds."""
-    return _integer(cfg.get("solver", {}), "seed", "solver", default=0)
-
-
-def build_solver_options(cfg: dict) -> SolverOptions:
-    raw = cfg.get("solver", {})
-    _check_keys(raw, {"tol", "max_iters", "seed"}, "solver")
+def _solver(cfg: dict) -> tuple[SolverOptions, int]:
+    """The solver options and ``seed``, the first of symmetry-check's five seeds."""
+    raw = _check_keys(cfg.get("solver", {}), {"tol", "max_iters", "seed"}, "solver")
     tol = _number(raw, "tol", "solver", required=False)
-    max_iters = _integer(raw, "max_iters", "solver")
-    _solver_seed(cfg)  # checked for every subcommand; symmetry-check reads it
-    kwargs = {"tol": tol}
-    if max_iters is not None:
-        kwargs["max_iters"] = max_iters
-    return SolverOptions(**kwargs)
+    max_iters = _integer(raw, "max_iters", "solver", default=SolverOptions.max_iters)
+    seed = _value(raw, "seed", "solver")
+    return SolverOptions(tol=tol, max_iters=max_iters), seed
 
 
 def _load_density(mesh: Mesh, path: Path) -> BoundaryDensity:
@@ -265,75 +293,106 @@ def _load_density(mesh: Mesh, path: Path) -> BoundaryDensity:
     return BoundaryDensity.of(mesh, np.asarray(data["edge_values"], dtype=np.float64))
 
 
-def build_potential(cfg: dict, mesh: Mesh) -> BoundaryDensity:
-    if "potential" not in cfg:
-        raise ConfigError("config requires a 'potential' object")
-    raw = _check_keys(
-        cfg["potential"],
-        {"type", "path", "value", "angle", "mass", "seed"},
-        "potential",
-    )
-    kind = raw.get("type")
-    if kind == "file":
-        _check_keys(raw, {"type", "path"}, "file potential")
-        return _load_density(mesh, Path(_string(raw, "path", "file potential")))
-    if kind == "constant":
-        _check_keys(raw, {"type", "value"}, "constant potential")
-        return BoundaryDensity.constant(mesh, _number(raw, "value", "constant potential"))
+def _potential(cfg: dict, mesh_kind: str):
+    """A function that builds the ``potential`` section on a mesh of kind ``mesh_kind``."""
+    kind, build, values = _typed(cfg, "potential", _POTENTIALS)
     if kind == "cap":
-        _check_keys(raw, {"type", "angle", "mass"}, "cap potential")
-        _, phi = cap_indicator(
-            mesh,
-            _number(raw, "angle", "cap potential"),
-            _number(raw, "mass", "cap potential"),
-        )
-        return phi
-    if kind == "random":
-        _check_keys(raw, {"type", "seed", "mass"}, "random potential")
-        seed = _integer(raw, "seed", "random potential", default=0)
-        return random_admissible(mesh, _number(raw, "mass", "random potential"), seed)
-    raise ConfigError(
-        f"potential 'type' must be one of file, constant, cap, random; got {kind!r}"
-    )
+        _check_cap(mesh_kind, values[0])
+    return lambda mesh: build(mesh, *values)
 
 
-def _mass(cfg: dict, mesh: Mesh) -> float:
-    a = _number(cfg, "mass", "config")
-    if not 0.0 <= a <= mesh.perimeter:
-        raise ConfigError(
-            f"'mass' must lie in [0, perimeter={mesh.perimeter!r}], got {a!r}"
-        )
-    return a
+def build_potential(cfg: dict, mesh: Mesh) -> BoundaryDensity:
+    return _potential(cfg, mesh.kind)(mesh)
 
 
-def build_region(cfg: dict, mesh: Mesh) -> RegionSpec:
-    if "region" not in cfg:
-        raise ConfigError("config requires a 'region' object")
-    raw = _check_keys(cfg["region"], {"intervals"}, "region")
-    intervals = raw.get("intervals")
+def _sigmas(cfg: dict) -> list[float]:
+    sigma_list = cfg.get("sigma_list")
+    if not (_is_number_list(sigma_list) and sigma_list):
+        raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
+    sigmas = _finite(sigma_list, "'sigma_list' must hold finite numbers")
+    if any(s <= 0 for s in sigmas) or any(b <= a for a, b in zip(sigmas, sigmas[1:])):
+        raise ConfigError("'sigma_list' must be strictly ascending and positive")
+    return sigmas
+
+
+def _shape_deriv(cfg: dict) -> dict:
+    """The tangent field on the region (a function of the mesh), ``fd_steps``
+    and ``sign_convention``."""
+    intervals = _section(cfg, "region", {"intervals"}).get("intervals")
     if not isinstance(intervals, list) or not intervals:
         raise ConfigError("region 'intervals' must be a non-empty list")
-    pairs = _number_pairs(
-        intervals, "each region interval must be a [s_begin, s_end] number pair"
+    intervals = _number_pairs(
+        intervals,
+        "each region interval must be a [s_begin, s_end] number pair",
+        "region 'intervals' must hold finite numbers",
     )
-    if not all(math.isfinite(v) for pair in pairs for v in pair):
-        raise ConfigError("region 'intervals' must hold finite numbers")
-    return RegionSpec.from_intervals(pairs, mesh.perimeter)
-
-
-def build_tangent(cfg: dict, region: RegionSpec) -> TangentField:
-    if "tangent" not in cfg:
-        raise ConfigError("config requires a 'tangent' object")
-    raw = _check_keys(cfg["tangent"], {"speeds"}, "tangent")
-    speeds = raw.get("speeds")
-    if not isinstance(speeds, list) or len(speeds) != len(region.arcs):
+    speeds = _section(cfg, "tangent", {"speeds"}).get("speeds")
+    if not isinstance(speeds, list) or len(speeds) != len(intervals):
         raise ConfigError(
             "tangent 'speeds' must list one [v_begin, v_end] pair per region arc"
         )
-    pairs = _number_pairs(
-        speeds, "each tangent speed entry must be a [v_begin, v_end] pair"
+    speeds = _number_pairs(
+        speeds,
+        "each tangent speed entry must be a [v_begin, v_end] pair",
+        "endpoint speeds must be finite",
     )
-    return TangentField(region, tuple(pairs))
+    steps = cfg.get("fd_steps", list(DEFAULT_FD_STEPS))
+    if not _is_number_list(steps):
+        raise ConfigError("'fd_steps' must be a list of numbers")
+    steps = _finite(steps, "'fd_steps' must hold finite numbers")
+    sign = _number(cfg, "sign_convention", "config", required=False)
+    if sign not in (None, 1.0, -1.0):
+        raise ConfigError("'sign_convention' must be +1 or -1")
+    _validate_steps(steps)
+
+    def tangent(mesh):
+        return TangentField(RegionSpec.from_intervals(intervals, mesh.perimeter), speeds)
+
+    return {"tangent": tangent, "steps": steps, "sign": sign}
+
+
+def _read(command: str, cfg: dict) -> dict:
+    """Phase 1: the values ``command``'s handler takes, by parameter name.
+
+    Reads geometry, params and solver, then the subcommand's own keys.  A
+    value that needs the mesh is left as a function of the mesh.
+    """
+    geometry = _typed(cfg, "geometry", _GEOMETRIES)[0]
+    kind = "file" if geometry == "mesh_file" else geometry  # the mesh's kind tag
+    if command == "symmetry-check" and kind != "disk":
+        raise ConfigError("symmetry-check requires disk geometry")
+    params = build_params(cfg)
+    _check_regularization(params)
+    opts, seed = _solver(cfg)
+    run = {"params": params, "opts": opts}
+    if command == "solve":
+        run["potential"] = _potential(cfg, kind)
+    elif command == "shape-deriv":
+        run.update(_shape_deriv(cfg))
+    else:
+        if command == "sigma-sweep":
+            run["sigmas"] = _sigmas(cfg)
+        run["outer"] = outer = {  # optimize_potential's keywords
+            "mass": _number(cfg, "mass", "config"),
+            "max_outer": _integer(cfg, "max_outer", "config", default=100),
+            "outer_tol": _number(cfg, "outer_tol", "config", required=False),
+        }
+        _check_outer_loop(outer["max_outer"], outer["outer_tol"])
+        if command == "symmetry-check":
+            seeds = run["seeds"] = [seed + k for k in range(5)]
+            run["starts"] = lambda mesh: [random_admissible(mesh, outer["mass"], s) for s in seeds]
+        else:
+            run["potential"] = _potential(cfg, kind) if "potential" in cfg else None
+    return run
+
+
+def _with_mesh(run: dict, mesh: Mesh) -> dict:
+    """Phase 2: the mass against the perimeter, then every value that needs
+    the mesh built; it all runs before any factorization."""
+    a = run.get("outer", {}).get("mass", 0.0)
+    if not 0.0 <= a <= mesh.perimeter:
+        raise ConfigError(f"'mass' must lie in [0, perimeter={mesh.perimeter!r}], got {a!r}")
+    return {key: value(mesh) if callable(value) else value for key, value in run.items()}
 
 
 # --------------------------------------------------------------------------
@@ -405,39 +464,6 @@ def _eigenpair_record(pair: EigenPair) -> dict:
     }
 
 
-# --------------------------------------------------------------------------
-# shared runners
-
-
-def _run_optimize(
-    cfg: dict,
-    mesh: Mesh,
-    params: ProblemParams,
-    opts: SolverOptions,
-    seed: int | None = None,
-):
-    """``optimize_potential`` with the config's mass and outer-loop settings.
-
-    The start is ``random_admissible(mesh, mass, seed)`` if a seed is given,
-    else the config's ``potential`` if any.
-    """
-    a = _mass(cfg, mesh)
-    phi0 = build_potential(cfg, mesh) if "potential" in cfg else None
-    max_outer = _integer(cfg, "max_outer", "config", default=100)
-    outer_tol = _number(cfg, "outer_tol", "config", required=False)
-    if seed is not None:
-        phi0 = random_admissible(mesh, a, seed)
-    return optimize_potential(
-        mesh,
-        params,
-        a,
-        opts=opts,
-        phi0=phi0,
-        max_outer=max_outer,
-        outer_tol=outer_tol,
-    )
-
-
 def _pooled(fn, items, mesh: Mesh, params: ProblemParams, jobs: int):
     """Yield ``fn(item)`` for each of ``items`` in order, run on ``jobs`` threads."""
     # Build on this thread so the pool finds the shared work cached: memory
@@ -449,17 +475,15 @@ def _pooled(fn, items, mesh: Mesh, params: ProblemParams, jobs: int):
 
 
 # --------------------------------------------------------------------------
-# subcommands: each gets the config with the mesh, params and solver options
-# that ``main`` built from it, the output directory and the parsed arguments.
+# subcommands: each gets the mesh, the output directory, the parsed
+# arguments and, by name, the values that ``_read`` and ``_with_mesh`` made.
 
 
-def cmd_solve(cfg, mesh, params, opts, out_dir, args) -> int:
-    phi = build_potential(cfg, mesh)
-
+def cmd_solve(mesh, out_dir, args, params, opts, potential) -> int:
     if params.p == 2.0:
-        pair = solve_linear(mesh, phi, params.sigma, opts=opts)
+        pair = solve_linear(mesh, potential, params.sigma, opts=opts)
     else:
-        pair = solve_nonlinear(mesh, phi, params, opts=opts)
+        pair = solve_nonlinear(mesh, potential, params, opts=opts)
 
     _write_record(out_dir / "eigenpair.json", _eigenpair_record(pair))
     loop = mesh.boundary_vertices
@@ -474,8 +498,8 @@ def cmd_solve(cfg, mesh, params, opts, out_dir, args) -> int:
     return _EXIT_OK if pair.converged else _EXIT_NUMERICAL
 
 
-def cmd_optimize(cfg, mesh, params, opts, out_dir, args) -> int:
-    trace = _run_optimize(cfg, mesh, params, opts)
+def cmd_optimize(mesh, out_dir, args, params, opts, outer, potential) -> int:
+    trace = optimize_potential(mesh, params, opts=opts, phi0=potential, **outer)
 
     final = trace.final_potential.edge_values
     if args.binarize:
@@ -501,23 +525,14 @@ def cmd_optimize(cfg, mesh, params, opts, out_dir, args) -> int:
     return _EXIT_OK if trace.converged else _EXIT_NUMERICAL
 
 
-def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
-    sigma_list = cfg.get("sigma_list")
-    if not (_is_number_list(sigma_list) and sigma_list):
-        raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
-    sigmas = [_float(s) for s in sigma_list]
-    if not all(map(math.isfinite, sigmas)):
-        raise ConfigError("'sigma_list' must hold finite numbers")
-    if any(s <= 0 for s in sigmas) or any(
-        b <= a for a, b in zip(sigmas, sigmas[1:])
-    ):
-        raise ConfigError("'sigma_list' must be strictly ascending and positive")
-
+def cmd_sigma_sweep(mesh, out_dir, args, params, opts, sigmas, outer, potential) -> int:
     csv_path = out_dir / "sweep.csv"
     header = ["sigma", "Lambda_sigma", "Lambda_inf_reference"]
 
     def one(sigma: float):
-        return _run_optimize(cfg, mesh, replace(params, sigma=sigma), opts)
+        return optimize_potential(
+            mesh, replace(params, sigma=sigma), opts=opts, phi0=potential, **outer
+        )
 
     traces = []
     try:
@@ -554,22 +569,8 @@ def cmd_sigma_sweep(cfg, mesh, params, opts, out_dir, args) -> int:
     return _EXIT_OK
 
 
-def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
-    region = build_region(cfg, mesh)
-    tangent = build_tangent(cfg, region)
-
-    steps = cfg.get("fd_steps", list(DEFAULT_FD_STEPS))
-    if not _is_number_list(steps):
-        raise ConfigError("'fd_steps' must be a list of numbers")
-    steps = [_float(t) for t in steps]
-    if not all(map(math.isfinite, steps)):
-        raise ConfigError("'fd_steps' must hold finite numbers")
-    sign = _number(cfg, "sign_convention", "config", required=False)
-    sign = 1.0 if sign is None else sign
-    if sign not in (1.0, -1.0):
-        raise ConfigError("'sign_convention' must be +1 or -1")
-
-    report = shape_derivative_fd(mesh, region, tangent, params, steps=steps, opts=opts)
+def cmd_shape_deriv(mesh, out_dir, args, params, opts, tangent, steps, sign) -> int:
+    report = shape_derivative_fd(mesh, tangent.region, tangent, params, steps=steps, opts=opts)
     if sign == -1.0:
         report = replace(report, formula_value=-report.formula_value)
     _write_record(
@@ -600,21 +601,16 @@ def cmd_shape_deriv(cfg, mesh, params, opts, out_dir, args) -> int:
     return _EXIT_OK if ok else _EXIT_NUMERICAL
 
 
-def cmd_symmetry_check(cfg, mesh, params, opts, out_dir, args) -> int:
-    if mesh.kind != "disk":
-        raise ConfigError("symmetry-check requires disk geometry")
-
-    seeds = [_solver_seed(cfg) + k for k in range(5)]
-
-    def one(seed: int):
-        trace = _run_optimize(cfg, mesh, params, opts, seed=seed)
+def cmd_symmetry_check(mesh, out_dir, args, params, opts, outer, seeds, starts) -> int:
+    def one(phi0: BoundaryDensity):
+        trace = optimize_potential(mesh, params, opts=opts, phi0=phi0, **outer)
         return (
             float(trace.final_lambda),
             float(arc_defect(mesh, trace.final_potential)),
             bool(trace.converged),
         )
 
-    results = list(_pooled(one, seeds, mesh, params, args.jobs))
+    results = list(_pooled(one, starts, mesh, params, args.jobs))
 
     lambdas = [r[0] for r in results]
     defects = [r[1] for r in results]
@@ -707,10 +703,9 @@ def main(argv=None) -> int:
             raise ConfigError("'output_dir' must be a string")
         out_dir = Path(args.out) if args.out else Path(cfg.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
+        run = _read(args.command, cfg)
         mesh = build_mesh(cfg)
-        params = build_params(cfg)
-        opts = build_solver_options(cfg)
-        return handler(cfg, mesh, params, opts, out_dir, args)
+        return handler(mesh, out_dir, args, **_with_mesh(run, mesh))
     except (MeshParseError, MeshTopologyError, MeshResourceError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -417,13 +417,15 @@ def prepare_repeated_solves(mesh, params):
 
 
 def _start_values(mesh, start, p):
-    """A float copy of ``start`` (a Field or array), or the default start.
+    """A float copy of ``start`` (a Field or array), which must be finite,
+    or the default start.
 
     The default is the constant one for p = 2 and the positive constant
     with unit boundary p-norm otherwise.
     """
     if start is not None:
-        return np.array(assembly._as_values(start, mesh), dtype=np.float64)
+        values = np.array(assembly._as_values(start, mesh), dtype=np.float64)
+        return Field.of(mesh, values).values  # rejects non-finite entries
     if p == 2.0:
         return np.ones(mesh.n_vertices)
     return np.full(mesh.n_vertices, mesh.perimeter ** (-1.0 / p))
@@ -567,6 +569,14 @@ def _reweighting(sq, p):
     return (sq + _WEIGHT_FLOOR * top) ** ((p - 2.0) / 2.0)
 
 
+def _check_regularization(params):
+    """For p < 2 the resolved ``eps_reg`` must be positive: at a zero element
+    gradient, as at the constant start, the gradient's ``s^((p-2)/2)`` is
+    infinite."""
+    if params.p < 2.0 and params.eps == 0.0:
+        raise ValueError(f"eps_reg must be positive for p < 2, got {params.eps}")
+
+
 def _descent(mesh, phi, params, opts, u0, pinned):
     """Projected BB descent on R in the reweighted metric, with u = 0 on ``pinned``.
 
@@ -585,13 +595,11 @@ def _descent(mesh, phi, params, opts, u0, pinned):
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
 
-    ``pinned`` is a vertex mask (all False for a free solve).  For p < 2
-    the resolved ``eps_reg`` must be positive: at a zero element gradient,
-    as at the constant start, the gradient's ``s^((p-2)/2)`` is infinite.
+    ``pinned`` is a vertex mask (all False for a free solve); ``params``
+    must pass :func:`_check_regularization`.
     """
+    _check_regularization(params)
     p = params.p
-    if p < 2.0 and params.eps == 0.0:
-        raise ValueError(f"eps_reg must be positive for p < 2, got {params.eps}")
     tol = opts.resolved_tol(p)
     kernel = assembly.EnergyKernel(mesh, phi, params)
     metric = _ReweightedMetric(kernel, pinned)

@@ -57,6 +57,14 @@ def _single_arc(mesh, start, mass):
     return region, rasterize_region(mesh, region)
 
 
+def _check_cap(kind, center_angle):
+    """The rules of :func:`cap_indicator` that need no mesh, only its kind."""
+    if kind != "disk":
+        raise ValueError(f"cap_indicator requires a disk mesh, got kind={kind!r}")
+    if not math.isfinite(center_angle):
+        raise ValueError(f"cap angle must be finite, got {center_angle}")
+
+
 def cap_indicator(mesh, center_angle, mass):
     """Single boundary arc of the given mass centered at polar angle ``center_angle``.
 
@@ -64,10 +72,7 @@ def cap_indicator(mesh, center_angle, mass):
     polar angle are proportional.  Returns ``(RegionSpec, BoundaryDensity)``
     as :func:`_single_arc` builds them.
     """
-    if mesh.kind != "disk":
-        raise ValueError(f"cap_indicator requires a disk mesh, got kind={mesh.kind!r}")
-    if not math.isfinite(center_angle):
-        raise ValueError(f"cap angle must be finite, got {center_angle}")
+    _check_cap(mesh.kind, center_angle)
     P = mesh.perimeter
     if not (0.0 < mass <= P):
         raise ValueError(f"cap mass must lie in (0, perimeter], got {mass}")
@@ -258,6 +263,14 @@ def _initial_density(mesh, mass, phi0):
     return _single_arc(mesh, 0.0, mass)[1]
 
 
+def _check_outer_loop(max_outer, outer_tol):
+    """``max_outer >= 1`` and an ``outer_tol`` that is None or finite and positive."""
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    if outer_tol is not None and not (math.isfinite(outer_tol) and outer_tol > 0.0):
+        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
+
+
 def optimize_potential(
     mesh,
     params,
@@ -295,10 +308,7 @@ def optimize_potential(
     if outer_tol is None:
         outer_tol = opts.tol if opts.tol is not None else 1e-9
     _check_mass(mesh, mass)
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
-    if not (math.isfinite(outer_tol) and outer_tol > 0.0):
-        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
+    _check_outer_loop(max_outer, outer_tol)
 
     phi = _initial_density(mesh, mass, phi0)
     prepare_repeated_solves(mesh, params)

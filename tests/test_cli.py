@@ -726,6 +726,7 @@ SHAPE_CONFIG = {
     "tangent": {"speeds": [[0.0, 1.0]]},
 }
 SWEEP_CONFIG = {"geometry": DISK_COARSE, "params": {"p": 2.0}, "mass": 1.0}
+SYMMETRY_CONFIG = {"geometry": DISK_COARSE, "params": {"p": 2.0, "sigma": 5.0}, "mass": 1.0}
 
 # (command, base config, changes (None deletes a key), message after "config error: ")
 CONFIG_ERRORS = {
@@ -895,16 +896,145 @@ CONFIG_ERRORS = {
         "'fd_steps' must hold finite numbers",
     ),
     "output-dir": ("solve", SOLVE_CONFIG, {"output_dir": 3}, "'output_dir' must be a string"),
+    # numpy's own message for a negative seed names neither the key nor the cause
+    "negative-solver-seed": (
+        "symmetry-check",
+        SYMMETRY_CONFIG,
+        {"solver": {"seed": -1}, "max_outer": 0},
+        "'seed' in solver must be a non-negative integer, got -1",
+    ),
+    "negative-solver-seed-unread": (
+        "optimize",
+        SYMMETRY_CONFIG,
+        {"solver": {"seed": -3}},
+        "'seed' in solver must be a non-negative integer, got -3",
+    ),
+    "negative-potential-seed": (
+        "solve",
+        SOLVE_CONFIG,
+        {"potential": {"type": "random", "seed": -2, "mass": 1.0}},
+        "'seed' in random potential must be a non-negative integer, got -2",
+    ),
+    "cap-on-rectangle": (
+        "solve",
+        {**SOLVE_CONFIG, "geometry": RECT},
+        {"potential": {"type": "cap", "angle": 0.0, "mass": 1.0}},
+        "cap_indicator requires a disk mesh, got kind='rectangle'",
+    ),
+    "symmetry-check-on-rectangle": (
+        "symmetry-check",
+        SYMMETRY_CONFIG,
+        {"geometry": RECT},
+        "symmetry-check requires disk geometry",
+    ),
+    "zero-max-outer": (
+        "sigma-sweep",
+        SWEEP_CONFIG,
+        {"sigma_list": [1.0, 2.0], "max_outer": 0},
+        "max_outer must be at least 1, got 0",
+    ),
+    "negative-outer-tol": (
+        "symmetry-check",
+        SYMMETRY_CONFIG,
+        {"outer_tol": -1},
+        "outer_tol must be finite and positive, got -1.0",
+    ),
 }
+
+
+def config_error_case(tmp_path, case):
+    """The command and written config of a ``CONFIG_ERRORS`` case, and its message."""
+    command, base, changes, message = CONFIG_ERRORS[case]
+    cfg = {**base, **changes}
+    cfg = write_config(tmp_path, **{k: v for k, v in cfg.items() if v is not None})
+    return command, cfg, message
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_config_error_messages(tmp_path, capsys, case):
-    command, base, changes, message = CONFIG_ERRORS[case]
-    cfg = {**base, **changes}
-    cfg = write_config(tmp_path, **{k: v for k, v in cfg.items() if v is not None})
+    command, cfg, message = config_error_case(tmp_path, case)
     assert run(command, cfg, tmp_path / "out") == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+ZERO_MAX_OUTER = "max_outer must be at least 1, got 0"
+BAD_MASS = "'mass' must lie in [0, "
+
+
+def no_mesh_work(*args, **kwargs):
+    raise AssertionError("numerical work before the config was checked")
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_every_config_error_is_found_before_the_mesh_is_built(
+    tmp_path, capsys, monkeypatch, case
+):
+    monkeypatch.setattr(cli, "build_mesh", no_mesh_work)
+    command, cfg, message = config_error_case(tmp_path, case)
+    assert run(command, cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+OVERLAPPING_ARCS = {
+    "region": {"intervals": [[0.5, 2.0], [1.0, 3.0]]},
+    "tangent": {"speeds": [[0.0, 1.0], [0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, base, changes, message",
+    [
+        ("sigma-sweep", SWEEP_CONFIG, {"sigma_list": [1.0, 2.0], "max_outer": 0}, ZERO_MAX_OUTER),
+        ("symmetry-check", SYMMETRY_CONFIG, {"max_outer": 0}, ZERO_MAX_OUTER),
+        # the checks that need the mesh
+        ("sigma-sweep", SWEEP_CONFIG, {"sigma_list": [1.0], "mass": 100.0}, BAD_MASS),
+        ("symmetry-check", SYMMETRY_CONFIG, {"mass": 100.0}, BAD_MASS),
+        (
+            "sigma-sweep",
+            SWEEP_CONFIG,
+            {"sigma_list": [1.0], "potential": {"type": "constant", "value": 1.5}},
+            "density values must lie in [0, 1]",
+        ),
+        ("shape-deriv", SHAPE_CONFIG, OVERLAPPING_ARCS, "arcs overlap"),
+    ],
+    ids=[
+        "sweep-max-outer",
+        "symmetry-max-outer",
+        "sweep-mass",
+        "symmetry-mass",
+        "potential",
+        "overlapping-arcs",
+    ],
+)
+def test_config_errors_come_before_any_factorization(
+    tmp_path, capsys, monkeypatch, command, base, changes, message
+):
+    monkeypatch.setattr(cli, "prepare_repeated_solves", no_mesh_work)
+    monkeypatch.setattr(eigensolver.spla, "splu", no_mesh_work)
+    cfg = write_config(tmp_path, **{**base, **changes})
+    assert run(command, cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_sigma_sweep_reads_a_file_potential_once(tmp_path, monkeypatch):
+    reads = []
+    load = cli._load_density
+
+    def counting(mesh, path):
+        reads.append(path)
+        return load(mesh, path)
+
+    monkeypatch.setattr(cli, "_load_density", counting)
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"edge_values": [1.0] * 4 + [0.0] * 18}), encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        **SWEEP_CONFIG,
+        sigma_list=[1.0, 2.0, 4.0],
+        potential={"type": "file", "path": str(phi)},
+    )
+    assert run("sigma-sweep", cfg, tmp_path / "out", "--jobs", "2") == 0
+    assert reads == [phi]
 
 
 OPTIMIZE_CONFIG = {**SOLVE_CONFIG, "mass": 1.0, "potential": None}

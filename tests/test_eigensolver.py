@@ -379,6 +379,22 @@ def test_p2_start_with_a_nan_is_rejected(square_tiny):
         solve_linear(square_tiny, phi, 1.0, start=start)
 
 
+def test_descent_start_with_a_nan_is_rejected():
+    # the start is checked before the metric is factored, so SuperLU never
+    # sees the NaN (it used to fail with "Factor is exactly singular")
+    mesh = generate_disk(0.2)
+    phi = BoundaryDensity.constant(mesh, 0.3)
+    params = ProblemParams(p=3.0, sigma=2.0)
+    region = RegionSpec.from_intervals([(0.0, 1.0)], mesh.perimeter)
+    start = np.ones(mesh.n_vertices)
+    start[mesh.boundary_vertices[len(mesh.boundary_vertices) // 2]] = np.nan
+    with pytest.raises(ValueError, match="^field contains non-finite values$"):
+        solve_nonlinear(mesh, phi, params, start=start)
+    with pytest.raises(ValueError, match="^field contains non-finite values$"):
+        solve_dirichlet(mesh, region, params, start=start)
+    assert np.isnan(start).sum() == 1 and start.flags.writeable
+
+
 # --------------------------------------------------------- nonlinear solve
 
 
