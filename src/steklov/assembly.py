@@ -61,7 +61,8 @@ class Field:
 
     @staticmethod
     def of(mesh, values):
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        # A copy, so freezing it leaves the caller's array writeable.
+        values = np.array(values, dtype=np.float64, order="C")
         if values.shape != (mesh.n_vertices,):
             raise ValueError(
                 f"field has {values.shape} values, mesh has {mesh.n_vertices} vertices"
@@ -81,7 +82,8 @@ class BoundaryDensity:
 
     @staticmethod
     def of(mesh, edge_values):
-        vals = np.ascontiguousarray(edge_values, dtype=np.float64)
+        # A copy, so freezing it leaves the caller's array writeable.
+        vals = np.array(edge_values, dtype=np.float64, order="C")
         if vals.shape != (mesh.n_boundary_edges,):
             raise ValueError(
                 f"density has {vals.shape} values, boundary has "

@@ -67,11 +67,12 @@ restricted to the unpinned vertices, so the pinned values of every
 direction are exactly 0.  The energy, the gradient, the projection and
 the stopping test are those of a Euclidean-step descent, so the metric
 changes the path to the fixed point, not the fixed point or the meaning of
-``converged``.  A line search ends unaccepted once
-``u - a z`` rounds to u (``stop = "line_search"``), and a solve whose R has
-dropped by at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS``
-accepted steps while the gradient test fails stops unconverged
-(``stop = "stall"``); p = 1.2 ends on the first, at
+``converged``.  The descent stops on the gradient test
+``|g| <= tol * max(1, |R|)`` alone, and ``converged`` means that this test
+ended it.  It stops unconverged when a line search ends unaccepted because
+``u - a z`` rounds to u (``stop = "line_search"``), or when R has dropped
+by at most ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted
+steps (``stop = "stall"``); p = 1.2 ends on the first, at
 ``|E' - lambda B'| / |E'| <= 1.3e-5``.
 
 The energy, its gradient and the boundary p-power come from one
@@ -169,8 +170,8 @@ class SolverOptions:
     ``tol`` must be finite and positive.  For p = 2 it bounds the relative
     eigen-residual ``|K x - lambda Mb x| / |K x|`` of the returned pair and
     ``max_iters`` counts linear solves; for p != 2 it is the descent's
-    gradient and eigenvalue-change test (see :func:`_descent`) and
-    ``max_iters`` counts descent steps.
+    gradient test (see :func:`_descent`) and ``max_iters`` counts descent
+    steps.
     """
 
     tol: float | None = None
@@ -417,15 +418,15 @@ def prepare_repeated_solves(mesh, params):
 
 
 def _start_values(mesh, start, p):
-    """A float copy of ``start`` (a Field or array), which must be finite,
+    """The values of ``start`` (a Field or array), which must be finite,
     or the default start.
 
     The default is the constant one for p = 2 and the positive constant
-    with unit boundary p-norm otherwise.
+    with unit boundary p-norm otherwise.  Callers must not write to the
+    result.
     """
     if start is not None:
-        values = np.array(assembly._as_values(start, mesh), dtype=np.float64)
-        return Field.of(mesh, values).values  # rejects non-finite entries
+        return Field.of(mesh, assembly._as_values(start, mesh)).values
     if p == 2.0:
         return np.ones(mesh.n_vertices)
     return np.full(mesh.n_vertices, mesh.perimeter ** (-1.0 / p))
@@ -577,21 +578,25 @@ def _check_regularization(params):
         raise ValueError(f"eps_reg must be positive for p < 2, got {params.eps}")
 
 
-def _descent(mesh, phi, params, opts, u0, pinned):
+def _descent(mesh, phi, params, pinned, opts, start):
     """Projected BB descent on R in the reweighted metric, with u = 0 on ``pinned``.
 
-    One energy kernel serves the whole solve, and the metric is refactored
-    every ``_METRIC_REFRESH`` accepted steps (see the module docstring).
-    The returned diagnostics have exactly these keys:
+    Starts from ``start`` (see :func:`_start_values`).  One energy kernel
+    serves the whole solve, and the metric is refactored every
+    ``_METRIC_REFRESH`` accepted steps (see the module docstring).  Each step
+    first checks the gradient test ``|g| <= tol * max(1, |R|)``, then the
+    step limit, then the stall window; the result is converged exactly when
+    the gradient test ended the loop.  The returned diagnostics have exactly
+    these keys:
 
     - ``method``: ``"reweighted_descent"``;
     - ``grad_norm``: the Euclidean norm of the final gradient;
-    - ``stop``: why the loop ended, one of ``"tolerance"`` (the stopping
-      test holds), ``"line_search"`` (the halved steps along -M^-1 g fail
-      the Armijo test until ``u - a z`` rounds to u bitwise; converged only
-      if the gradient test holds), ``"stall"`` (R dropped by at most
-      ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps
-      while the gradient test fails; not converged) or ``"max_iters"``;
+    - ``stop``: why the loop ended, one of ``"tolerance"`` (the gradient
+      test holds), ``"max_iters"``, ``"stall"`` (R dropped by at most
+      ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps)
+      or ``"line_search"`` (the halved steps along -M^-1 g fail the Armijo
+      test until ``u - a z`` rounds to u bitwise; the failed attempt counts
+      as a step);
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
 
@@ -604,8 +609,7 @@ def _descent(mesh, phi, params, opts, u0, pinned):
     kernel = assembly.EnergyKernel(mesh, phi, params)
     metric = _ReweightedMetric(kernel, pinned)
 
-    u = np.array(u0, dtype=np.float64)
-    u[pinned] = 0.0
+    u = np.where(pinned, 0.0, _start_values(mesh, start, p))
     norm = boundary_p_norm(mesh, u, p)
     if norm == 0.0:
         raise ValueError("start has zero boundary trace")
@@ -621,36 +625,25 @@ def _descent(mesh, phi, params, opts, u0, pinned):
         g[pinned] = 0.0
         return g
 
-    def small(gnorm, R):
-        return gnorm <= tol * max(1.0, abs(R))
-
     R = quotient(u)
     g = gradient(R)
     gnorm = float(np.linalg.norm(g))
     metric.refresh(u)
     z = metric.direction(g)
     alpha = 1.0  # z is already scaled by M^-1; start from the full step
-    rel_change = np.inf
     history = collections.deque([R], maxlen=_STALL_STEPS + 1)
-    converged = False
-    stop = "max_iters"
+    stop = "tolerance"
     backtracks = 0
     iters = 0
 
-    for iters in range(1, opts.max_iters + 1):
-        if rel_change <= tol and small(gnorm, R):
-            converged = True
-            stop = "tolerance"
-            iters -= 1
+    while not (gnorm <= tol * max(1.0, abs(R))):  # a NaN gradient fails the test
+        if iters == opts.max_iters:
+            stop = "max_iters"
             break
-        if (
-            len(history) > _STALL_STEPS
-            and history[0] - R <= _STALL_DROP * abs(R)
-            and not small(gnorm, R)
-        ):
+        if len(history) > _STALL_STEPS and history[0] - R <= _STALL_DROP * abs(R):
             stop = "stall"
-            iters -= 1
             break
+        iters += 1
         a = alpha
         slope = float(g @ z)
         accepted = False
@@ -669,15 +662,13 @@ def _descent(mesh, phi, params, opts, u0, pinned):
             backtracks += 1
         if not accepted:
             # Every step that still moves u fails the Armijo test.
-            converged = small(gnorm, R)
             stop = "line_search"
             break
         s = v - u
         g_new = gradient(Rv)
         sy = float(s @ (g_new - g))
-        alpha = metric.norm_sq(s) / sy if sy > 0.0 else min(2.0 * a, 1e3)
+        alpha = metric.norm_sq(s) / sy if sy > 0.0 else 2.0 * a
         alpha = min(max(alpha, 1e-12), 1e3)
-        rel_change = abs(R - Rv) / max(abs(Rv), 1e-300)
         u, R, g = v, Rv, g_new
         gnorm = float(np.linalg.norm(g))
         history.append(R)
@@ -692,7 +683,7 @@ def _descent(mesh, phi, params, opts, u0, pinned):
         "metric_factorizations": metric.factorizations,
         "backtracks": backtracks,
     }
-    return _eigenpair(mesh, R, u, iters, gnorm, converged, diagnostics)
+    return _eigenpair(mesh, R, u, iters, gnorm, stop == "tolerance", diagnostics)
 
 
 def solve_nonlinear(mesh, phi, params, opts=None, start=None):
@@ -702,9 +693,8 @@ def solve_nonlinear(mesh, phi, params, opts=None, start=None):
     pass ``start`` (a Field or array) to warm-start, which by monotonicity
     of the accepted steps can only lower the computed eigenvalue.
     """
-    opts = opts or SolverOptions()
     pinned = np.zeros(mesh.n_vertices, dtype=bool)
-    return _descent(mesh, phi, params, opts, _start_values(mesh, start, params.p), pinned)
+    return _descent(mesh, phi, params, pinned, opts or SolverOptions(), start)
 
 
 def solve_dirichlet(mesh, region, params, opts=None, start=None):
@@ -729,7 +719,6 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
     if params.p == 2.0:
         eig = _solve_p2(mesh, phi0, 0.0, pinned, opts, start)
     else:
-        u0 = _start_values(mesh, start, params.p)
-        eig = _descent(mesh, phi0, params, opts, u0, pinned)
+        eig = _descent(mesh, phi0, params, pinned, opts, start)
     eig.diagnostics["constrained_vertices"] = int(constrained_b.sum())
     return eig

@@ -56,7 +56,9 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, kind="file"):
-        vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+        # vertices is copied, as _orient_ccw copies triangles, so freezing
+        # the mesh's arrays leaves the caller's own ones writeable.
+        vertices = np.array(vertices, dtype=np.float64, order="C")
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshTopologyError("vertices must be an (n, 2) array")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from steklov import (
     BoundaryDensity,
     Field,
+    Mesh,
     ProblemParams,
     assemble_linear,
     boundary_p_norm,
@@ -79,6 +80,24 @@ def test_density_validation(square_tiny):
         BoundaryDensity.of(square_tiny, np.full(square_tiny.n_boundary_edges, 1.5))
     phi = BoundaryDensity.constant(square_tiny, 0.25)
     assert phi.mass == pytest.approx(0.25 * square_tiny.perimeter, rel=1e-14)
+
+
+def test_freezing_copies_leave_the_callers_arrays_writeable(square_tiny):
+    # Field, BoundaryDensity and Mesh freeze copies of what they are given
+    values = np.ones(square_tiny.n_vertices)
+    edges = np.full(square_tiny.n_boundary_edges, 0.5)
+    vertices = np.array(square_tiny.vertices)
+    field = Field.of(square_tiny, values)
+    phi = BoundaryDensity.of(square_tiny, edges)
+    mesh = Mesh(vertices, square_tiny.triangles)
+    for own, frozen in (
+        (values, field.values),
+        (edges, phi.edge_values),
+        (vertices, mesh.vertices),
+    ):
+        assert own.flags.writeable and not frozen.flags.writeable
+        assert not np.shares_memory(own, frozen)
+        assert np.array_equal(own, frozen)
 
 
 def test_density_json_round_trip(square_tiny, rng, tmp_path, run_cli):

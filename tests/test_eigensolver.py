@@ -684,6 +684,7 @@ def test_descent_iterations_do_not_grow_with_refinement(gate_disks, p):
 def test_p12_descent_stops_early_below_the_euclidean_value(gate_disks, h):
     pair = _gate_solve(gate_disks[h], 1.2)
     assert not pair.converged
+    assert pair.converged == (pair.diagnostics["stop"] == "tolerance")
     assert pair.iterations <= 1000
     assert pair.diagnostics["stop"] in {"line_search", "stall"}
     assert pair.lam <= EUCLIDEAN_P12_LAMBDA[h]
@@ -724,6 +725,7 @@ def test_stalled_descent_stops_unconverged(disk_regression, monkeypatch):
     monkeypatch.setattr(eigensolver, "_STALL_DROP", 1.0)
     pair = _gate_solve(disk_regression, 1.2)
     assert (pair.diagnostics["stop"], pair.iterations, pair.converged) == ("stall", 20, False)
+    assert pair.converged == (pair.diagnostics["stop"] == "tolerance")
 
 
 def test_descent_diagnostics_have_a_fixed_key_set(disk_regression):
@@ -748,9 +750,38 @@ def test_descent_diagnostics_have_a_fixed_key_set(disk_regression):
         diagnostics = pair.diagnostics
         assert diagnostics["method"] == "reweighted_descent"
         assert diagnostics["stop"] == stop
+        assert pair.converged == (stop == "tolerance")
         assert diagnostics["grad_norm"] == pair.residual
         # one factorization at the start, one more every 10 accepted steps
         assert diagnostics["metric_factorizations"] == 1 + pair.iterations // 10
+
+
+def test_descent_warm_started_at_its_own_result_takes_no_step(disk_regression):
+    # the gradient test alone decides: a start that passes it is returned as is
+    mesh = disk_regression
+    free = _gate_solve(mesh, 3.0)
+    phi = BoundaryDensity.constant(mesh, 0.3)
+    warm = solve_nonlinear(mesh, phi, ProblemParams(p=3.0, sigma=2.0), start=free.u)
+    assert (warm.iterations, warm.converged, warm.diagnostics["stop"]) == (0, True, "tolerance")
+    assert warm.lam == free.lam
+
+
+def test_descent_capped_at_its_own_step_count_converges(disk_regression):
+    # the gradient test is checked before the step limit, also after the last step
+    free = _gate_solve(disk_regression, 3.0)
+    capped = _gate_solve(disk_regression, 3.0, opts=SolverOptions(max_iters=free.iterations))
+    short = _gate_solve(disk_regression, 3.0, opts=SolverOptions(max_iters=free.iterations - 1))
+    assert (capped.iterations, capped.converged, capped.diagnostics["stop"]) == (
+        free.iterations,
+        True,
+        "tolerance",
+    )
+    assert capped.lam == free.lam
+    assert (short.iterations, short.converged, short.diagnostics["stop"]) == (
+        free.iterations - 1,
+        False,
+        "max_iters",
+    )
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])

@@ -54,6 +54,12 @@ def test_script_help_exits_cleanly(script):
             id="layer_ladder.py",
         ),
         pytest.param(
+            "p_ladder.py",
+            ["--p", "3", "--h", "0.1"],
+            " 3.00  0.100    417    39 tolerance   True      0x1.eb09dd5875b2ep-1",
+            id="p_ladder.py",
+        ),
+        pytest.param(
             "derivative_table.py",
             [],
             "  sign consistent        True",
