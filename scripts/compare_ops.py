@@ -5,10 +5,13 @@ of this repository, which builds the configs from the seed alone) runs as
 one ``steklov.cli.main`` call with ``--jobs 1``, once on each tree.  Every
 pass of every tree runs in its own Python process whose ``steklov`` is
 imported from ``TREE/src``.  For each op the script prints both exit codes,
-the eigenvalue, iteration count and residual the op reports, and the
-output files that differ apart from their ``timestamp`` key (in content or
-in key order).  It exits 1
-when some op's exit codes differ, 0 otherwise.
+the eigenvalue, iteration count and residual the op reports, the output
+files that differ apart from their ``timestamp`` key (in content or in key
+order), and ``printed text`` when what the op printed to standard output
+and standard error differs (its output directory read as ``<out>``).  The
+ops whose printed text differs are then listed with a unified diff of
+their text.  It exits 1 when some op's exit codes or printed text differ,
+0 otherwise.
 
 Usage:
     python3 scripts/compare_ops.py --old ../base --new . \\
@@ -22,6 +25,7 @@ value the op does not report.
 """
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -35,13 +39,14 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS, make_ops  # noqa: E402
 
 # Runs the argv lists of a JSON file through steklov.cli.main in this
-# process; prints where steklov came from and the exit codes (None for an
-# op that raised, shown as "crash", its traceback on standard error).
+# process; prints where steklov came from, the exit codes (None for an op
+# that raised, shown as "crash", its traceback on standard error) and the
+# text each op printed to standard output and standard error, interleaved.
 _RUNNER = """
 import contextlib, io, json, sys, traceback
 import steklov
 from steklov.cli import main
-codes = []
+codes, texts = [], []
 for argv in json.load(open(sys.argv[1])):
     sink = io.StringIO()
     try:
@@ -50,7 +55,8 @@ for argv in json.load(open(sys.argv[1])):
     except Exception:
         traceback.print_exc()
         codes.append(None)
-print(json.dumps({"module": steklov.__file__, "codes": codes}))
+    texts.append(sink.getvalue())
+print(json.dumps({"module": steklov.__file__, "codes": codes, "texts": texts}))
 """
 
 # Output file -> (lambda, iterations, residual) read off its JSON content.
@@ -63,7 +69,8 @@ _SUMMARIES = {
 
 
 def run_tree(tree, argvs, work):
-    """Exit codes of the CLI calls ``argvs``, run in one process on ``tree``."""
+    """Exit codes and printed texts of the CLI calls ``argvs``, run in one
+    process on ``tree``."""
     src = (tree / "src").resolve()
     manifest = work / "argv.json"
     manifest.write_text(json.dumps(argvs), encoding="utf-8")
@@ -81,7 +88,7 @@ def run_tree(tree, argvs, work):
     result = json.loads(proc.stdout.splitlines()[-1])
     if not Path(result["module"]).resolve().is_relative_to(src):
         raise SystemExit(f"{tree}: steklov was imported from {result['module']}")
-    return result["codes"]
+    return result["codes"], result["texts"]
 
 
 def _canonical(path):
@@ -132,6 +139,7 @@ def main():
     args = parser.parse_args()
 
     code_changes = file_changes = total = 0
+    text_diffs = []  # (op label, unified diff of its printed text)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for index in range(args.passes):
@@ -141,32 +149,44 @@ def main():
             for i, (_, cfg) in enumerate(ops):
                 (configs / f"op{i:02d}.json").write_text(json.dumps(cfg), encoding="utf-8")
             outputs = {side: work / side / f"pass{index}" for side in ("old", "new")}
-            codes = {}
+            codes, texts = {}, {}
             for side, tree in (("old", args.old), ("new", args.new)):
                 argvs = [
                     [command, "--config", str(configs / f"op{i:02d}.json")]
                     + ["--out", str(outputs[side] / f"op{i:02d}"), "--jobs", "1"]
                     for i, (command, _) in enumerate(ops)
                 ]
-                codes[side] = run_tree(tree, argvs, configs)
+                codes[side], printed = run_tree(tree, argvs, configs)
+                texts[side] = [t.replace(str(outputs[side]), "<out>") for t in printed]
             for i, (command, _) in enumerate(ops):
                 old, new = (outputs[side] / f"op{i:02d}" for side in ("old", "new"))
                 lam, iters, resid = zip(summary(old), summary(new))
                 diff = differing_files(old, new)
                 code = (codes["old"][i], codes["new"][i])
+                label = f"pass {index} op {i:02d} {command:<14}"
                 total += 1
                 code_changes += code[0] != code[1]
                 file_changes += bool(diff)
+                old_text, new_text = texts["old"][i], texts["new"][i]
+                if old_text != new_text:
+                    diff.append("printed text")
+                    lines = difflib.unified_diff(
+                        old_text.splitlines(), new_text.splitlines(), "old", "new", lineterm=""
+                    )
+                    text_diffs.append((label, "\n".join(lines)))
                 print(
-                    f"pass {index} op {i:02d} {command:<14} exit {_pair(*code, 'crash')}"
+                    f"{label} exit {_pair(*code, 'crash')}"
                     f"  lambda {_pair(*lam)}  iters {_pair(*iters)}"
                     f"  resid {_pair(*resid)}  differ: {', '.join(diff) or '-'}"
                 )
+    for label, lines in text_diffs:
+        print(f"printed text differs: {label.rstrip()}\n{lines}")
     print(
         f"{total} ops: {code_changes} with different exit codes, "
-        f"{file_changes} with different output files"
+        f"{file_changes} with different output files, "
+        f"{len(text_diffs)} with different printed text"
     )
-    return 1 if code_changes else 0
+    return 1 if code_changes or text_diffs else 0
 
 
 if __name__ == "__main__":

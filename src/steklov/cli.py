@@ -11,7 +11,8 @@ Subcommands
 ``sigma-sweep``
     Runs ``optimize`` across an ascending list of couplings and compares
     against the hard-constraint (pinned-trace) eigenvalue on the support of
-    the strongest-coupling result; writes one CSV.
+    the strongest-coupling result; writes one CSV and the reference
+    eigenpair, and exits 2 if the reference did not converge.
 ``shape-deriv``
     Endpoint-derivative formula versus its finite-difference oracle.
 ``symmetry-check``
@@ -33,11 +34,12 @@ All commands read a single JSON config (``--config``).  Configs are
 versioned and validated fail-closed: unknown keys are rejected so typos in
 experiment scripts surface immediately.  A run has two phases.  Phase 1,
 ``_read``, reads each key once and checks it before any mesh exists.  Only
-the mesh generators' own size checks, the mass against the perimeter, the
-region's arcs and building the potential wait for ``main`` to build the
-mesh with ``build_mesh``; phase 2, ``_with_mesh``, then runs them.  No
-check runs after a factorization, and subcommands get the values the two
-phases read, never the config.
+the mesh generators' own size checks, the region's arcs, building the
+potential and the library's mass rule (``rearrange._check_mass``: the mass
+against the perimeter, the start potential's mass against the mass) wait
+for ``main`` to build the mesh with ``build_mesh``; phase 2,
+``_with_mesh``, then runs them.  No check runs after a factorization, and
+subcommands get the values the two phases read, never the config.
 
 Exit codes are a stable contract: 0 success, 1 usage/config error, 2
 numerical failure.  Every usage or config error -- a bad flag, a bad
@@ -88,6 +90,7 @@ from .errors import (
 from .mesh import Mesh, RegionSpec, generate_disk, generate_rectangle, load_mesh_file
 from .rearrange import (
     _check_cap,
+    _check_mass,
     _check_outer_loop,
     arc_defect,
     cap_indicator,
@@ -387,12 +390,12 @@ def _read(command: str, cfg: dict) -> dict:
 
 
 def _with_mesh(run: dict, mesh: Mesh) -> dict:
-    """Phase 2: the mass against the perimeter, then every value that needs
-    the mesh built; it all runs before any factorization."""
-    a = run.get("outer", {}).get("mass", 0.0)
-    if not 0.0 <= a <= mesh.perimeter:
-        raise ConfigError(f"'mass' must lie in [0, perimeter={mesh.perimeter!r}], got {a!r}")
-    return {key: value(mesh) if callable(value) else value for key, value in run.items()}
+    """Phase 2: every value that needs the mesh built, then the mass rule; it
+    all runs before any factorization."""
+    run = {key: value(mesh) if callable(value) else value for key, value in run.items()}
+    if "outer" in run:
+        _check_mass(mesh, run["outer"]["mass"], run.get("potential"))
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +541,7 @@ def cmd_sigma_sweep(mesh, out_dir, args, params, opts, sigmas, outer, potential)
     try:
         for trace in _pooled(one, sigmas, mesh, params, args.jobs):
             traces.append(trace)
-    except (NonConvergenceError, InfeasibleConstraintError) as exc:
+    except NonConvergenceError as exc:
         # Flush what completed before the failure so the sweep is inspectable.
         rows = [
             [s, float(tr.final_lambda), ""] for s, tr in zip(sigmas, traces)
@@ -552,7 +555,7 @@ def cmd_sigma_sweep(mesh, out_dir, args, params, opts, sigmas, outer, potential)
     # dominated by the region's indicator and the hard-constraint eigenvalue
     # is a true upper bound for every coupling in the sweep.
     e_ref = support_region(mesh, traces[-1].final_potential)
-    ref_pair = solve_dirichlet(mesh, e_ref, params)
+    ref_pair = solve_dirichlet(mesh, e_ref, params, opts)
 
     rows = [
         [s, float(tr.final_lambda), float(ref_pair.lam)]
@@ -566,11 +569,13 @@ def cmd_sigma_sweep(mesh, out_dir, args, params, opts, sigmas, outer, potential)
             f"sigma={s!r}: Lambda={tr.final_lambda!r} "
             f"gap_to_reference={ref_pair.lam - tr.final_lambda!r}"
         )
-    return _EXIT_OK
+    if not ref_pair.converged:
+        print("numerical failure: the reference eigensolve did not converge", file=sys.stderr)
+    return _EXIT_OK if ref_pair.converged else _EXIT_NUMERICAL
 
 
 def cmd_shape_deriv(mesh, out_dir, args, params, opts, tangent, steps, sign) -> int:
-    report = shape_derivative_fd(mesh, tangent.region, tangent, params, steps=steps, opts=opts)
+    report = shape_derivative_fd(mesh, tangent, params, steps=steps, opts=opts)
     if sign == -1.0:
         report = replace(report, formula_value=-report.formula_value)
     _write_record(

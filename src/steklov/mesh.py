@@ -387,49 +387,34 @@ def load_mesh(text):
         pos += 1
         return item
 
-    ln, header = take()
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise MeshParseError(f"line {ln}: expected 'vertices N', got {header!r}")
-    try:
-        n_vert = int(parts[1])
-    except ValueError:
-        raise MeshParseError(f"line {ln}: bad vertex count {parts[1]!r}") from None
-    if n_vert <= 0:
-        raise MeshParseError(f"line {ln}: vertex count must be positive")
-
-    vertices = np.empty((n_vert, 2))
-    for k in range(n_vert):
-        ln, row = take()
-        parts = row.split()
-        if len(parts) != 2:
-            raise MeshParseError(f"line {ln}: expected 'x y', got {row!r}")
+    def section(header_form, noun, row_form, bad, dtype):
+        """The rows under a ``header_form`` header, a positive count of them,
+        each of ``row_form``'s number of tokens converted by ``dtype``."""
+        ln, header = take()
+        parts = header.split()
+        if len(parts) != 2 or parts[0] != header_form.split()[0]:
+            raise MeshParseError(f"line {ln}: expected '{header_form}', got {header!r}")
         try:
-            vertices[k] = (float(parts[0]), float(parts[1]))
+            count = int(parts[1])
         except ValueError:
-            raise MeshParseError(f"line {ln}: bad coordinate in {row!r}") from None
+            raise MeshParseError(f"line {ln}: bad {noun} count {parts[1]!r}") from None
+        if count <= 0:
+            raise MeshParseError(f"line {ln}: {noun} count must be positive")
+        width = len(row_form.split())
+        rows = np.empty((count, width), dtype=dtype)
+        for k in range(count):
+            ln, row = take()
+            parts = row.split()
+            if len(parts) != width:
+                raise MeshParseError(f"line {ln}: expected '{row_form}', got {row!r}")
+            try:
+                rows[k] = [dtype(part) for part in parts]
+            except ValueError:
+                raise MeshParseError(f"line {ln}: bad {bad} in {row!r}") from None
+        return rows
 
-    ln, header = take()
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "triangles":
-        raise MeshParseError(f"line {ln}: expected 'triangles M', got {header!r}")
-    try:
-        n_tri = int(parts[1])
-    except ValueError:
-        raise MeshParseError(f"line {ln}: bad triangle count {parts[1]!r}") from None
-    if n_tri <= 0:
-        raise MeshParseError(f"line {ln}: triangle count must be positive")
-
-    triangles = np.empty((n_tri, 3), dtype=np.int64)
-    for k in range(n_tri):
-        ln, row = take()
-        parts = row.split()
-        if len(parts) != 3:
-            raise MeshParseError(f"line {ln}: expected 'i j k', got {row!r}")
-        try:
-            triangles[k] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshParseError(f"line {ln}: bad index in {row!r}") from None
+    vertices = section("vertices N", "vertex", "x y", "coordinate", float)
+    triangles = section("triangles M", "triangle", "i j k", "index", int)
 
     if pos != len(lines):
         ln, row = lines[pos]

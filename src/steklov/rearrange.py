@@ -80,11 +80,15 @@ def cap_indicator(mesh, center_angle, mass):
     return _single_arc(mesh, (center_s - 0.5 * mass) % P, mass)
 
 
-def _check_mass(mesh, mass):
-    """Reject a mass outside ``[0, perimeter]`` (with a 1e-12 relative slack)."""
+def _check_mass(mesh, mass, start=None):
+    """The mass rule: reject a mass outside ``[0, perimeter]`` and a ``start``
+    density of another mass, each with a slack of 1e-12 perimeters."""
     P = mesh.perimeter
-    if not (0.0 <= mass <= P + 1e-12 * P):
-        raise ValueError(f"mass {mass} outside [0, perimeter={P}]")
+    slack = 1e-12 * P
+    if not (0.0 <= mass <= P + slack):
+        raise ValueError(f"'mass' must lie in [0, perimeter={P!r}], got {mass!r}")
+    if start is not None and not abs(start.mass - mass) <= slack:
+        raise ValueError(f"the start density has mass {start.mass!r}, not 'mass'={mass!r}")
 
 
 def bathtub(mesh, u, mass, p=2.0):
@@ -255,6 +259,7 @@ class OptimizationTrace:
 def _initial_density(mesh, mass, phi0):
     """``phi0``, or for ``None`` the single arc ``[0, mass)``."""
     if isinstance(phi0, BoundaryDensity):
+        _check_mass(mesh, mass, phi0)
         return phi0
     if phi0 is not None:
         raise TypeError(f"phi0 must be a BoundaryDensity or None, got {phi0!r}")
@@ -285,15 +290,17 @@ def optimize_potential(
     Alternates an eigensolve for the current density with a bathtub refill
     for the current trace.  The run starts from the ``BoundaryDensity``
     ``phi0`` (a random start is ``random_admissible(mesh, mass, seed)``) or,
-    for ``None``, from the single arc ``[0, mass)``.  Inner solves are
+    for ``None``, from the single arc ``[0, mass)``; ``phi0`` must have mass
+    ``mass``, as every refill has (:func:`_check_mass`).  Inner solves are
     warm-started with the previous eigenfunction, which makes the recorded
     eigenvalues non-increasing.
     :func:`prepare_repeated_solves` runs first, so for p = 2 the solves of
     this run and of later runs on the same mesh share one factorization.
-    Stops on an edgewise-identical refill (a bathtub fixed point), on a
-    relative eigenvalue change below ``outer_tol`` (finite and positive; by
-    default ``opts.tol``, else 1e-9), on a detected cycle (flagged in
-    diagnostics), or after ``max_outer`` iterations.
+    Stops on a refill equal, edge by edge within 1e-12, to the current
+    density (a bathtub fixed point) or to one of the four before it (a
+    cycle, flagged in diagnostics), on a relative eigenvalue change below
+    ``outer_tol`` (finite and positive; by default ``opts.tol``, else
+    1e-9), or after ``max_outer`` iterations.
 
     A fixed point whose support has more than one arc can be a saddle
     between single caps (two antipodal arcs of half the mass each on the
@@ -316,6 +323,9 @@ def optimize_potential(
     history = []
     converged = False
     diagnostics = {}
+
+    def same(a, b):
+        return float(np.abs(a - b).max(initial=0.0)) <= 1e-12
 
     def solve(density, start, k):
         if params.p == 2.0:
@@ -340,8 +350,7 @@ def optimize_potential(
         new_phi, level = bathtub(mesh, eig.u, mass, params.p)
         levels.append(level)
 
-        delta = np.abs(new_phi.edge_values - phi.edge_values)
-        if float(delta.max(initial=0.0)) <= 1e-12:
+        if same(new_phi.edge_values, phi.edge_values):
             if len(support_region(mesh, phi).arcs) > 1:
                 window = _window_density(mesh, phi)
                 trial = solve(window, eig.u, k + 1)
@@ -352,11 +361,7 @@ def optimize_potential(
                 diagnostics["window_rejected"] = True
             converged = True
             break
-        cycle = any(
-            float(np.abs(new_phi.edge_values - old).max(initial=0.0)) <= 1e-12
-            for old in history
-        )
-        if cycle:
+        if any(same(new_phi.edge_values, old) for old in history):
             diagnostics["cycle_detected"] = True
             break
         if len(lambdas) >= 2 and abs(lambdas[-1] - lambdas[-2]) <= outer_tol * abs(

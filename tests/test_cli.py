@@ -327,6 +327,28 @@ def test_sigma_sweep_flushes_the_completed_rows_when_a_coupling_fails(
     assert not (out / "reference_eigenpair.json").exists()
 
 
+def test_sigma_sweep_reference_takes_the_solver_options(tmp_path, capsys):
+    # 8 iterations converge every optimize solve but not the reference,
+    # which needs 9: the sweep writes both files and then exits 2
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 1.0},
+        mass=1.0,
+        sigma_list=[1.0],
+        solver={"max_iters": 8},
+    )
+    out = tmp_path / "out"
+    assert run("sigma-sweep", cfg, out) == 2
+    reference = json.loads((out / "reference_eigenpair.json").read_text())
+    assert (reference["converged"], reference["iterations"]) == (False, 8)
+    rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 2 and float(rows[1][2]) == reference["lambda"]
+    out_text, err = capsys.readouterr()
+    assert out_text.startswith("sigma=1.0: Lambda=")
+    assert err == "numerical failure: the reference eigensolve did not converge\n"
+
+
 def test_sigma_sweep_rejects_unsorted_list(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -600,6 +622,22 @@ def test_usage_errors_return_config_exit(tmp_path):
         tmp_path, geometry=DISK_COARSE, params={"p": 2.0, "sigma": 0.0}
     )
     assert main(["solve", "--config", str(cfg), "--jobs", "0"]) == 1
+
+
+def test_optimize_rejects_a_start_of_another_mass(tmp_path, capsys):
+    # a start of mass 0.5 under a refill mass of 2.0 made the trace rise
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 5.0},
+        mass=2.0,
+        potential={"type": "random", "seed": 1, "mass": 0.5},
+    )
+    assert run("optimize", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the start density has mass 0.49999")
+    assert err.endswith(", not 'mass'=2.0\n")
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_invalid_physical_parameters_are_config_errors(tmp_path):
@@ -995,6 +1033,12 @@ OVERLAPPING_ARCS = {
             {"sigma_list": [1.0], "potential": {"type": "constant", "value": 1.5}},
             "density values must lie in [0, 1]",
         ),
+        (
+            "sigma-sweep",
+            SWEEP_CONFIG,
+            {"sigma_list": [1.0], "potential": {"type": "random", "seed": 1, "mass": 0.5}},
+            "the start density has mass 0.49999",
+        ),
         ("shape-deriv", SHAPE_CONFIG, OVERLAPPING_ARCS, "arcs overlap"),
     ],
     ids=[
@@ -1003,6 +1047,7 @@ OVERLAPPING_ARCS = {
         "sweep-mass",
         "symmetry-mass",
         "potential",
+        "start-mass",
         "overlapping-arcs",
     ],
 )
@@ -1025,11 +1070,12 @@ def test_sigma_sweep_reads_a_file_potential_once(tmp_path, monkeypatch):
         return load(mesh, path)
 
     monkeypatch.setattr(cli, "_load_density", counting)
+    values = [1.0] * 4 + [0.0] * 18
     phi = tmp_path / "phi.json"
-    phi.write_text(json.dumps({"edge_values": [1.0] * 4 + [0.0] * 18}), encoding="utf-8")
+    phi.write_text(json.dumps({"edge_values": values}), encoding="utf-8")
     cfg = write_config(
         tmp_path,
-        **SWEEP_CONFIG,
+        **{**SWEEP_CONFIG, "mass": BoundaryDensity.of(generate_disk(0.3), values).mass},
         sigma_list=[1.0, 2.0, 4.0],
         potential={"type": "file", "path": str(phi)},
     )

@@ -547,3 +547,15 @@ def test_trace_serialization_round_trip(disk_coarse, run_cli):
 def test_optimize_takes_a_density_or_none_as_its_start(disk_coarse):
     with pytest.raises(TypeError, match="^phi0 must be a BoundaryDensity or None, got 'random'$"):
         optimize_potential(disk_coarse, ProblemParams(p=2.0, sigma=5.0), 1.0, phi0="random")
+
+
+def test_optimize_rejects_a_start_of_another_mass(disk_coarse):
+    params = ProblemParams(p=2.0, sigma=5.0)
+    start = random_admissible(disk_coarse, 0.5, 1)
+    message = r"^the start density has mass 0\.49999\d*, not 'mass'=2\.0$"
+    with pytest.raises(ValueError, match=message):
+        optimize_potential(disk_coarse, params, 2.0, phi0=start)
+    # within 1e-12 perimeters of the mass, as the range test allows
+    slack = 0.5e-12 * disk_coarse.perimeter
+    trace = optimize_potential(disk_coarse, params, 0.5 + slack, phi0=start, max_outer=1)
+    assert trace.potentials[0] is start

@@ -95,10 +95,11 @@ def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
     assert float(resid) <= 1e-9
 
 
-def _fake_tree(root, code, csv_text, keys=("lambda", "iterations", "residual")):
+def _fake_tree(root, code, csv_text, keys=("lambda", "iterations", "residual"), text=""):
     """A source tree whose ``steklov.cli.main`` writes fixed outputs and returns ``code``.
 
-    ``keys`` is the order of the eigenpair record's keys.
+    ``keys`` is the order of the eigenpair record's keys; ``main`` prints
+    ``text`` and its output directory to standard output.
     """
     package = root / "src" / "steklov"
     package.mkdir(parents=True)
@@ -114,6 +115,7 @@ def _fake_tree(root, code, csv_text, keys=("lambda", "iterations", "residual")):
         "    record['timestamp'] = time.time_ns()\n"
         "    (out / 'eigenpair.json').write_text(json.dumps(record))\n"
         f"    (out / 'trace.csv').write_text({csv_text!r})\n"
+        f"    print({text!r}, out)\n"
         f"    return {code}\n"
     )
     return root
@@ -134,7 +136,10 @@ def test_compare_ops_lists_differing_files_apart_from_timestamps(tmp_path):
     assert len(rows) == 22
     for row in rows:
         assert "exit 0/0  lambda 1.5/1.5  iters 3/3  resid 0.25/0.25  differ: trace.csv" in row
-    assert total == "22 ops: 0 with different exit codes, 22 with different output files"
+    assert total == (
+        "22 ops: 0 with different exit codes, 22 with different output files, "
+        "0 with different printed text"
+    )
 
 
 def test_compare_ops_reports_a_change_of_key_order(tmp_path):
@@ -146,7 +151,10 @@ def test_compare_ops_reports_a_change_of_key_order(tmp_path):
     assert len(rows) == 11
     for row in rows:
         assert "exit 0/0  lambda 1.5/1.5  iters 3/3  resid 0.25/0.25  differ: eigenpair.json" in row
-    assert total == "11 ops: 0 with different exit codes, 11 with different output files"
+    assert total == (
+        "11 ops: 0 with different exit codes, 11 with different output files, "
+        "0 with different printed text"
+    )
 
 
 def test_compare_ops_fails_when_an_exit_code_differs(tmp_path):
@@ -154,7 +162,33 @@ def test_compare_ops_fails_when_an_exit_code_differs(tmp_path):
     assert proc.returncode == 1, proc.stderr
     *rows, total = proc.stdout.splitlines()
     assert all("exit 0/2" in row and row.endswith("differ: -") for row in rows)
-    assert total == "22 ops: 22 with different exit codes, 0 with different output files"
+    assert total == (
+        "22 ops: 22 with different exit codes, 0 with different output files, "
+        "0 with different printed text"
+    )
+
+
+def test_compare_ops_fails_when_the_printed_text_differs(tmp_path):
+    old = _fake_tree(tmp_path / "a", 0, "a\n", text="lambda = 1.5")
+    new = _fake_tree(tmp_path / "b", 0, "a\n", text="lambda = 1.50")
+    proc = _compare(old, new, passes=1)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(row.endswith("differ: printed text") for row in lines[:11])
+    # each differing op is listed with a diff of its text, the output
+    # directory (which differs between the sides) read as <out>
+    assert lines[11:16] == [
+        "printed text differs: pass 0 op 00 solve",
+        "--- old",
+        "+++ new",
+        "@@ -1 +1 @@",
+        "-lambda = 1.5 <out>/op00",
+    ]
+    assert lines[16] == "+lambda = 1.50 <out>/op00"
+    assert lines[-1] == (
+        "11 ops: 0 with different exit codes, 0 with different output files, "
+        "11 with different printed text"
+    )
 
 
 def test_compare_ops_runs_the_cli_of_each_tree():
