@@ -258,11 +258,8 @@ class OptimizationTrace:
 
 def _initial_density(mesh, mass, phi0):
     """``phi0``, or for ``None`` the single arc ``[0, mass)``."""
-    if isinstance(phi0, BoundaryDensity):
-        _check_mass(mesh, mass, phi0)
-        return phi0
     if phi0 is not None:
-        raise TypeError(f"phi0 must be a BoundaryDensity or None, got {phi0!r}")
+        return phi0
     if mass == 0.0:
         return BoundaryDensity.of(mesh, np.zeros(mesh.n_boundary_edges))
     return _single_arc(mesh, 0.0, mass)[1]
@@ -314,7 +311,9 @@ def optimize_potential(
     opts = opts or SolverOptions()
     if outer_tol is None:
         outer_tol = opts.tol if opts.tol is not None else 1e-9
-    _check_mass(mesh, mass)
+    if phi0 is not None and not isinstance(phi0, BoundaryDensity):
+        raise TypeError(f"phi0 must be a BoundaryDensity or None, got {phi0!r}")
+    _check_mass(mesh, mass, phi0)
     _check_outer_loop(max_outer, outer_tol)
 
     phi = _initial_density(mesh, mass, phi0)
