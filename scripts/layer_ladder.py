@@ -8,18 +8,20 @@ row per mesh, each entry the median of ``--repeat`` runs in milliseconds:
     mesh       Mesh(vertices, triangles) on the generator's arrays
     loop       the boundary-loop extraction inside that construction
     geometry   the per-mesh P1 geometry (areas, basis gradients, masses)
-    assemble   assemble_linear with the geometry already built
     order      the nested-dissection order of all vertices
-    splu       sparse LU of the assembled matrix in that order, unpivoted,
-               as the plain p = 2 route factors it
+    assemble   assemble_linear on that order, the geometry already built
+    splu       unpivoted sparse LU of the assembled matrix, as the plain
+               p = 2 route factors it
     solve      one solve_linear from scratch (assembly and LU included)
     bathtub    one bathtub refill from the solve's eigenfunction
     defect     arc_defect of the refilled density
 
 Two more columns describe the timed solve: ``iters``, the number of linear
 solves the p = 2 driver took for the eigenpair, and ``resid``, its relative
-eigen-residual.  The solve uses sigma = 5 and a constant density 0.25; the
-refill keeps a quarter of the perimeter.
+eigen-residual.  The last two describe the factor: ``nnz``, the entries
+SuperLU stores for L and U, and ``MB``, their size at 12 bytes (a value and
+a row index) per entry, in units of 2^20 bytes.  The solve uses sigma = 5
+and a constant density 0.25; the refill keeps a quarter of the perimeter.
 """
 
 import argparse
@@ -49,8 +51,8 @@ LAYERS = (
     "mesh",
     "loop",
     "geometry",
-    "assemble",
     "order",
+    "assemble",
     "splu",
     "solve",
     "bathtub",
@@ -78,11 +80,11 @@ def ladder_row(generate, repeat):
     row["geometry"], _ = median_ms(lambda: _Geometry(mesh), repeat)
     phi = BoundaryDensity.constant(mesh, 0.25)
     geometry(mesh)
-    row["assemble"], (A, _) = median_ms(lambda: assemble_linear(mesh, phi, SIGMA), repeat)
     vertices = np.arange(mesh.n_vertices)
     row["order"], order = median_ms(lambda: _nested_dissection(mesh, vertices), repeat)
-    A = A[order][:, order].tocsc()
-    row["splu"], _ = median_ms(lambda: spla.splu(A, **_IN_ORDER), repeat)
+    row["assemble"], (A, _) = median_ms(lambda: assemble_linear(mesh, phi, SIGMA, order), repeat)
+    row["splu"], lu = median_ms(lambda: spla.splu(A.T, **_IN_ORDER), repeat)
+    row["nnz"] = lu.nnz
     row["solve"], pair = median_ms(lambda: solve_linear(mesh, phi, SIGMA), repeat)
     mass = 0.25 * mesh.perimeter
     row["bathtub"], (refill, _) = median_ms(lambda: bathtub(mesh, pair.u, mass), repeat)
@@ -122,7 +124,7 @@ def main():
     print(
         f"{'mesh':<6} {'h':>7} {'n':>7} {'B':>5} "
         + " ".join(f"{name:>9}" for name in LAYERS)
-        + f" {'iters':>5} {'resid':>8}"
+        + f" {'iters':>5} {'resid':>8} {'nnz':>9} {'MB':>8}"
     )
     for kind, h, generate in ladder:
         mesh, row, pair = ladder_row(generate, args.repeat)
@@ -130,6 +132,7 @@ def main():
             f"{kind:<6} {h:7.4f} {mesh.n_vertices:7d} {mesh.n_boundary_edges:5d} "
             + " ".join(f"{row[name]:9.2f}" for name in LAYERS)
             + f" {pair.iterations:5d} {pair.residual:8.1e}"
+            + f" {row['nnz']:9d} {12 * row['nnz'] / 2**20:8.2f}"
         )
 
 

@@ -312,23 +312,31 @@ def boundary_power_gradient(mesh, u, p):
 class WeightedStiffness:
     """The P1 stiffness matrix with one weight per triangle, ``sum_T w_T K_T``.
 
-    The sparsity pattern is built once: the element contributions in CSR
-    order (a stable sort on ``(row, col)``) and the start of each entry's
-    run.  :meth:`matrix` then only scales the contributions and sums each
-    run in triangle order.  The local matrices are bitwise symmetric and
-    their ``(i, j)`` and ``(j, i)`` contributions arrive in the same
-    triangle order, so every assembled matrix is exactly symmetric --
-    scipy's own duplicate folding does not guarantee that.
+    Row k belongs to vertex ``unknowns[k]`` (default: all vertices).  The
+    sparsity pattern is built once: the element contributions in CSR order
+    (a stable sort on ``(row, col)``) and the start of each entry's run.
+    :meth:`matrix` then only scales the contributions and sums each run in
+    triangle order.  The local matrices are bitwise symmetric and their
+    ``(i, j)`` and ``(j, i)`` contributions arrive in the same triangle
+    order, so every assembled matrix is exactly symmetric (its CSR arrays
+    are its CSC arrays) -- scipy's own duplicate folding does not guarantee
+    that.
     """
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, unknowns=None):
         g = geometry(mesh)
         n = mesh.n_vertices
+        self._unknowns = unknowns = np.arange(n) if unknowns is None else unknowns
+        k = len(unknowns)
+        position = np.full(n, -1, dtype=np.int64)
+        position[unknowns] = np.arange(k)
         local = np.einsum("tid,tjd->tij", g.basis_grads, g.basis_grads)
         local *= g.areas[:, None, None]
-        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()  # t-major, then i, then j
-        cols = np.tile(mesh.triangles, (1, 3)).ravel()
-        order = np.lexsort((cols, rows))
+        tri = position[mesh.triangles]
+        rows = np.repeat(tri, 3, axis=1).ravel()  # t-major, then i, then j
+        cols = np.tile(tri, (1, 3)).ravel()
+        keep = np.flatnonzero((rows >= 0) & (cols >= 0))  # entries between unknowns
+        order = keep[np.argsort(rows[keep] * k + cols[keep], kind="stable")]
         rows, cols = rows[order], cols[order]
         self._vals = local.ravel()[order]
         self._elements = np.floor_divide(order, 9, out=order)  # 9 entries per triangle
@@ -336,12 +344,12 @@ class WeightedStiffness:
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         self._starts = np.flatnonzero(first)
         self._indices = cols[self._starts]
-        self._indptr = np.searchsorted(rows[self._starts], np.arange(n + 1))
+        self._indptr = np.searchsorted(rows[self._starts], np.arange(k + 1))
         self._diagonal = np.flatnonzero(rows[self._starts] == self._indices)
-        self.shape = (n, n)
+        self.shape = (k, k)
 
     def matrix(self, weights=None, diagonal=None):
-        """``sum_T weights_T K_T + diag(diagonal)`` in CSR format.
+        """``sum_T weights_T K_T + diag(diagonal)`` on the unknowns, in CSR format.
 
         ``weights`` (one per triangle) and ``diagonal`` (one per vertex)
         default to ones and zeros.
@@ -349,21 +357,21 @@ class WeightedStiffness:
         vals = self._vals if weights is None else self._vals * weights[self._elements]
         data = np.add.reduceat(vals, self._starts)
         if diagonal is not None:
-            data[self._diagonal] += diagonal
+            data[self._diagonal] += diagonal[self._unknowns]
         return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
 
 
-def assemble_linear(mesh, phi, sigma):
-    """Sparse operators of the p = 2 problem.
+def assemble_linear(mesh, phi, sigma, unknowns=None):
+    """Sparse operators of the p = 2 problem on ``unknowns``.
 
     Returns ``(A, Mb)`` in CSR format with
     ``A = stiffness + lumped volume mass + sigma * phi-weighted boundary mass``
-    and ``Mb`` the unweighted trapezoid boundary mass.  Both matrices are
-    assembled symmetrically (A is SPD; Mb is diagonal PSD with rank equal to
-    the number of boundary vertices), and ``u @ A @ u`` reproduces
-    ``energy(u, phi, p=2, sigma)`` up to roundoff.
+    and ``Mb`` the unweighted trapezoid boundary mass, both on ``unknowns`` as
+    in :class:`WeightedStiffness` and without explicit zeros (A is SPD, and
+    ``A.T`` is A in CSC format; Mb is diagonal PSD), and ``u @ A @ u``
+    reproduces ``energy(u, phi, p=2, sigma)`` up to roundoff.
     """
-    stiff = WeightedStiffness(mesh).matrix()
-    A = (stiff + sp.diags(_nodal_weights(mesh, phi, sigma)[0])).tocsr()
-    Mb = sp.diags(geometry(mesh).boundary_weights).tocsr()
-    return A, Mb
+    unknowns = np.arange(mesh.n_vertices) if unknowns is None else unknowns
+    stiff = WeightedStiffness(mesh, unknowns).matrix()
+    A = (stiff + sp.diags(_nodal_weights(mesh, phi, sigma)[0][unknowns])).tocsr()
+    return A, sp.diags(geometry(mesh).boundary_weights[unknowns]).tocsr()

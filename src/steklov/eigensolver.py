@@ -19,19 +19,22 @@ vertex mask ``pinned`` (all False for ``solve_linear`` and
 p != 2, to the descent.  The p = 2 core runs the Krylov-Ritz driver on one
 of two routes with the same iterates:
 
-- plain: a sparse LU of A for every solve, restricted to the unpinned
-  vertices and taken in the nested-dissection order of all vertices
-  (:func:`_nested_dissection`) with no pivoting (``_IN_ORDER``); on the
-  generated disks and squares its factor has 28-37 % fewer nonzeros than
-  with SuperLU's default COLAMD order and partial pivoting;
+- plain: a sparse LU of A for every solve, on the unpinned vertices in the
+  nested-dissection order of all vertices (:func:`_nested_dissection`)
+  with no pivoting (``_IN_ORDER``); on the generated disks and squares its
+  factor has 28-37 % fewer nonzeros than with SuperLU's default COLAMD
+  order and partial pivoting;
 - reduced: phi and sigma enter A only on the boundary diagonal, so all
   solves on one mesh share the interior block.  :func:`boundary_operator`
-  eliminates it once, factored by the same recipe in the dissection order
-  of the interior vertices, giving the dense B x B Steklov-Poincare matrix S0
-  (Quarteroni & Valli, Domain Decomposition Methods for PDEs, 1999), and
-  each solve then factors ``S0 + sigma * diag(b_phi)`` (its principal
-  submatrix when some vertex is pinned) by dense Cholesky and recovers the
-  interior values once at the end.
+  eliminates it once by the same recipe, the interior in its dissection
+  order and the boundary last, giving the dense B x B Steklov-Poincare
+  matrix S0 (Quarteroni & Valli, Domain Decomposition Methods for PDEs,
+  1999), and each solve then factors ``S0 + sigma * diag(b_phi)`` (its
+  principal submatrix when some vertex is pinned) by dense Cholesky and
+  recovers the interior values once at the end.
+
+Under a finite address-space limit, :func:`_splu_in_order` refuses each of
+these sparse factorizations at once when its estimated memory does not fit.
 
 Whether to build the operator is decided in one place,
 :func:`prepare_repeated_solves`: it builds it for p = 2 and is called by
@@ -60,14 +63,15 @@ for the gradient of the constant start).  At p = 2 every weight is 1
 and M is the p = 2 matrix plus the boundary mass.  The Armijo test uses the
 slope ``g^T z`` and the BB step is ``s^T M s / s^T y``.  The iteration
 count stays flat under mesh refinement, where Euclidean gradient steps
-needed about h^-2 iterations.  M is refactored by
-``splu`` every ``_METRIC_REFRESH`` accepted steps on a sparsity pattern
-built once per solve (:class:`~steklov.assembly.WeightedStiffness`) and
-restricted to the unpinned vertices, so the pinned values of every
-direction are exactly 0.  The energy, the gradient, the projection and
-the stopping test are those of a Euclidean-step descent, so the metric
-changes the path to the fixed point, not the fixed point or the meaning of
-``converged``.  The descent stops on the gradient test
+needed about h^-2 iterations.  M is refactored by ``splu`` every
+``_METRIC_REFRESH`` accepted steps on a sparsity pattern built once per
+solve on the unpinned vertices (:class:`~steklov.assembly.WeightedStiffness`),
+so the pinned values of every direction are exactly 0.  Like every matrix
+``splu`` factors here, M is assembled exactly symmetric on its unknowns in
+factor order, and ``splu`` gets its CSC view.  The energy, the gradient, the
+projection and the stopping test are those of a Euclidean-step descent, so
+the metric changes the path to the fixed point, not the fixed point or the
+meaning of ``converged``.  The descent stops on the gradient test
 ``|g| <= tol * max(1, |R|)`` alone, and ``converged`` means that this test
 ended it.  It stops unconverged when a line search ends unaccepted because
 ``u - a z`` rounds to u (``stop = "line_search"``), or when R has dropped
@@ -90,6 +94,11 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field as dc_field
+
+try:  # POSIX only; elsewhere no address-space limit is checked
+    import resource
+except ImportError:
+    resource = None
 
 import numpy as np
 import scipy.linalg as sla
@@ -122,6 +131,15 @@ _IN_ORDER = {
     "diag_pivot_thresh": 0.0,
     "options": {"SymmetricMode": True},
 }
+
+# The unpivoted factor of m unknowns in dissection order holds about
+# _FILL * m log2 m entries or more (3.9-5.5 on the generated disks and
+# squares with 10^3 to 2.5 * 10^5 unknowns), plus b^2 for a dense trailing
+# b x b block.  SuperLU needs _ENTRY_BYTES per entry while it factors: a
+# value and a row index, 12 bytes, twice over, as it grows its arrays by
+# copying them.
+_FILL = 4.0
+_ENTRY_BYTES = 24
 
 # The p = 2 Krylov-Ritz driver keeps at most this many basis vectors, then
 # restarts from its Ritz vector.
@@ -160,6 +178,28 @@ def _splu(A, **options):
         if "malloc fail" in message.lower() or "memory" in message.lower():
             raise MemoryError(message) from exc
         raise
+
+
+def _splu_in_order(A, dense=0):
+    """``_splu(A, **_IN_ORDER)``, refused with ``MemoryError`` if it cannot fit.
+
+    Under a finite soft ``RLIMIT_AS``, the factor's estimated memory (see
+    ``_FILL``; the last ``dense`` unknowns form a dense block) must fit in
+    the limit minus the process's virtual size, or SuperLU could spend
+    minutes retrying ever smaller expansions of its arrays.
+    """
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0] if resource else None
+    if limit is not None and limit != resource.RLIM_INFINITY:
+        m = A.shape[0]
+        need = _ENTRY_BYTES * (_FILL * m * math.log2(m) + dense * dense)
+        with open("/proc/self/statm") as statm:
+            free = limit - int(statm.read().split()[0]) * resource.getpagesize()
+        if need > free:
+            raise MemoryError(
+                f"factoring {m} unknowns needs about {need / 2**20:.0f} MB, "
+                f"the address-space limit leaves {max(free, 0) / 2**20:.0f} MB"
+            )
+    return _splu(A, **_IN_ORDER)
 
 
 @dataclass(frozen=True)
@@ -290,9 +330,9 @@ class BoundaryOperator:
 def _nested_dissection(mesh, vertices):
     """The vertex set ``vertices`` in a geometric nested-dissection order.
 
-    ``vertices`` is a non-empty index array; the mesh edges between its
-    members form the graph.  Level by level, every part with more than
-    ``_DISSECTION_LEAF`` vertices is cut at the median of its longer
+    ``vertices`` is a non-empty index array; the edges of ``mesh.edges``
+    between its members form the graph.  Level by level, every part with
+    more than ``_DISSECTION_LEAF`` vertices is cut at the median of its longer
     coordinate extent, and the vertices of the upper half that share an
     edge with the lower half become the part's separator.  Parts are
     numbered like a binary heap (the halves of part k are 2k and 2k + 1),
@@ -301,25 +341,15 @@ def _nested_dissection(mesh, vertices):
     depth d = floor(log2 k) sorts at the last slot of its subtree on the
     deepest level D, ``((k - 2^d + 1) << (D - d)) - 1``, and after its
     descendants that share that slot; within a part the vertices keep their
-    order in ``vertices``.
-
-    Each undirected edge is listed once, from its lower index: the triangles
-    are counterclockwise, so an inner edge appears once in each direction,
-    and a boundary edge appears once, in the direction of
-    ``mesh.boundary_loop``.  An edge leaves the list once it stops joining
+    order in ``vertices``.  An edge leaves the graph once it stops joining
     two vertices of one part that is still being cut.
     """
     m = len(vertices)
     x, y = mesh.vertices[vertices].T
     local = np.full(mesh.n_vertices, -1, dtype=np.int32)
     local[vertices] = np.arange(m, dtype=np.int32)
-    t = mesh.triangles
-    src, dst = local[t.ravel()], local[np.roll(t, -1, axis=1).ravel()]
-    b_src, b_dst = local[mesh.boundary_loop.T]
-    ascending = (src >= 0) & (src < dst)
-    descending = (b_dst >= 0) & (b_dst < b_src)
-    a = np.concatenate([src[ascending], b_dst[descending]])
-    b = np.concatenate([dst[ascending], b_src[descending]])
+    ends = local[mesh.edges]
+    a, b = ends[(ends >= 0).all(axis=1)].T
     part = np.ones(m, dtype=np.int32)
     unplaced = np.ones(m, dtype=bool)  # not yet in any separator
     while True:
@@ -370,10 +400,9 @@ def _build_boundary_operator(mesh):
     interior = _nested_dissection(mesh, np.flatnonzero(~mesh.is_boundary_vertex))
     ni = len(interior)
     boundary = mesh.boundary_vertices
-    A0, _ = assembly.assemble_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0)
     order = np.concatenate([interior, boundary])
-    A = A0[order][:, order].tocsc()
-    lu = _splu(A, **_IN_ORDER)
+    A, _ = assembly.assemble_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0, order)
+    lu = _splu_in_order(A.T, dense=len(boundary))
     kept = np.arange(ni, mesh.n_vertices)
     if not (np.array_equal(lu.perm_r[ni:], kept) and np.array_equal(lu.perm_c[ni:], kept)):
         return None
@@ -385,8 +414,8 @@ def _build_boundary_operator(mesh):
     del lu
     R = U_bb / np.sqrt(np.diag(U_bb))[:, None]
     S0 = R.T @ R
-    interior_lu = _splu(A[:ni, :ni], **_IN_ORDER)
-    return BoundaryOperator(S0, boundary, interior, A[:ni, ni:].tocsr(), interior_lu)
+    interior_lu = _splu_in_order(A.T[:ni, :ni])
+    return BoundaryOperator(S0, boundary, interior, A[:ni, ni:], interior_lu)
 
 
 _operators = weakref.WeakKeyDictionary()
@@ -457,7 +486,7 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
     vertices.  Reduced: ``S0 + diag(d_b)`` on ``free``, its Cholesky factor
     and the A0-harmonic extension (``d`` is zero off the boundary, so the
     lifted field solves the interior rows of A u = lam Mb u).  Plain: A
-    restricted to ``rows`` in their dissection order, its unpivoted
+    assembled on ``rows`` in their dissection order, its unpivoted
     ``splu`` and a scatter.  The start enters
     only through its values on the unknowns of K; the reported residual is
     the driver's ``|K x - lam Mb x| / |K x|``, which on the plain route is the
@@ -483,11 +512,10 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
             return op.extend(trace)
 
     else:
-        A, _ = assembly.assemble_linear(mesh, phi, sigma)
         order = _nested_dissection(mesh, np.arange(mesh.n_vertices))
         idx = order[rows[order]]
-        K = A[idx][:, idx]
-        solve = _splu(K.tocsc(), **_IN_ORDER).solve
+        K, _ = assembly.assemble_linear(mesh, phi, sigma, idx)
+        solve = _splu_in_order(K.T).solve
 
         def lift(x):
             v = np.zeros(mesh.n_vertices)
@@ -520,8 +548,8 @@ def solve_linear(mesh, phi, sigma, opts=None, start=None):
 class _ReweightedMetric:
     """The descent's metric M(u), factored; see the module docstring.
 
-    M is restricted to its principal submatrix on the unpinned vertices
-    ``free``, so directions vanish exactly on ``pinned``.
+    M is assembled on the unpinned vertices ``free`` only, so directions
+    vanish exactly on ``pinned``.
     """
 
     def __init__(self, kernel, pinned):
@@ -529,7 +557,7 @@ class _ReweightedMetric:
         self._kernel = kernel
         self._p = kernel.p
         self._free = np.flatnonzero(~pinned)
-        self._stiffness = assembly.WeightedStiffness(mesh)
+        self._stiffness = assembly.WeightedStiffness(mesh, self._free)
         self._mass = kernel.weights + assembly.geometry(mesh).boundary_weights
         self._matrix = None
         self._lu = None
@@ -540,11 +568,10 @@ class _ReweightedMetric:
         gx, gy = self._kernel.element_gradients(u)
         # Release the old factor before building the new one.
         self._matrix = self._lu = None
-        matrix = self._stiffness.matrix(
+        self._matrix = self._stiffness.matrix(
             _reweighting(gx * gx + gy * gy, self._p), self._mass * _reweighting(u * u, self._p)
         )
-        self._matrix = matrix[self._free][:, self._free]
-        self._lu = _splu(self._matrix.tocsc())
+        self._lu = _splu(self._matrix.T)
         self.factorizations += 1
 
     def direction(self, g):

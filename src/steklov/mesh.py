@@ -10,9 +10,9 @@ Meshes are immutable after construction: every array is marked read-only,
 so instances are safe to share between threads and to memoize against.
 
 Construction is array work: the disk's and the rectangle's triangles come
-from index arithmetic and the boundary edges from one sort of directed-edge
-keys (see :func:`_extract_boundary_loop`); only the walk over the B
-boundary vertices and the disk's loop over its rings are Python loops.
+from index arithmetic and the boundary loop and edge list from one sort of
+directed-edge keys (see :func:`_extract_boundary_loop`); only the walk over
+the B boundary vertices and the disk's loop over its rings are Python loops.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ class Mesh:
     boundary_loop : (b, 2) int array
         Directed boundary edges ``(i, j)`` in counterclockwise loop order;
         ``boundary_loop[k, 1] == boundary_loop[k + 1, 0]`` cyclically.
+    edges : (e, 2) int array
+        Every edge once, as ``(i, j)`` with ``i < j``, in sorted order.
     edge_lengths : (b,) float array
         Euclidean length of each boundary edge.
     cum_arclength : (b,) float array
@@ -82,7 +84,7 @@ class Mesh:
         if not used.all():
             raise MeshTopologyError("vertex not referenced by any triangle")
 
-        loop = _extract_boundary_loop(triangles)
+        loop, self.edges = _extract_boundary_loop(triangles)
         self.boundary_loop = loop
         seg = vertices[loop[:, 1]] - vertices[loop[:, 0]]
         self.edge_lengths = np.hypot(seg[:, 0], seg[:, 1])
@@ -102,6 +104,7 @@ class Mesh:
             self.vertices,
             self.triangles,
             self.boundary_loop,
+            self.edges,
             self.edge_lengths,
             self.cum_arclength,
             self._cum_ext,
@@ -123,10 +126,8 @@ class Mesh:
         return float(self.edge_lengths.max())
 
     def all_edge_lengths(self):
-        """Lengths of every mesh edge (interior and boundary)."""
-        t = self.triangles
-        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        seg = self.vertices[pairs[:, 1]] - self.vertices[pairs[:, 0]]
+        """Lengths of every mesh edge (interior and boundary), in ``edges`` order."""
+        seg = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         return np.hypot(seg[:, 0], seg[:, 1])
 
     def __repr__(self):
@@ -155,10 +156,10 @@ def _orient_ccw(vertices, triangles):
 def _extract_boundary_loop(triangles):
     """Chain the directed boundary edges of a CCW triangulation into one loop.
 
-    Returns ``loop`` with ``loop[k] = (i, j)`` the k-th directed boundary
-    edge; the loop starts at the smallest boundary vertex.  Each boundary
-    edge is an edge of a counterclockwise triangle, which lies to its left,
-    so the loop runs counterclockwise around the domain.
+    Returns ``(loop, edges)``: ``loop[k] = (i, j)`` is the k-th directed
+    boundary edge, starting at the smallest boundary vertex, and ``edges``
+    is ``Mesh.edges``.  Each boundary edge is an edge of a counterclockwise
+    triangle, which lies to its left, so the loop runs counterclockwise.
 
     Edges are matched by one sort: the directed edges are listed in
     triangle-major order ``(a, b), (b, c), (c, a)`` and packed into integer
@@ -196,15 +197,15 @@ def _extract_boundary_loop(triangles):
             f"directed edge {key} appears twice (repeated or overlapping triangle)"
         )
 
-    paired = (sorted_keys[1:] >> 1) == (sorted_keys[:-1] >> 1)
-    unmatched = np.ones(len(keys), dtype=bool)
-    unmatched[1:] &= ~paired
-    unmatched[:-1] &= ~paired
-    edges = np.sort(order[unmatched])
-    if edges.size == 0:
+    undirected = sorted_keys >> 1
+    first = np.ones(len(keys), dtype=bool)  # first key of its undirected edge
+    first[1:] = undirected[1:] != undirected[:-1]
+    unmatched = first & np.append(first[1:], True)
+    boundary = np.sort(order[unmatched])
+    if boundary.size == 0:
         raise MeshTopologyError("mesh has no boundary")
 
-    starts = src[edges]
+    starts = src[boundary]
     by_start = np.argsort(starts, kind="stable")
     pinches = by_start[1:][starts[by_start[1:]] == starts[by_start[:-1]]]
     if pinches.size:
@@ -214,7 +215,7 @@ def _extract_boundary_loop(triangles):
         )
 
     succ = np.full(n, -1, dtype=np.int64)
-    succ[starts] = dst[edges]
+    succ[starts] = dst[boundary]
 
     start = int(starts.min())
     nxt = succ.tolist()
@@ -223,10 +224,10 @@ def _extract_boundary_loop(triangles):
     while v != start:
         walk.append(v)
         v = nxt[v]
-    if len(walk) != len(edges):
+    if len(walk) != len(boundary):
         raise MeshTopologyError("boundary has multiple loops")
     walk = np.asarray(walk, dtype=np.int64)
-    return np.column_stack((walk, succ[walk]))
+    return np.column_stack((walk, succ[walk])), np.column_stack(np.divmod(undirected[first], n))
 
 
 def generate_disk(target_h):

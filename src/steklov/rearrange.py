@@ -106,7 +106,7 @@ def bathtub(mesh, u, mass, p=2.0):
     pb = np.abs(_as_values(u, mesh)[mesh.boundary_vertices]) ** p
     w = 0.5 * (pb + np.roll(pb, -1))
     phi = np.zeros(mesh.n_boundary_edges)
-    order = np.lexsort((np.arange(len(w)), w))
+    order = np.argsort(w, kind="stable")
     remaining = float(mass)
     level = 0.0
     for e in order:

@@ -234,7 +234,7 @@ def perturb_region(tangent: TangentField, t: float) -> RegionSpec:
     ]
     try:
         return RegionSpec.from_intervals(intervals, period)
-    except ValueError as exc:  # pragma: no cover - guarded above
+    except ValueError as exc:  # an arc below one ulp of the period rounds away
         raise RegionCollisionError(str(exc)) from exc
 
 

@@ -16,9 +16,11 @@ from steklov import (
     boundary_p_power,
     energy,
     energy_gradient,
+    generate_disk,
     generate_rectangle,
     solve_linear,
 )
+from steklov import eigensolver
 from steklov.assembly import (
     EnergyKernel,
     WeightedStiffness,
@@ -26,6 +28,7 @@ from steklov.assembly import (
     density_weights,
     geometry,
 )
+from test_boundary_operator import l_shape
 
 
 def _random_field(mesh, rng, lo=-1.0, hi=1.0):
@@ -204,6 +207,62 @@ def test_weighted_stiffness_matches_plain_loop_reference(rect_small, rng):
     assert M.shape == ref.shape
     assert np.max(np.abs(M.toarray() - ref)) <= 1e-13 * np.abs(ref).max()
     assert (M - M.T).nnz == 0
+
+
+def _same_arrays(a, b):
+    """Equal compressed arrays: index values, and data bit for bit."""
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and a.data.tobytes() == b.data.tobytes()
+    )
+
+
+def _unknown_orders(mesh, rng):
+    """Random orders of all vertices and of random unpinned sets, plus the
+    orders the solvers assemble on."""
+    n = mesh.n_vertices
+    pinned = rng.uniform(size=n) < 0.3
+    pinned_boundary = mesh.is_boundary_vertex & (rng.uniform(size=n) < 0.5)
+    interior = np.flatnonzero(~mesh.is_boundary_vertex)
+    return [
+        rng.permutation(n),
+        rng.permutation(np.flatnonzero(~pinned)),
+        np.flatnonzero(~pinned_boundary),
+        eigensolver._nested_dissection(mesh, np.flatnonzero(~pinned_boundary)),
+        np.concatenate([eigensolver._nested_dissection(mesh, interior), mesh.boundary_vertices]),
+    ]
+
+
+ASSEMBLED = {
+    "disk": lambda: generate_disk(0.3),
+    "unit-square": lambda: generate_rectangle(1.0, 1.0, 0.34),
+    "l-shape-file": l_shape,
+}
+
+
+@pytest.mark.parametrize("name", list(ASSEMBLED))
+def test_matrices_on_unknowns_are_the_indexed_full_matrices_bitwise(name, rng):
+    # Built on its unknowns, each matrix equals the full matrix indexed by
+    # them, with sorted rows; its CSC view is what SuperLU received from the
+    # converted index of the full matrix.
+    mesh = ASSEMBLED[name]()
+    phi = _random_density(mesh, rng)
+    weights = rng.uniform(0.1, 10.0, len(mesh.triangles))
+    diagonal = rng.uniform(0.0, 1.0, mesh.n_vertices)
+    full_A, full_Mb = assemble_linear(mesh, phi, 2.5)
+    full_M = WeightedStiffness(mesh).matrix(weights, diagonal)
+    if name == "unit-square":
+        # the stiffness has exact zeros: kept in M, dropped from A
+        assert (full_M.data == 0.0).any() and (full_A.data != 0.0).all()
+    for unknowns in _unknown_orders(mesh, rng):
+        A, Mb = assemble_linear(mesh, phi, 2.5, unknowns)
+        M = WeightedStiffness(mesh, unknowns).matrix(weights, diagonal)
+        for got, full in ((A, full_A), (Mb, full_Mb), (M, full_M)):
+            indexed = full[unknowns][:, unknowns]
+            assert got.format == "csr" and got.shape == indexed.shape
+            assert _same_arrays(got, indexed.sorted_indices())
+            assert _same_arrays(got.T, indexed.tocsc())
 
 
 # p alone resolves eps_reg to its default; the gradient and the value share

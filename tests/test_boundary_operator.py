@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -263,6 +264,48 @@ def test_keyed_dissection_order_is_the_stack_walk(name):
     for vertices in (np.flatnonzero(~mesh.is_boundary_vertex), np.arange(mesh.n_vertices)):
         order = eigensolver._nested_dissection(mesh, vertices)
         assert np.array_equal(order, _stack_walk_dissection(mesh, vertices))
+
+
+def _triangle_and_loop_edges(mesh, vertices):
+    """The dissection's graph as it was derived before ``Mesh.edges``: the
+    triangles' ascending sides and the descending boundary-loop edges, in
+    positions of ``vertices``."""
+    local = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    local[vertices] = np.arange(len(vertices), dtype=np.int32)
+    t = mesh.triangles
+    src, dst = local[t.ravel()], local[np.roll(t, -1, axis=1).ravel()]
+    b_src, b_dst = local[mesh.boundary_loop.T]
+    ascending = (src >= 0) & (src < dst)
+    descending = (b_dst >= 0) & (b_dst < b_src)
+    a = np.concatenate([src[ascending], b_dst[descending]])
+    b = np.concatenate([dst[ascending], b_src[descending]])
+    return a, b
+
+
+@pytest.mark.parametrize("name", list(DISSECTED))
+def test_dissection_on_mesh_edges_is_the_dissection_on_the_derived_edges(name):
+    make, *args = DISSECTED[name]
+    mesh = make(*args)
+    rng = np.random.default_rng(5)
+    n = mesh.n_vertices
+    for vertices in (
+        np.flatnonzero(~mesh.is_boundary_vertex),
+        np.arange(n),
+        rng.permutation(n)[: n // 2],
+    ):
+        a, b = _triangle_and_loop_edges(mesh, vertices)
+        derived = np.sort(np.column_stack((vertices[a], vertices[b])), axis=1)
+        derived = derived[np.lexsort(derived.T[::-1])]
+        between = mesh.edges[np.isin(mesh.edges, vertices).all(axis=1)]
+        assert np.array_equal(derived, between)
+        # the old list's order and orientation leave the order bitwise alone
+        old = types.SimpleNamespace(
+            vertices=mesh.vertices,
+            n_vertices=n,
+            edges=np.column_stack((vertices[a], vertices[b])),
+        )
+        order = eigensolver._nested_dissection(mesh, vertices)
+        assert np.array_equal(order, eigensolver._nested_dissection(old, vertices))
 
 
 def test_mesh_without_interior_vertices_keeps_the_plain_path():

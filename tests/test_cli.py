@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -1198,6 +1199,70 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
     assert captured.err == message + "\n"
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+# Runs the CLI with a process-local RLIMIT_AS set just before the plain
+# route's factorization, argv[1] bytes above the process's size then.
+CAPPED_CLI = """
+import resource, sys
+from steklov import cli, eigensolver
+
+factor = eigensolver._splu_in_order
+
+def capped(A, dense=0):
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
+    return factor(A, dense)
+
+eigensolver._splu_in_order = capped
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("room", [0.5, 100.0], ids=["half-the-estimate", "ample"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("solve", {"potential": {"type": "constant", "value": 0.5}}),
+        # the boundary operator's factor, with its dense B x B block
+        ("sigma-sweep", {"mass": 1.0, "sigma_list": [1.0, 2.0]}),
+    ],
+    ids=["solve", "sigma-sweep"],
+)
+def test_factorization_that_cannot_fit_the_address_space_fails_at_once(
+    tmp_path, command, extra, room
+):
+    # A factorization whose estimated memory exceeds what the address-space
+    # limit leaves is refused before SuperLU starts (which could otherwise
+    # spin for minutes); one with room to spare runs.  The limit is set in
+    # a child process only.
+    mesh = generate_disk(0.025)
+    n, dense = mesh.n_vertices, mesh.n_boundary_edges if command == "sigma-sweep" else 0
+    need = eigensolver._ENTRY_BYTES * (eigensolver._FILL * n * math.log2(n) + dense**2)
+    cfg = write_config(
+        tmp_path, geometry={"type": "disk", "h": 0.025}, params={"p": 2.0, "sigma": 5.0}, **extra
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, str(int(room * need))]
+        + [command, "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    if room < 1.0:
+        assert proc.returncode == 1
+        assert re.fullmatch(
+            f"resource error: out of memory \\(factoring {n} unknowns needs about "
+            f"{need / 2**20:.0f} MB, the address-space limit leaves \\d+ MB\\)\n",
+            proc.stderr,
+        ), proc.stderr
+        assert list(out.iterdir()) == []
+    else:
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_other_factorization_errors_are_not_memory_errors(tmp_path, monkeypatch):

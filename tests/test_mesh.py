@@ -86,6 +86,32 @@ def test_disk_rejects_unallocatable_h():
         generate_disk(1e-200)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_disk(0.5),
+        lambda: generate_disk(0.05),
+        lambda: generate_rectangle(2.0, 1.0, 0.3),
+        lambda: generate_rectangle(0.5, 0.5, 1.0),
+        lambda: load_mesh(SINGLE_TRIANGLE),
+        lambda: load_mesh(_scrambled_disk_text(0.2, seed=7)[0]),
+    ],
+    ids=["disk-0.5", "disk-0.05", "rectangle", "one-cell", "one-triangle", "scrambled-file"],
+)
+def test_edges_list_every_edge_once(make):
+    # each triangle has three sides; an inner edge is a side of two
+    # triangles and a boundary edge of one
+    mesh = make()
+    sides = 3 * len(mesh.triangles) + mesh.n_boundary_edges
+    assert sides % 2 == 0
+    assert mesh.edges.shape == (sides // 2, 2)
+    i, j = mesh.edges.T
+    assert (i < j).all()
+    assert (np.diff(i * mesh.n_vertices + j) > 0).all()
+    assert not mesh.edges.flags.writeable
+    assert len(mesh.all_edge_lengths()) == len(mesh.edges)
+
+
 @pytest.mark.parametrize("h", [0.05, 0.11, 0.23, 0.4])
 def test_disk_edge_length_budget(h):
     mesh = generate_disk(h)
@@ -461,9 +487,9 @@ def test_serialize_round_trip():
 # ------------------------------------- construction against plain loops
 #
 # Transcriptions of the original construction: a dict over every directed
-# edge with a chain walk, and a nested loop over the rectangle's cells.  The
-# array construction in steklov.mesh must reproduce both bitwise, errors
-# included.
+# edge with a chain walk (and the set of its undirected edges), and a nested
+# loop over the rectangle's cells.  The array construction in steklov.mesh
+# must reproduce both bitwise, errors included.
 
 
 def _reference_boundary_loop(triangles):
@@ -500,7 +526,8 @@ def _reference_boundary_loop(triangles):
             break
     if len(loop) != len(boundary):
         raise MeshTopologyError("boundary has multiple loops")
-    return np.asarray(loop, dtype=np.int64)
+    edges = sorted({(min(i, j), max(i, j)) for i, j in directed})
+    return np.asarray(loop, dtype=np.int64), np.asarray(edges, dtype=np.int64)
 
 
 def _reference_rectangle_triangles(nx, ny):
@@ -527,14 +554,16 @@ def _assert_same_construction(mesh, build, monkeypatch):
         "vertices",
         "triangles",
         "boundary_loop",
+        "edges",
         "edge_lengths",
         "cum_arclength",
     ):
         assert _same_bits(getattr(mesh, name), getattr(reference, name)), name
     assert mesh.perimeter == reference.perimeter
     assert mesh.diagnostics == reference.diagnostics
-    loop = mesh_module._extract_boundary_loop(mesh.triangles)
-    assert _same_bits(loop, _reference_boundary_loop(mesh.triangles))
+    extracted = mesh_module._extract_boundary_loop(mesh.triangles)
+    for got, expected in zip(extracted, _reference_boundary_loop(mesh.triangles), strict=True):
+        assert _same_bits(got, expected)
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3, 0.1, 0.05, 0.0125])

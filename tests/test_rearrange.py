@@ -160,8 +160,14 @@ BATHTUB_MESHES = {
 @pytest.mark.parametrize("name", sorted(BATHTUB_MESHES))
 def test_bathtub_repeats_the_per_edge_fill_bitwise(rng, name, p):
     mesh = BATHTUB_MESHES[name]()
-    for fraction in (0.1, 0.3, 0.7):
-        values = rng.normal(0.0, 1.0, mesh.n_vertices)
+    for fraction, values in (
+        (0.1, rng.normal(0.0, 1.0, mesh.n_vertices)),
+        (0.3, rng.normal(0.0, 1.0, mesh.n_vertices)),
+        (0.7, rng.normal(0.0, 1.0, mesh.n_vertices)),
+        # few distinct weights: ties fill in edge order
+        (0.3, rng.choice([-1.0, 0.5, 1.0], mesh.n_vertices)),
+        (0.5, np.ones(mesh.n_vertices)),
+    ):
         mass = fraction * mesh.perimeter
         phi, level = bathtub(mesh, values, mass, p)
         ref_phi, ref_level = _reference_bathtub(mesh, values, mass, p)

@@ -76,23 +76,33 @@ def test_script_runs_end_to_end(name, args, expected):
 
 
 def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
-    from steklov import BoundaryDensity, generate_disk, solve_linear
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
+    from steklov import BoundaryDensity, assemble_linear, generate_disk, solve_linear
+    from steklov.eigensolver import _IN_ORDER, _nested_dissection
 
     proc = _run_script(
-        ROOT / "scripts" / "layer_ladder.py", "--h", "0.3", "--square-h", "--repeat", "1"
+        ROOT / "scripts" / "layer_ladder.py", "--h", "0.1", "--square-h", "--repeat", "1"
     )
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()[1:]
     assert header.split()[4:] == [
-        *("generate", "mesh", "loop", "geometry", "assemble", "order", "splu"),
-        *("solve", "bathtub", "defect", "iters", "resid"),
+        *("generate", "mesh", "loop", "geometry", "order", "assemble", "splu"),
+        *("solve", "bathtub", "defect", "iters", "resid", "nnz", "MB"),
     ]
-    iters, resid = row.split()[-2:]
-    mesh = generate_disk(0.3)
-    pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.25), 5.0)
+    iters, resid, nnz, megabytes = row.split()[-4:]
+    mesh = generate_disk(0.1)
+    phi = BoundaryDensity.constant(mesh, 0.25)
+    pair = solve_linear(mesh, phi, 5.0)
     assert int(iters) == pair.iterations
     assert float(resid) == float(f"{pair.residual:.1e}")
     assert float(resid) <= 1e-9
+    # the plain route's factor, as SuperLU stores it
+    order = _nested_dissection(mesh, np.arange(mesh.n_vertices))
+    A, _ = assemble_linear(mesh, phi, 5.0, order)
+    assert int(nnz) == spla.splu(A.T, **_IN_ORDER).nnz
+    assert megabytes == f"{12 * int(nnz) / 2**20:.2f}"
 
 
 def _fake_tree(root, code, csv_text, keys=("lambda", "iterations", "residual"), text=""):

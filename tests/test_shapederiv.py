@@ -168,6 +168,15 @@ def test_perturb_region_detects_wraparound():
         perturb_region(inflate, 3.5)  # span would exceed the period
 
 
+def test_perturb_region_reports_an_arc_that_rounds_away_as_a_collision():
+    # both ends move to just below 0, where ``% period`` rounds each up to
+    # the period: the arc keeps its order but has zero length as a region
+    region = RegionSpec.from_intervals([(0.0, 1e-20)], 2.0 * math.pi)
+    sink = TangentField(region=region, speeds=((-1.0, -1.0),))
+    with pytest.raises(RegionCollisionError, match="has zero length$"):
+        perturb_region(sink, 2e-20)
+
+
 def test_perturb_region_rejects_non_finite_parameter(half_disk_setup):
     _, region, _, _ = half_disk_setup
     slide = _slide(region)
