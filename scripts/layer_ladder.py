@@ -16,11 +16,13 @@ row per mesh, each entry the median of ``--repeat`` runs in milliseconds:
     bathtub    one bathtub refill from the solve's eigenfunction
     defect     arc_defect of the refilled density
 
-Two more columns describe the timed solve: ``iters``, the number of linear
-solves the p = 2 driver took for the eigenpair, and ``resid``, its relative
-eigen-residual.  The last two describe the factor: ``nnz``, the entries
-SuperLU stores for L and U, and ``MB``, their size at 12 bytes (a value and
-a row index) per entry, in units of 2^20 bytes.  The solve uses sigma = 5
+Three more columns describe the timed solve: ``iters``, the number of
+linear solves the p = 2 eigensolve took for the eigenpair, ``resid``, its
+relative eigen-residual, and ``stop``, why the solve stopped
+(``tolerance``, ``max_iters``, ``stagnation`` or ``breakdown``).  The last
+two describe the factor: ``nnz``, the entries SuperLU stores for L and U,
+and ``MB``, their size at 12 bytes (a value and a row index) per entry, in
+units of 2^20 bytes.  The solve uses sigma = 5
 and a constant density 0.25; the refill keeps a quarter of the perimeter.
 """
 
@@ -124,14 +126,14 @@ def main():
     print(
         f"{'mesh':<6} {'h':>7} {'n':>7} {'B':>5} "
         + " ".join(f"{name:>9}" for name in LAYERS)
-        + f" {'iters':>5} {'resid':>8} {'nnz':>9} {'MB':>8}"
+        + f" {'iters':>5} {'resid':>8} {'stop':>10} {'nnz':>9} {'MB':>8}"
     )
     for kind, h, generate in ladder:
         mesh, row, pair = ladder_row(generate, args.repeat)
         print(
             f"{kind:<6} {h:7.4f} {mesh.n_vertices:7d} {mesh.n_boundary_edges:5d} "
             + " ".join(f"{row[name]:9.2f}" for name in LAYERS)
-            + f" {pair.iterations:5d} {pair.residual:8.1e}"
+            + f" {pair.iterations:5d} {pair.residual:8.1e} {pair.diagnostics['stop']:>10}"
             + f" {row['nnz']:9d} {12 * row['nnz'] / 2**20:8.2f}"
         )
 

@@ -62,7 +62,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,7 +73,6 @@ from .eigensolver import (
     EigenPair,
     SolverOptions,
     _check_regularization,
-    prepare_repeated_solves,
     solve_dirichlet,
     solve_linear,
     solve_nonlinear,
@@ -467,22 +465,13 @@ def _eigenpair_record(pair: EigenPair) -> dict:
     }
 
 
-def _pooled(fn, items, mesh: Mesh, params: ProblemParams, jobs: int):
-    """Yield ``fn(item)`` for each of ``items`` in order, run on ``jobs`` threads."""
-    # Build on this thread so the pool finds the shared work cached: memory
-    # that a build frees on a pool thread stays in that thread's malloc
-    # arena instead of going back to the system.
-    prepare_repeated_solves(mesh, params)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, items)
-
-
 # --------------------------------------------------------------------------
-# subcommands: each gets the mesh, the output directory, the parsed
-# arguments and, by name, the values that ``_read`` and ``_with_mesh`` made.
+# subcommands: each gets the mesh, the output directory and, by name, the
+# values that ``_read`` and ``_with_mesh`` made (and ``optimize`` the
+# ``--binarize`` flag).  Each runs in the calling thread.
 
 
-def cmd_solve(mesh, out_dir, args, params, opts, potential) -> int:
+def cmd_solve(mesh, out_dir, params, opts, potential) -> int:
     if params.p == 2.0:
         pair = solve_linear(mesh, potential, params.sigma, opts=opts)
     else:
@@ -501,11 +490,11 @@ def cmd_solve(mesh, out_dir, args, params, opts, potential) -> int:
     return _EXIT_OK if pair.converged else _EXIT_NUMERICAL
 
 
-def cmd_optimize(mesh, out_dir, args, params, opts, outer, potential) -> int:
+def cmd_optimize(mesh, out_dir, params, opts, outer, potential, binarize) -> int:
     trace = optimize_potential(mesh, params, opts=opts, phi0=potential, **outer)
 
     final = trace.final_potential.edge_values
-    if args.binarize:
+    if binarize:
         # Rounds each edge at 1/2; the mass is not preserved.
         final = (final >= 0.5).astype(np.float64)
 
@@ -528,19 +517,15 @@ def cmd_optimize(mesh, out_dir, args, params, opts, outer, potential) -> int:
     return _EXIT_OK if trace.converged else _EXIT_NUMERICAL
 
 
-def cmd_sigma_sweep(mesh, out_dir, args, params, opts, sigmas, outer, potential) -> int:
+def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> int:
     csv_path = out_dir / "sweep.csv"
     header = ["sigma", "Lambda_sigma", "Lambda_inf_reference"]
 
-    def one(sigma: float):
-        return optimize_potential(
-            mesh, replace(params, sigma=sigma), opts=opts, phi0=potential, **outer
-        )
-
     traces = []
     try:
-        for trace in _pooled(one, sigmas, mesh, params, args.jobs):
-            traces.append(trace)
+        for sigma in sigmas:
+            coupled = replace(params, sigma=sigma)
+            traces.append(optimize_potential(mesh, coupled, opts=opts, phi0=potential, **outer))
     except NonConvergenceError as exc:
         # Flush what completed before the failure so the sweep is inspectable.
         rows = [
@@ -574,7 +559,7 @@ def cmd_sigma_sweep(mesh, out_dir, args, params, opts, sigmas, outer, potential)
     return _EXIT_OK if ref_pair.converged else _EXIT_NUMERICAL
 
 
-def cmd_shape_deriv(mesh, out_dir, args, params, opts, tangent, steps, sign) -> int:
+def cmd_shape_deriv(mesh, out_dir, params, opts, tangent, steps, sign) -> int:
     report = shape_derivative_fd(mesh, tangent, params, steps=steps, opts=opts)
     if sign == -1.0:
         report = replace(report, formula_value=-report.formula_value)
@@ -606,19 +591,11 @@ def cmd_shape_deriv(mesh, out_dir, args, params, opts, tangent, steps, sign) -> 
     return _EXIT_OK if ok else _EXIT_NUMERICAL
 
 
-def cmd_symmetry_check(mesh, out_dir, args, params, opts, outer, seeds, starts) -> int:
-    def one(phi0: BoundaryDensity):
-        trace = optimize_potential(mesh, params, opts=opts, phi0=phi0, **outer)
-        return (
-            float(trace.final_lambda),
-            float(arc_defect(mesh, trace.final_potential)),
-            bool(trace.converged),
-        )
-
-    results = list(_pooled(one, starts, mesh, params, args.jobs))
-
-    lambdas = [r[0] for r in results]
-    defects = [r[1] for r in results]
+def cmd_symmetry_check(mesh, out_dir, params, opts, outer, seeds, starts) -> int:
+    traces = [optimize_potential(mesh, params, opts=opts, phi0=phi0, **outer) for phi0 in starts]
+    lambdas = [float(tr.final_lambda) for tr in traces]
+    defects = [float(arc_defect(mesh, tr.final_potential)) for tr in traces]
+    converged = [bool(tr.converged) for tr in traces]
     spread = (max(lambdas) - min(lambdas)) / max(abs(sum(lambdas) / len(lambdas)), 1e-300)
     defect_budget = SYMMETRY_DEFECT_EDGE_FACTOR * mesh.max_boundary_edge_length
     passed = spread <= SYMMETRY_LAMBDA_RTOL and all(d <= defect_budget for d in defects)
@@ -627,14 +604,14 @@ def cmd_symmetry_check(mesh, out_dir, args, params, opts, outer, seeds, starts) 
         "seeds": seeds,
         "lambdas": lambdas,
         "arc_defects": defects,
-        "converged": [r[2] for r in results],
+        "converged": converged,
         "lambda_relative_spread": spread,
         "defect_budget": defect_budget,
         "passed": passed,
     }
     _write_record(out_dir / "symmetry_report.json", record)
 
-    for seed, (lam, defect, conv) in zip(seeds, results):
+    for seed, lam, defect, conv in zip(seeds, lambdas, defects, converged):
         print(f"seed={seed}: lambda={lam!r} arc_defect={defect!r} converged={conv}")
     print(f"lambda relative spread = {spread!r} (tolerance {SYMMETRY_LAMBDA_RTOL!r})")
     print(f"max arc defect = {max(defects)!r} (budget {defect_budget!r})")
@@ -679,7 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="worker threads for sweeps and multistart runs",
+            help="has no effect: every command runs in the calling thread",
         )
         cmd.add_argument(
             "--out", default=None, help="output directory (overrides config)"
@@ -709,8 +686,10 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out else Path(cfg.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         run = _read(args.command, cfg)
+        if args.command == "optimize":
+            run["binarize"] = args.binarize
         mesh = build_mesh(cfg)
-        return handler(mesh, out_dir, args, **_with_mesh(run, mesh))
+        return handler(mesh, out_dir, **_with_mesh(run, mesh))
     except (MeshParseError, MeshTopologyError, MeshResourceError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

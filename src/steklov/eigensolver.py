@@ -6,6 +6,8 @@ For p = 2 the minimizer solves the generalized problem A u = lambda Mb u
 Rayleigh-Ritz step on the Krylov space of A^-1 Mb (:func:`_krylov_ritz`),
 which stops on the relative residual ``|A u - lambda Mb u| / |A u|`` of its
 Ritz pair, so ``converged`` at p = 2 means a residual of at most ``tol``.
+It stops unconverged once ``_RITZ_BASIS`` solves in a row have not lowered
+its best residual, which is where a ``tol`` below the rounding floor ends.
 For general p > 1 a projected descent with
 Barzilai-Borwein steps in a reweighted metric and an Armijo backtracking
 safeguard is used; every accepted step decreases R, so warm-started solves
@@ -39,8 +41,8 @@ these sparse factorizations at once when its estimated memory does not fit.
 Whether to build the operator is decided in one place,
 :func:`prepare_repeated_solves`: it builds it for p = 2 and is called by
 everything that solves many times on one mesh (``optimize_potential``,
-``shape_derivative_fd``, and the CLI's ``sigma-sweep`` and
-``symmetry-check`` before their thread pools).  The solvers themselves use
+which the CLI's ``sigma-sweep`` and ``symmetry-check`` run, and
+``shape_derivative_fd``).  The solvers themselves use
 the operator when the mesh has one and never build it, so a single solve
 pays for no precompute.  An operator holds the sparse LU of the interior
 block (about the size of one plain factorization) plus B^2 * 8 bytes for
@@ -265,15 +267,21 @@ def _krylov_ritz(apply_K, mb, solve, x0, tol, max_iters):
     mb > 0 and the mb inner product is definite on the basis.
 
     Stops once the relative residual ``|K x - theta mb x| / |K x|`` is at
-    most ``tol``.  Returns ``(theta, x, solves, residual, converged)`` with x
-    of unit mb-norm.
+    most ``tol`` (``"tolerance"``), after ``max_iters`` solves
+    (``"max_iters"``), once ``_RITZ_BASIS`` solves in a row have not lowered
+    the best residual (``"stagnation"``) or when a new vector has no
+    finite nonzero mb-norm (``"breakdown"``).  Returns
+    ``(theta, x, solves, residual, stop)`` for the Ritz pair of lowest
+    residual, which is the last one when ``tol`` stopped the loop, with x of
+    unit mb-norm.
     """
     n = len(x0)
     V = np.empty((_RITZ_BASIS, n))
     KV = np.empty((_RITZ_BASIS, n))  # K V
     H = np.empty((_RITZ_BASIS, _RITZ_BASIS))  # V^T K V
-    theta, x, residual = math.nan, x0, math.inf
-    converged = False
+    best = (math.nan, x0, math.inf)  # the (theta, x, residual) of lowest residual
+    best_at = 0  # the solve that found it
+    stop = "max_iters"
     v = x0
     j = 0  # vectors in the basis
     solves = 0
@@ -286,6 +294,7 @@ def _krylov_ritz(apply_K, mb, solve, x0, tol, max_iters):
             w -= (V[:j] @ (mb * w)) @ V[:j]
         norm = math.sqrt(w @ (mb * w))
         if not (norm > 0.0 and math.isfinite(norm)):
+            stop = "breakdown"
             break
         v = np.divide(w, norm, out=V[j])
         KV[j] = apply_K(v)
@@ -295,10 +304,16 @@ def _krylov_ritz(apply_K, mb, solve, x0, tol, max_iters):
         theta, y = float(vals[0]), vecs[:, 0]
         x, Kx = y @ V[:j], y @ KV[:j]
         residual = float(np.linalg.norm(Kx - theta * (mb * x)) / np.linalg.norm(Kx))
+        if residual < best[2]:
+            best, best_at = (theta, x, residual), solves
         if residual <= tol:
-            converged = True
+            stop = "tolerance"
             break
-    return theta, x / math.sqrt(x @ (mb * x)), solves, residual, converged
+        if solves - best_at >= _RITZ_BASIS:
+            stop = "stagnation"
+            break
+    theta, x, residual = best
+    return theta, x / math.sqrt(x @ (mb * x)), solves, residual, stop
 
 
 class BoundaryOperator:
@@ -490,7 +505,9 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
     ``splu`` and a scatter.  The start enters
     only through its values on the unknowns of K; the reported residual is
     the driver's ``|K x - lam Mb x| / |K x|``, which on the plain route is the
-    residual of A over ``rows``.
+    residual of A over ``rows``.  The diagnostics name the route
+    (``boundary_operator``) and why :func:`_krylov_ritz` stopped
+    (``stop``); the pair is converged exactly when that is ``"tolerance"``.
     """
     mb = assembly.geometry(mesh).boundary_weights
     rows = ~pinned
@@ -525,11 +542,11 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
     x0 = _start_values(mesh, start, 2.0)[idx]
     if not (mb[idx] * x0).any():
         raise ValueError("start has zero boundary trace")
-    lam, x, iters, residual, converged = _krylov_ritz(
+    lam, x, iters, residual, stop = _krylov_ritz(
         K.__matmul__, mb[idx], solve, x0, opts.resolved_tol(2.0), opts.max_iters
     )
-    diagnostics = {"method": "krylov_ritz", "boundary_operator": op is not None}
-    return _eigenpair(mesh, lam, lift(x), iters, residual, converged, diagnostics)
+    diagnostics = {"method": "krylov_ritz", "boundary_operator": op is not None, "stop": stop}
+    return _eigenpair(mesh, lam, lift(x), iters, residual, stop == "tolerance", diagnostics)
 
 
 def solve_linear(mesh, phi, sigma, opts=None, start=None):

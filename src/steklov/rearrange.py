@@ -105,21 +105,19 @@ def bathtub(mesh, u, mass, p=2.0):
     _check_mass(mesh, mass)
     pb = np.abs(_as_values(u, mesh)[mesh.boundary_vertices]) ** p
     w = 0.5 * (pb + np.roll(pb, -1))
-    phi = np.zeros(mesh.n_boundary_edges)
     order = np.argsort(w, kind="stable")
-    remaining = float(mass)
-    level = 0.0
-    for e in order:
-        if remaining <= 0.0:
-            break
-        le = mesh.edge_lengths[e]
-        if remaining >= le:
-            phi[e] = 1.0
-            remaining -= le
-        else:
-            phi[e] = remaining / le
-            remaining = 0.0
-        level = float(w[e])
+    lens = mesh.edge_lengths[order]
+    # The mass left before each edge while every earlier edge fills, taken
+    # one subtraction at a time; the leading edges that it fills are full.
+    left = np.subtract.accumulate(np.concatenate(([float(mass)], lens)))[:-1]
+    n_full = int(np.logical_and.accumulate((left > 0.0) & (left >= lens)).sum())
+    phi = np.zeros(mesh.n_boundary_edges)
+    phi[order[:n_full]] = 1.0
+    touched = n_full
+    if n_full < len(order) and left[n_full] > 0.0:
+        phi[order[n_full]] = left[n_full] / lens[n_full]
+        touched += 1
+    level = float(w[order[touched - 1]]) if touched else 0.0
     return BoundaryDensity.of(mesh, phi), level
 
 
@@ -172,19 +170,13 @@ def support_region(mesh, phi):
         return RegionSpec(arcs=(), perimeter=P)
     if mask.all():
         return RegionSpec(arcs=((0.0, P),), perimeter=P)
-    B = len(mask)
+    # The first and last edge of each cyclic run of True, in edge order.
+    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+    ends = np.flatnonzero(mask & ~np.roll(mask, -1))
+    if ends[0] < starts[0]:  # the last run wraps through edge 0
+        ends = np.roll(ends, -1)
     cum = mesh._cum_ext
-    # Find cyclic runs of True.
-    starts = [k for k in range(B) if mask[k] and not mask[(k - 1) % B]]
-    intervals = []
-    for k in starts:
-        end = k
-        while mask[(end + 1) % B]:
-            end = (end + 1) % B
-        s0 = cum[k]
-        s1 = cum[end + 1]
-        intervals.append((s0, s1))
-    return RegionSpec.from_intervals(intervals, P)
+    return RegionSpec.from_intervals(list(zip(cum[starts], cum[ends + 1])), P)
 
 
 def _best_window(mesh, phi):

@@ -55,6 +55,37 @@ def delaunay_disk():
     return _delaunay_disk
 
 
+def _radial_lambda(p, sigma_c, r0=1e-6):
+    """First eigenvalue on the unit disk for a constant density c at ``sigma * c = sigma_c``.
+
+    The first eigenfunction is radial.  With ``w = r |u'|^(p-2) u'`` it
+    solves ``u' = (w/r)^(1/(p-1))``, ``w' = r u^(p-1)``, ``u(0) = 1``, and
+    ``lambda = sigma_c + w(1) / u(1)^(p-1)``; (p-1)-homogeneity makes it an
+    initial-value problem.  The integration starts at ``r0`` from the
+    series ``u = 1 + 2 (r/2)^(q+1) / (q+1)``, ``w = r^2 / 2`` with
+    ``q = 1/(p-1)``.
+    """
+    from scipy.integrate import solve_ivp
+
+    q = 1.0 / (p - 1.0)
+    start = [1.0 + 2.0 * (r0 / 2.0) ** (q + 1.0) / (q + 1.0), 0.5 * r0 * r0]
+    sol = solve_ivp(
+        lambda r, y: [(y[1] / r) ** q, r * y[0] ** (p - 1.0)],
+        (r0, 1.0),
+        start,
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-30,
+    )
+    u1, w1 = sol.y[:, -1]
+    return sigma_c + float(w1 / u1 ** (p - 1.0))
+
+
+@pytest.fixture(scope="session")
+def radial_lambda():
+    return _radial_lambda
+
+
 @pytest.fixture(scope="session")
 def disk_coarse():
     return generate_disk(0.3)

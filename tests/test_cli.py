@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from steklov import (
     random_admissible,
     serialize_mesh,
 )
-from steklov import cli, eigensolver
+from steklov import cli, eigensolver, rearrange
 from steklov.cli import main
 
 DISK_COARSE = {"type": "disk", "h": 0.3}
@@ -527,6 +528,30 @@ def test_symmetry_check_starts_from_the_seeded_random_densities(tmp_path):
         for seed in record["seeds"]
     ]
     assert [lam.hex() for lam in record["lambdas"]] == [lam.hex() for lam in expected]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sigma-sweep", {"sigma_list": [1.0, 2.0, 4.0]}),
+        ("symmetry-check", {}),
+    ],
+)
+def test_multi_run_commands_solve_on_the_calling_thread(tmp_path, monkeypatch, command, config):
+    threads = []
+    solve = rearrange.solve_linear
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rearrange, "solve_linear", recording)
+    cfg = write_config(
+        tmp_path, geometry=DISK_COARSE, params={"p": 2.0, "sigma": 5.0}, mass=1.0, **config
+    )
+    # --jobs is accepted and has no effect
+    assert run(command, cfg, tmp_path / "out", "--jobs", "2") in (0, 2)
+    assert threads and set(threads) == {threading.get_ident()}
 
 
 def test_symmetry_check_requires_disk_geometry(tmp_path):
@@ -1055,7 +1080,7 @@ OVERLAPPING_ARCS = {
 def test_config_errors_come_before_any_factorization(
     tmp_path, capsys, monkeypatch, command, base, changes, message
 ):
-    monkeypatch.setattr(cli, "prepare_repeated_solves", no_mesh_work)
+    monkeypatch.setattr(eigensolver, "boundary_operator", no_mesh_work)
     monkeypatch.setattr(eigensolver.spla, "splu", no_mesh_work)
     cfg = write_config(tmp_path, **{**base, **changes})
     assert run(command, cfg, tmp_path / "out") == 1

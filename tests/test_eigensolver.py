@@ -120,6 +120,30 @@ def test_bessel_series_matches_frozen_constant():
     assert bessel_i_ratio(1.0) == pytest.approx(BESSEL_QUOTIENT, abs=1e-15)
 
 
+# The radial eigenvalue at sigma * c = 0.6, to 12 digits, per p.
+RADIAL_LAMBDA = {
+    1.2: 1.099610417936,
+    1.5: 1.088056894962,
+    2.0: 1.046389965897,
+    3.0: 0.958783457046,
+    8.0: 0.752761668816,
+}
+
+
+@pytest.mark.parametrize("p", sorted(RADIAL_LAMBDA))
+def test_radial_oracle_reproduces_its_recorded_values(radial_lambda, p):
+    assert radial_lambda(p, 0.6) == pytest.approx(RADIAL_LAMBDA[p], abs=1e-12)
+    # the series start is far inside the integration tolerance
+    assert radial_lambda(p, 0.6, r0=1e-5) == pytest.approx(radial_lambda(p, 0.6), abs=1e-15)
+
+
+def test_radial_oracle_at_p2_is_the_bessel_quotient(radial_lambda):
+    for sigma_c in (0.0, 0.6, 3.0):
+        assert radial_lambda(2.0, sigma_c) == pytest.approx(
+            sigma_c + bessel_i_ratio(1.0), abs=2e-15
+        )
+
+
 def test_descent_oracle_reproduces_frozen_value(square_tiny):
     # cheap case re-run in full; the p=3 twin is covered by the slow marker
     assert brute_force_minimum(square_tiny, 1.5) == pytest.approx(
@@ -218,6 +242,7 @@ def test_non_convergence_is_reported(square_tiny):
     phi = BoundaryDensity.constant(square_tiny, 0.3)
     pair = solve_linear(square_tiny, phi, 1.0, opts=SolverOptions(max_iters=1))
     assert not pair.converged
+    assert pair.diagnostics["stop"] == "max_iters"
 
 
 def test_eigenpair_json_round_trip(square_tiny, run_cli):
@@ -333,7 +358,39 @@ def test_one_solve_is_never_a_converged_pair():
         ):
             assert pair.diagnostics["boundary_operator"] is reduced
             assert (pair.iterations, pair.converged) == (1, False)
+            assert pair.diagnostics["stop"] == "max_iters"
             assert pair.residual > 1e-9
+
+
+def test_a_tolerance_below_the_rounding_floor_ends_as_stagnation():
+    # No Ritz pair reaches a residual of 1e-16; the solve stops once a
+    # basis' worth of solves has not lowered its best residual, instead of
+    # running all max_iters solves, and returns that best pair.
+    mesh = generate_disk(0.1)
+    phi = BoundaryDensity.constant(mesh, 0.25)
+    for reduced in (False, True):
+        if reduced:
+            assert boundary_operator(mesh) is not None
+        converged = solve_linear(mesh, phi, 5.0)
+        floor = solve_linear(mesh, phi, 5.0, opts=SolverOptions(tol=1e-16))
+        assert floor.diagnostics["boundary_operator"] is reduced
+        assert converged.diagnostics["stop"] == "tolerance"
+        assert (floor.diagnostics["stop"], floor.converged) == ("stagnation", False)
+        assert eigensolver._RITZ_BASIS < floor.iterations <= 3 * eigensolver._RITZ_BASIS
+        assert floor.residual < 1e-12
+        assert floor.lam == pytest.approx(converged.lam, rel=1e-12)
+
+
+def test_a_vector_without_a_finite_norm_ends_as_breakdown():
+    # The first solve returns NaN: no Ritz pair exists, and _krylov_ritz
+    # returns its start with an infinite residual.
+    x0 = np.ones(3)
+    theta, x, solves, residual, stop = eigensolver._krylov_ritz(
+        lambda v: v, np.ones(3), lambda rhs: np.full_like(rhs, np.nan), x0, 1e-9, 100
+    )
+    assert (solves, residual, stop) == (1, math.inf, "breakdown")
+    assert math.isnan(theta)
+    np.testing.assert_array_equal(x, x0 / math.sqrt(3.0))
 
 
 @pytest.mark.parametrize(
@@ -666,6 +723,16 @@ def gate_disks():
 def _gate_solve(mesh, p, opts=None):
     phi = BoundaryDensity.constant(mesh, 0.3)
     return solve_nonlinear(mesh, phi, ProblemParams(p=p, sigma=2.0), opts=opts)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+def test_descent_converges_at_order_two_to_the_radial_eigenvalue(gate_disks, radial_lambda, p):
+    # Halving h divides the error against the radial eigenvalue by about 4.
+    # The flag is not asserted: p = 1.2 stops unconverged at the rounding
+    # floor of the gradient test, yet its eigenvalue keeps the order.
+    exact = radial_lambda(p, 2.0 * 0.3)
+    coarse, fine = (_gate_solve(gate_disks[h], p).lam - exact for h in (0.1, 0.05))
+    assert 3.5 <= coarse / fine <= 4.5
 
 
 @pytest.mark.parametrize("p", [1.5, 1.8, 3.0])

@@ -167,6 +167,9 @@ def test_bathtub_repeats_the_per_edge_fill_bitwise(rng, name, p):
         # few distinct weights: ties fill in edge order
         (0.3, rng.choice([-1.0, 0.5, 1.0], mesh.n_vertices)),
         (0.5, np.ones(mesh.n_vertices)),
+        # nothing to fill, and every edge
+        (0.0, rng.normal(0.0, 1.0, mesh.n_vertices)),
+        (1.0, rng.normal(0.0, 1.0, mesh.n_vertices)),
     ):
         mass = fraction * mesh.perimeter
         phi, level = bathtub(mesh, values, mass, p)
@@ -261,6 +264,43 @@ def test_support_region_wraps_through_zero(octagon_boundary_mesh):
     assert region.total_mass == pytest.approx(
         float(mesh.edge_lengths[-1] + mesh.edge_lengths[0]), rel=1e-12
     )
+
+
+def _reference_support_region(mesh, phi):
+    """The support's arcs, each run walked edge by edge from its first edge."""
+    mask = phi.edge_values > 0.0
+    P = mesh.perimeter
+    if not mask.any():
+        return RegionSpec(arcs=(), perimeter=P)
+    if mask.all():
+        return RegionSpec(arcs=((0.0, P),), perimeter=P)
+    B = len(mask)
+    cum = mesh._cum_ext
+    intervals = []
+    for k in range(B):
+        if mask[k] and not mask[(k - 1) % B]:
+            end = k
+            while mask[(end + 1) % B]:
+                end = (end + 1) % B
+            intervals.append((cum[k], cum[end + 1]))
+    return RegionSpec.from_intervals(intervals, P)
+
+
+@pytest.mark.parametrize("name", sorted(BATHTUB_MESHES))
+def test_support_region_repeats_the_run_walk_bitwise(rng, name):
+    mesh = BATHTUB_MESHES[name]()
+    B = mesh.n_boundary_edges
+    masks = [rng.random(B) < q for q in (0.05, 0.3, 0.7, 0.95) for _ in range(5)]
+    for edges in ([0], [B - 1], [0, B - 1], [0, 1, B - 2], list(range(0, B, 2))):
+        masks.append(np.isin(np.arange(B), edges))
+    masks += [np.zeros(B, dtype=bool), np.ones(B, dtype=bool)]
+    for mask in masks:
+        phi = BoundaryDensity.of(mesh, np.where(mask, rng.uniform(0.01, 1.0, B), 0.0))
+        region, ref = support_region(mesh, phi), _reference_support_region(mesh, phi)
+        assert [(s.hex(), n.hex()) for s, n in region.arcs] == [
+            (s.hex(), n.hex()) for s, n in ref.arcs
+        ]
+        assert region.perimeter == ref.perimeter
 
 
 # -------------------------------------------------------------- arc defect

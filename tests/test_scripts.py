@@ -89,15 +89,16 @@ def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
     header, row = proc.stdout.splitlines()[1:]
     assert header.split()[4:] == [
         *("generate", "mesh", "loop", "geometry", "order", "assemble", "splu"),
-        *("solve", "bathtub", "defect", "iters", "resid", "nnz", "MB"),
+        *("solve", "bathtub", "defect", "iters", "resid", "stop", "nnz", "MB"),
     ]
-    iters, resid, nnz, megabytes = row.split()[-4:]
+    iters, resid, stop, nnz, megabytes = row.split()[-5:]
     mesh = generate_disk(0.1)
     phi = BoundaryDensity.constant(mesh, 0.25)
     pair = solve_linear(mesh, phi, 5.0)
     assert int(iters) == pair.iterations
     assert float(resid) == float(f"{pair.residual:.1e}")
     assert float(resid) <= 1e-9
+    assert stop == pair.diagnostics["stop"] == "tolerance"
     # the plain route's factor, as SuperLU stores it
     order = _nested_dissection(mesh, np.arange(mesh.n_vertices))
     A, _ = assemble_linear(mesh, phi, 5.0, order)
