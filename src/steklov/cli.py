@@ -347,7 +347,11 @@ def _shape_deriv(cfg: dict) -> dict:
     _validate_steps(steps)
 
     def tangent(mesh):
-        return TangentField(RegionSpec.from_intervals(intervals, mesh.perimeter), speeds)
+        # from_intervals sorts the arcs by start; each speed pair keeps its arc
+        P = mesh.perimeter
+        paired = sorted(zip(intervals, speeds), key=lambda pair: pair[0][0] % P)
+        region = RegionSpec.from_intervals([arc for arc, _ in paired], P)
+        return TangentField(region, [speed for _, speed in paired])
 
     return {"tangent": tangent, "steps": steps, "sign": sign}
 
@@ -526,7 +530,13 @@ def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> in
         for sigma in sigmas:
             coupled = replace(params, sigma=sigma)
             traces.append(optimize_potential(mesh, coupled, opts=opts, phi0=potential, **outer))
-    except NonConvergenceError as exc:
+        # The reference region must contain the optimizer's full support --
+        # fractional end edges included -- so that the final potential is
+        # dominated by the region's indicator and the hard-constraint
+        # eigenvalue is a true upper bound for every coupling in the sweep.
+        e_ref = support_region(mesh, traces[-1].final_potential)
+        ref_pair = solve_dirichlet(mesh, e_ref, params, opts)
+    except (NonConvergenceError, InfeasibleConstraintError) as exc:
         # Flush what completed before the failure so the sweep is inspectable.
         rows = [
             [s, float(tr.final_lambda), ""] for s, tr in zip(sigmas, traces)
@@ -534,13 +544,6 @@ def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> in
         _write_csv(csv_path, header, rows)
         print(f"numerical failure during sweep: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-
-    # The reference region must contain the optimizer's full support --
-    # fractional end edges included -- so that the final potential is
-    # dominated by the region's indicator and the hard-constraint eigenvalue
-    # is a true upper bound for every coupling in the sweep.
-    e_ref = support_region(mesh, traces[-1].final_potential)
-    ref_pair = solve_dirichlet(mesh, e_ref, params, opts)
 
     rows = [
         [s, float(tr.final_lambda), float(ref_pair.lam)]

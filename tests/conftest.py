@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,35 +57,53 @@ def delaunay_disk():
     return _delaunay_disk
 
 
-def _radial_lambda(p, sigma_c, r0=1e-6):
-    """First eigenvalue on the unit disk for a constant density c at ``sigma * c = sigma_c``.
-
-    The first eigenfunction is radial.  With ``w = r |u'|^(p-2) u'`` it
-    solves ``u' = (w/r)^(1/(p-1))``, ``w' = r u^(p-1)``, ``u(0) = 1``, and
-    ``lambda = sigma_c + w(1) / u(1)^(p-1)``; (p-1)-homogeneity makes it an
-    initial-value problem.  The integration starts at ``r0`` from the
-    series ``u = 1 + 2 (r/2)^(q+1) / (q+1)``, ``w = r^2 / 2`` with
-    ``q = 1/(p-1)``.
-    """
-    from scipy.integrate import solve_ivp
-
-    q = 1.0 / (p - 1.0)
-    start = [1.0 + 2.0 * (r0 / 2.0) ** (q + 1.0) / (q + 1.0), 0.5 * r0 * r0]
-    sol = solve_ivp(
-        lambda r, y: [(y[1] / r) ** q, r * y[0] ** (p - 1.0)],
-        (r0, 1.0),
-        start,
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-30,
-    )
-    u1, w1 = sol.y[:, -1]
-    return sigma_c + float(w1 / u1 ** (p - 1.0))
+P_LADDER = Path(__file__).resolve().parents[1] / "scripts" / "p_ladder.py"
 
 
 @pytest.fixture(scope="session")
 def radial_lambda():
-    return _radial_lambda
+    """``radial_lambda(p, sigma_c, r0=1e-6)`` of ``scripts/p_ladder.py``: the
+    first eigenvalue on the unit disk for a constant density, by the radial ODE."""
+    spec = importlib.util.spec_from_file_location("p_ladder", P_LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.radial_lambda
+
+
+def _lp_vertices(mesh, a):
+    """All extreme points of {0 <= phi <= 1, sum phi_e len_e = a}.
+
+    Each vertex has at most one fractional coordinate: a set of fully
+    filled edges plus one partial edge absorbing the remainder.
+    """
+    lens = mesh.edge_lengths
+    B = len(lens)
+    out = []
+    for r in range(B + 1):
+        for subset in itertools.combinations(range(B), r):
+            filled = sum(float(lens[e]) for e in subset)
+            remaining = a - filled
+            if remaining <= 0.0:
+                if abs(remaining) <= 1e-12:
+                    phi = np.zeros(B)
+                    phi[list(subset)] = 1.0
+                    out.append(phi)
+                continue
+            for f in range(B):
+                if f in subset or remaining > lens[f]:
+                    continue
+                phi = np.zeros(B)
+                phi[list(subset)] = 1.0
+                phi[f] = remaining / lens[f]
+                out.append(phi)
+    return out
+
+
+@pytest.fixture(scope="session")
+def lp_vertices():
+    """``lp_vertices(mesh, a)``: every vertex of the boundary LP that the
+    bathtub refill solves at mass ``a``, by exhaustive enumeration."""
+    return _lp_vertices
 
 
 @pytest.fixture(scope="session")
@@ -111,28 +131,6 @@ def rect_small():
 def octagon_boundary_mesh():
     # Tiny disk-kind mesh whose 12-edge boundary keeps LP enumeration exact.
     return generate_disk(0.524)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--skip-slow",
-        action="store_true",
-        default=False,
-        help="skip the acceptance-scale tests",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if not config.getoption("--skip-slow"):
-        return
-    marker = pytest.mark.skip(reason="--skip-slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(marker)
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: acceptance-scale runtime")
 
 
 @pytest.fixture

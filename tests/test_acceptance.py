@@ -37,8 +37,6 @@ from steklov import (
     support_region,
 )
 
-BESSEL_QUOTIENT = 0.44638996589653457  # I1(1)/I0(1), series-computed
-
 
 def _verdict(capfd, name, passed, detail, extra_lines=()):
     with capfd.disabled():
@@ -60,14 +58,15 @@ def _midedge_half_boundary(mesh):
 # -------------------------------------------------------------------------
 
 
-def test_disk_spectrum_converges_to_the_bessel_ratio(capfd):
+def test_disk_spectrum_converges_to_the_bessel_ratio(capfd, radial_lambda):
+    bessel_quotient = radial_lambda(2.0, 0.0)  # I1(1)/I0(1)
     t0 = time.perf_counter()
     errs = []
     for h in (0.2, 0.1, 0.05):
         mesh = generate_disk(h)
         pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0)
         assert pair.converged
-        errs.append(abs(pair.lam - BESSEL_QUOTIENT))
+        errs.append(abs(pair.lam - bessel_quotient))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     elapsed = time.perf_counter() - t0
 
@@ -117,29 +116,9 @@ def test_uniformly_filled_boundary_shifts_the_spectrum_exactly(
     assert worst <= 1e-10
 
 
-def _lp_vertices(mesh, a):
-    lens = mesh.edge_lengths
-    B = len(lens)
-    for r in range(B + 1):
-        for subset in itertools.combinations(range(B), r):
-            filled = sum(float(lens[e]) for e in subset)
-            remaining = a - filled
-            if remaining <= 0.0:
-                if abs(remaining) <= 1e-12:
-                    phi = np.zeros(B)
-                    phi[list(subset)] = 1.0
-                    yield phi
-                continue
-            for f in range(B):
-                if f in subset or remaining > lens[f]:
-                    continue
-                phi = np.zeros(B)
-                phi[list(subset)] = 1.0
-                phi[f] = remaining / lens[f]
-                yield phi
-
-
-def test_greedy_fill_solves_the_boundary_lp(capfd, octagon_boundary_mesh, square_tiny):
+def test_greedy_fill_solves_the_boundary_lp(
+    capfd, octagon_boundary_mesh, square_tiny, lp_vertices
+):
     rng = np.random.default_rng(7)
     checked = 0
     worst = 0.0
@@ -152,7 +131,7 @@ def test_greedy_fill_solves_the_boundary_lp(capfd, octagon_boundary_mesh, square
                 obj = bathtub_objective(mesh, values, phi)
                 best = min(
                     bathtub_objective(mesh, values, cand)
-                    for cand in _lp_vertices(mesh, a)
+                    for cand in lp_vertices(mesh, a)
                 )
                 rel = abs(obj - best) / max(abs(best), 1e-300)
                 worst = max(worst, rel)

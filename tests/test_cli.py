@@ -329,6 +329,28 @@ def test_sigma_sweep_flushes_the_completed_rows_when_a_coupling_fails(
     assert not (out / "reference_eigenpair.json").exists()
 
 
+def test_sigma_sweep_flushes_the_completed_rows_when_the_reference_is_infeasible(
+    tmp_path, capsys
+):
+    # a mass of the whole perimeter fills every boundary edge, so the
+    # reference region pins every boundary vertex
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 2.0, "sigma": 1.0},
+        mass=generate_disk(0.3).perimeter,
+        sigma_list=[1.0, 2.0],
+    )
+    out = tmp_path / "out"
+    assert run("sigma-sweep", cfg, out) == 2
+    assert "region covers every boundary vertex" in capsys.readouterr().err
+    rows = read_csv(out / "sweep.csv")
+    assert rows[0] == ["sigma", "Lambda_sigma", "Lambda_inf_reference"]
+    assert [float(r[0]) for r in rows[1:]] == [1.0, 2.0]
+    assert all(float(r[1]) > 0.0 and r[2] == "" for r in rows[1:])
+    assert not (out / "reference_eigenpair.json").exists()
+
+
 def test_sigma_sweep_reference_takes_the_solver_options(tmp_path, capsys):
     # 8 iterations converge every optimize solve but not the reference,
     # which needs 9: the sweep writes both files and then exits 2
@@ -455,6 +477,28 @@ def test_shape_deriv_flags_and_fails_on_vertex_crossing_steps(tmp_path, capsys):
     assert "across a mesh" in captured.err
     record = json.loads((out / "derivative_report.json").read_text())
     assert record["vertex_crossings"] is True
+
+
+def test_shape_deriv_speeds_follow_their_arcs_in_any_listing(tmp_path):
+    # the same motion, with the arcs listed against and along arc order
+    records = []
+    for name, intervals, speeds in (
+        ("against", [[3.0, 4.0], [0.5, 1.0]], [[0.0, 1.0], [0.0, 0.0]]),
+        ("along", [[0.5, 1.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 1.0]]),
+    ):
+        cfg = write_config(
+            tmp_path,
+            name=f"{name}.json",
+            geometry=DISK_MEDIUM,
+            params={"p": 2.0, "sigma": 5.0},
+            region={"intervals": intervals},
+            tangent={"speeds": speeds},
+        )
+        out = tmp_path / name
+        code = run("shape-deriv", cfg, out)
+        text = (out / "derivative_report.json").read_text()
+        records.append((code, re.sub(r'"timestamp": [^,\n}]*', "", text)))
+    assert records[0] == records[1]
 
 
 def test_shape_deriv_rejects_bad_steps_and_sign(tmp_path):

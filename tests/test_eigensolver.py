@@ -725,14 +725,33 @@ def _gate_solve(mesh, p, opts=None):
     return solve_nonlinear(mesh, phi, ProblemParams(p=p, sigma=2.0), opts=opts)
 
 
+def _radial_error_ratio(coarse, fine, radial_lambda, p):
+    exact = radial_lambda(p, 2.0 * 0.3)
+    e_coarse, e_fine = (_gate_solve(mesh, p).lam - exact for mesh in (coarse, fine))
+    return e_coarse / e_fine
+
+
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
 def test_descent_converges_at_order_two_to_the_radial_eigenvalue(gate_disks, radial_lambda, p):
     # Halving h divides the error against the radial eigenvalue by about 4.
     # The flag is not asserted: p = 1.2 stops unconverged at the rounding
     # floor of the gradient test, yet its eigenvalue keeps the order.
-    exact = radial_lambda(p, 2.0 * 0.3)
-    coarse, fine = (_gate_solve(gate_disks[h], p).lam - exact for h in (0.1, 0.05))
-    assert 3.5 <= coarse / fine <= 4.5
+    ratio = _radial_error_ratio(gate_disks[0.1], gate_disks[0.05], radial_lambda, p)
+    assert 3.5 <= ratio <= 4.5
+
+
+@pytest.fixture(scope="module")
+def finest_gate_disk():
+    return generate_disk(0.025)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+def test_descent_keeps_order_two_on_the_finest_disk(
+    gate_disks, finest_gate_disk, radial_lambda, p
+):
+    ratio = _radial_error_ratio(gate_disks[0.05], finest_gate_disk, radial_lambda, p)
+    assert 3.5 <= ratio <= 4.5
 
 
 @pytest.mark.parametrize("p", [1.5, 1.8, 3.0])

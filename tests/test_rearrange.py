@@ -37,43 +37,14 @@ def _edge_weights(mesh, values, p=2.0):
 # ----------------------------------------------------------------- bathtub
 
 
-def enumerate_lp_vertices(mesh, a):
-    """All extreme points of {0 <= phi <= 1, sum phi_e len_e = a}.
-
-    Each vertex has at most one fractional coordinate: a set of fully
-    filled edges plus one partial edge absorbing the remainder.
-    """
-    lens = mesh.edge_lengths
-    B = len(lens)
-    out = []
-    for r in range(B + 1):
-        for subset in itertools.combinations(range(B), r):
-            filled = sum(float(lens[e]) for e in subset)
-            remaining = a - filled
-            if remaining <= 0.0:
-                if abs(remaining) <= 1e-12:
-                    phi = np.zeros(B)
-                    phi[list(subset)] = 1.0
-                    out.append(phi)
-                continue
-            for f in range(B):
-                if f in subset or remaining > lens[f]:
-                    continue
-                phi = np.zeros(B)
-                phi[list(subset)] = 1.0
-                phi[f] = remaining / lens[f]
-                out.append(phi)
-    return out
-
-
-def test_bathtub_matches_exhaustive_lp_enumeration(octagon_boundary_mesh, rng):
+def test_bathtub_matches_exhaustive_lp_enumeration(octagon_boundary_mesh, rng, lp_vertices):
     mesh = octagon_boundary_mesh
     a = 0.4 * mesh.perimeter
     values = rng.uniform(0.1, 2.0, mesh.n_vertices)
     phi, level = bathtub(mesh, values, a)
     objective = bathtub_objective(mesh, values, phi)
 
-    candidates = enumerate_lp_vertices(mesh, a)
+    candidates = lp_vertices(mesh, a)
     assert len(candidates) > 1000
     objs = [bathtub_objective(mesh, values, c) for c in candidates]
     best = min(objs)

@@ -36,12 +36,6 @@ def test_script_help_exits_cleanly(script):
     "name, args, expected",
     [
         pytest.param(
-            "disk_convergence.py",
-            ["--h", "0.4", "0.2"],
-            "   0.200       116",
-            id="disk_convergence.py",
-        ),
-        pytest.param(
             "cap_formation.py",
             ["--h", "0.3", "--sigma", "1", "10"],
             "pinned reference on the final support",
