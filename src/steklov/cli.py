@@ -85,8 +85,9 @@ from .errors import (
     NonConvergenceError,
     RegionCollisionError,
 )
-from .mesh import Mesh, RegionSpec, generate_disk, generate_rectangle, load_mesh_file
+from .mesh import Mesh, generate_disk, generate_rectangle, load_mesh_file
 from .rearrange import (
+    DEFAULT_MAX_OUTER,
     _check_cap,
     _check_mass,
     _check_outer_loop,
@@ -168,27 +169,20 @@ def _integer(obj: dict, key: str, context: str, default: int | None = None) -> i
     return val
 
 
-def _is_number_list(val: object, length: int | None = None) -> bool:
-    return (
-        isinstance(val, list)
-        and all(map(_is_number, val))
-        and length in (None, len(val))
-    )
-
-
-def _finite(values: list, message: str) -> list[float]:
-    """The numbers ``values`` as floats; raises ``message`` unless all are finite."""
-    floats = [_float(v) for v in values]
-    if not all(map(math.isfinite, floats)):
+def _numbers(val: object, message: str, finite_message: str, width: int | None = None) -> list:
+    """``val`` as floats: a list of numbers or, given ``width``, of lists of
+    ``width`` numbers, as tuples.  Raises ``message`` for any other
+    structure, then ``finite_message`` unless every number is finite."""
+    rows = [val] if width is None else val
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(map(_is_number, row)) and width in (None, len(row))
+        for row in rows
+    ):
         raise ConfigError(message)
-    return floats
-
-
-def _number_pairs(items: list, message: str, finite_message: str) -> list[tuple[float, float]]:
-    """``items`` as finite float pairs; raises ``message`` unless each is ``[a, b]``."""
-    if not all(_is_number_list(item, 2) for item in items):
-        raise ConfigError(message)
-    return [tuple(_finite(item, finite_message)) for item in items]
+    floats = [tuple(map(_float, row)) for row in rows]
+    if not all(math.isfinite(v) for row in floats for v in row):
+        raise ConfigError(finite_message)
+    return list(floats[0]) if width is None else floats
 
 
 def load_config(path: Path) -> dict:
@@ -289,9 +283,12 @@ def _load_density(mesh: Mesh, path: Path) -> BoundaryDensity:
         data = json.load(fh)
     if not isinstance(data, dict) or "edge_values" not in data:
         raise ValueError(f"{path}: expected a JSON object with an 'edge_values' key")
-    if not _is_number_list(data["edge_values"]):
-        raise ConfigError(f"{path}: 'edge_values' must be a list of numbers")
-    return BoundaryDensity.of(mesh, np.asarray(data["edge_values"], dtype=np.float64))
+    values = _numbers(
+        data["edge_values"],
+        f"{path}: 'edge_values' must be a list of numbers",
+        f"{path}: 'edge_values' must hold finite numbers",
+    )
+    return BoundaryDensity.of(mesh, values)
 
 
 def _potential(cfg: dict, mesh_kind: str):
@@ -307,10 +304,10 @@ def build_potential(cfg: dict, mesh: Mesh) -> BoundaryDensity:
 
 
 def _sigmas(cfg: dict) -> list[float]:
-    sigma_list = cfg.get("sigma_list")
-    if not (_is_number_list(sigma_list) and sigma_list):
-        raise ConfigError("sigma-sweep requires a non-empty numeric 'sigma_list'")
-    sigmas = _finite(sigma_list, "'sigma_list' must hold finite numbers")
+    structure = "sigma-sweep requires a non-empty numeric 'sigma_list'"
+    sigmas = _numbers(cfg.get("sigma_list"), structure, "'sigma_list' must hold finite numbers")
+    if not sigmas:
+        raise ConfigError(structure)
     if any(s <= 0 for s in sigmas) or any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ConfigError("'sigma_list' must be strictly ascending and positive")
     return sigmas
@@ -322,36 +319,35 @@ def _shape_deriv(cfg: dict) -> dict:
     intervals = _section(cfg, "region", {"intervals"}).get("intervals")
     if not isinstance(intervals, list) or not intervals:
         raise ConfigError("region 'intervals' must be a non-empty list")
-    intervals = _number_pairs(
+    intervals = _numbers(
         intervals,
         "each region interval must be a [s_begin, s_end] number pair",
         "region 'intervals' must hold finite numbers",
+        width=2,
     )
     speeds = _section(cfg, "tangent", {"speeds"}).get("speeds")
     if not isinstance(speeds, list) or len(speeds) != len(intervals):
         raise ConfigError(
             "tangent 'speeds' must list one [v_begin, v_end] pair per region arc"
         )
-    speeds = _number_pairs(
+    speeds = _numbers(
         speeds,
         "each tangent speed entry must be a [v_begin, v_end] pair",
         "endpoint speeds must be finite",
+        width=2,
     )
-    steps = cfg.get("fd_steps", list(DEFAULT_FD_STEPS))
-    if not _is_number_list(steps):
-        raise ConfigError("'fd_steps' must be a list of numbers")
-    steps = _finite(steps, "'fd_steps' must hold finite numbers")
+    steps = _numbers(
+        cfg.get("fd_steps", list(DEFAULT_FD_STEPS)),
+        "'fd_steps' must be a list of numbers",
+        "'fd_steps' must hold finite numbers",
+    )
     sign = _number(cfg, "sign_convention", "config", required=False)
     if sign not in (None, 1.0, -1.0):
         raise ConfigError("'sign_convention' must be +1 or -1")
     _validate_steps(steps)
 
     def tangent(mesh):
-        # from_intervals sorts the arcs by start; each speed pair keeps its arc
-        P = mesh.perimeter
-        paired = sorted(zip(intervals, speeds), key=lambda pair: pair[0][0] % P)
-        region = RegionSpec.from_intervals([arc for arc, _ in paired], P)
-        return TangentField(region, [speed for _, speed in paired])
+        return TangentField.from_intervals(intervals, speeds, mesh.perimeter)
 
     return {"tangent": tangent, "steps": steps, "sign": sign}
 
@@ -379,7 +375,7 @@ def _read(command: str, cfg: dict) -> dict:
             run["sigmas"] = _sigmas(cfg)
         run["outer"] = outer = {  # optimize_potential's keywords
             "mass": _number(cfg, "mass", "config"),
-            "max_outer": _integer(cfg, "max_outer", "config", default=100),
+            "max_outer": _integer(cfg, "max_outer", "config", default=DEFAULT_MAX_OUTER),
             "outer_tol": _number(cfg, "outer_tol", "config", required=False),
         }
         _check_outer_loop(outer["max_outer"], outer["outer_tol"])

@@ -657,6 +657,8 @@ def _descent(mesh, phi, params, pinned, opts, start):
     norm = boundary_p_norm(mesh, u, p)
     if norm == 0.0:
         raise ValueError("start has zero boundary trace")
+    if not norm < math.inf:
+        raise ValueError(f"start has boundary p-norm {norm!r}; it must be finite")
     u = u / norm
 
     def quotient(vals):
@@ -696,7 +698,7 @@ def _descent(mesh, phi, params, pinned, opts, start):
             if np.array_equal(v, u):
                 break
             nv = boundary_p_norm(mesh, v, p)
-            if nv > 0.0:
+            if 0.0 < nv < math.inf:  # |v|^p may overflow at large p
                 v = v / nv
                 Rv = quotient(v)
                 if Rv <= R - _ARMIJO_SLOPE * a * slope:

@@ -93,7 +93,6 @@ class Mesh:
         cum = np.concatenate(([0.0], np.cumsum(self.edge_lengths)))
         self.cum_arclength = cum[:-1]
         self.perimeter = float(cum[-1])
-        self._cum_ext = cum
 
         self.boundary_vertices = loop[:, 0].copy()
         mask = np.zeros(len(vertices), dtype=bool)
@@ -107,7 +106,6 @@ class Mesh:
             self.edges,
             self.edge_lengths,
             self.cum_arclength,
-            self._cum_ext,
             self.boundary_vertices,
             self.is_boundary_vertex,
         ):
@@ -401,6 +399,8 @@ def load_mesh(text):
             raise MeshParseError(f"line {ln}: bad {noun} count {parts[1]!r}") from None
         if count <= 0:
             raise MeshParseError(f"line {ln}: {noun} count must be positive")
+        if count > len(lines) - pos:  # before allocating the rows
+            raise MeshParseError("unexpected end of mesh text")
         width = len(row_form.split())
         rows = np.empty((count, width), dtype=dtype)
         for k in range(count):
@@ -410,7 +410,7 @@ def load_mesh(text):
                 raise MeshParseError(f"line {ln}: expected '{row_form}', got {row!r}")
             try:
                 rows[k] = [dtype(part) for part in parts]
-            except ValueError:
+            except (ValueError, OverflowError):  # an index beyond int64
                 raise MeshParseError(f"line {ln}: bad {bad} in {row!r}") from None
         return rows
 
@@ -449,10 +449,8 @@ def locate_arc_point(mesh, s):
     """
     if not (0.0 <= s < mesh.perimeter):
         raise ValueError(f"arc coordinate {s} outside [0, {mesh.perimeter})")
-    cum = mesh._cum_ext
-    k = int(np.searchsorted(cum, s, side="right")) - 1
-    k = min(k, mesh.n_boundary_edges - 1)
-    t = (s - cum[k]) / mesh.edge_lengths[k]
+    k = int(np.searchsorted(mesh.cum_arclength, s, side="right")) - 1
+    t = (s - mesh.cum_arclength[k]) / mesh.edge_lengths[k]
     return k, float(t)
 
 

@@ -25,6 +25,9 @@ from .eigensolver import (
 )
 from .mesh import RegionSpec
 
+#: ``optimize_potential``'s default limit on outer iterations.
+DEFAULT_MAX_OUTER = 100
+
 
 def _circular_overlaps(mesh, start, length):
     """Overlap length of window ``[start, start + length)`` with every edge."""
@@ -175,7 +178,7 @@ def support_region(mesh, phi):
     ends = np.flatnonzero(mask & ~np.roll(mask, -1))
     if ends[0] < starts[0]:  # the last run wraps through edge 0
         ends = np.roll(ends, -1)
-    cum = mesh._cum_ext
+    cum = np.append(mesh.cum_arclength, P)
     return RegionSpec.from_intervals(list(zip(cum[starts], cum[ends + 1])), P)
 
 
@@ -271,7 +274,7 @@ def optimize_potential(
     mass,
     opts=None,
     phi0=None,
-    max_outer=100,
+    max_outer=DEFAULT_MAX_OUTER,
     outer_tol=None,
 ):
     """Minimize the first eigenvalue over densities of the given mass.

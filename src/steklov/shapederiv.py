@@ -66,18 +66,25 @@ class TangentField:
     speeds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        speeds = tuple(
-            (float(vb), float(ve)) for vb, ve in self.speeds
-        )
+        speeds = tuple((float(vb), float(ve)) for vb, ve in self.speeds)
         if len(speeds) != len(self.region.arcs):
             raise ValueError(
                 f"need one (begin, end) speed pair per arc: got {len(speeds)} "
                 f"pairs for {len(self.region.arcs)} arcs"
             )
-        for vb, ve in speeds:
-            if not (math.isfinite(vb) and math.isfinite(ve)):
-                raise ValueError("endpoint speeds must be finite")
+        if not all(math.isfinite(v) for pair in speeds for v in pair):
+            raise ValueError("endpoint speeds must be finite")
         object.__setattr__(self, "speeds", speeds)
+
+    @classmethod
+    def from_intervals(cls, intervals, speeds, perimeter) -> "TangentField":
+        """``speeds[i]`` at the ends of ``intervals[i]``, one pair per interval, each
+        kept with its arc when :meth:`RegionSpec.from_intervals` sorts the arcs."""
+        paired = sorted(
+            zip(intervals, speeds, strict=True), key=lambda pair: float(pair[0][0]) % perimeter
+        )
+        region = RegionSpec.from_intervals([arc for arc, _ in paired], perimeter)
+        return cls(region, [speed for _, speed in paired])
 
     @classmethod
     def single_endpoint(
@@ -123,13 +130,6 @@ class DerivativeReport:
     sign_consistent: bool
     relative_error: float
     vertex_crossings: bool = False
-
-    def __post_init__(self) -> None:
-        table = tuple((float(t), float(d)) for t, d in self.fd_table)
-        object.__setattr__(self, "fd_table", table)
-        object.__setattr__(self, "formula_value", float(self.formula_value))
-        object.__setattr__(self, "fd_value", float(self.fd_value))
-        object.__setattr__(self, "relative_error", float(self.relative_error))
 
 
 def _validate_steps(steps: Sequence[float]) -> None:
@@ -194,7 +194,7 @@ def shape_derivative_formula(
         s_end = (start + length) % region.perimeter
         total += _trace_p_power_at(mesh, values, s_end, params.p) * v_end
         total -= _trace_p_power_at(mesh, values, start, params.p) * v_begin
-    return params.sigma * total / norm
+    return float(params.sigma * total / norm)
 
 
 def perturb_region(tangent: TangentField, t: float) -> RegionSpec:

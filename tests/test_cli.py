@@ -174,6 +174,9 @@ def test_solve_reads_the_final_potential_of_an_optimize_run(tmp_path):
     assert record["lambda"] == pytest.approx(final, rel=1e-8)
 
 
+NON_FINITE_EDGE_VALUES = "{path}: 'edge_values' must hold finite numbers"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -185,6 +188,8 @@ def test_solve_reads_the_final_potential_of_an_optimize_run(tmp_path):
         ({"edge_values": [[0.5]] * 22}, "{path}: 'edge_values' must be a list of numbers"),
         ({"edge_values": "0.5"}, "{path}: 'edge_values' must be a list of numbers"),
         ({"edge_values": [True] * 22}, "{path}: 'edge_values' must be a list of numbers"),
+        ({"edge_values": [0.5] * 21 + [10**400]}, NON_FINITE_EDGE_VALUES),
+        ({"edge_values": [0.5] * 21 + [math.nan]}, NON_FINITE_EDGE_VALUES),
     ],
     ids=[
         "not-an-object",
@@ -195,6 +200,8 @@ def test_solve_reads_the_final_potential_of_an_optimize_run(tmp_path):
         "values-nested",
         "values-a-string",
         "values-booleans",
+        "values-beyond-float-range",
+        "values-nan",
     ],
 )
 def test_file_potential_errors_are_config_errors(tmp_path, capsys, content, message):
@@ -664,6 +671,44 @@ def test_malformed_mesh_file_is_a_mesh_error(tmp_path, capsys):
     )
     assert run("solve", cfg, tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith("mesh error: line 4: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999999\n",
+         "line 6: bad index in '0 1 99999999999999999999999'"),
+        ("vertices 1000000000000\n0 0\n1 0\n0 1\n", "unexpected end of mesh text"),
+        (f"vertices {10**30}\n0 0\n1 0\n0 1\n", "unexpected end of mesh text"),
+    ],
+    ids=["index-beyond-int64", "count-beyond-text", "count-beyond-int64"],
+)
+def test_mesh_file_numbers_beyond_range_are_mesh_errors(tmp_path, capsys, text, message):
+    # they used to raise OverflowError, try to allocate 14.6 TiB or hit
+    # numpy's dimension limit
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_text(text, encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        geometry={"type": "mesh_file", "path": str(mesh_path)},
+        params={"p": 2.0, "sigma": 0.0},
+        potential={"type": "constant", "value": 0.0},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"mesh error: {message}\n"
+
+
+def test_a_descent_at_huge_p_ends_with_an_exit_code(tmp_path):
+    # at p = 1e6 every trial's |v|^p overflows; the descent used to divide by zero
+    cfg = write_config(
+        tmp_path,
+        geometry=DISK_COARSE,
+        params={"p": 1e6, "sigma": 1.0},
+        potential={"type": "constant", "value": 0.5},
+    )
+    with np.errstate(over="ignore"):
+        assert run("solve", cfg, tmp_path / "out") in (0, 2)
+    assert (tmp_path / "out" / "eigenpair.json").exists()
 
 
 @pytest.mark.parametrize(

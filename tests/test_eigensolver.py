@@ -452,6 +452,26 @@ def test_descent_start_with_a_nan_is_rejected():
     assert np.isnan(start).sum() == 1 and start.flags.writeable
 
 
+@pytest.mark.parametrize("h", [0.3, 0.1])
+def test_a_trial_whose_boundary_norm_overflows_backtracks(h):
+    # at p = 200 some trial's |v|^p overflows to a norm of inf; normalized by
+    # it the trial was all zeros and the quotient divided by zero
+    mesh = generate_disk(h)
+    phi = BoundaryDensity.constant(mesh, 0.5)
+    with np.errstate(over="ignore"):
+        pair = solve_nonlinear(mesh, phi, ProblemParams(p=200.0, sigma=1.0))
+    assert math.isfinite(pair.lam) and np.isfinite(pair.u.values).all()
+
+
+def test_a_start_whose_boundary_norm_overflows_is_rejected(disk_coarse):
+    phi = BoundaryDensity.constant(disk_coarse, 0.5)
+    start = np.full(disk_coarse.n_vertices, 1e3)  # 1e3**200 overflows
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^start has boundary p-norm inf; it must be finite$"
+    ):
+        solve_nonlinear(disk_coarse, phi, ProblemParams(p=200.0, sigma=1.0), start=start)
+
+
 # --------------------------------------------------------- nonlinear solve
 
 

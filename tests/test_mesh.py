@@ -396,6 +396,22 @@ PARSE_ERRORS = {
     ),
     "triangle-row": ("0 1 2", "0 1", "line 7: expected 'i j k', got '0 1'"),
     "index": ("0 1 2", "0 1 x", "line 7: bad index in '0 1 x'"),
+    "index-beyond-int64": (
+        "0 1 2",
+        "0 1 99999999999999999999999",
+        "line 7: bad index in '0 1 99999999999999999999999'",
+    ),
+    # counts beyond the lines left are refused before the rows are allocated
+    "vertex-count-beyond-text": (
+        "vertices 3",
+        "vertices 1000000000000",
+        "unexpected end of mesh text",
+    ),
+    "vertex-count-beyond-int64": (
+        "vertices 3",
+        f"vertices {10**30}",
+        "unexpected end of mesh text",
+    ),
     "end": ("triangles 1", "triangles 2", "unexpected end of mesh text"),
     "end-before-triangles": ("triangles 1\n0 1 2\n", "", "unexpected end of mesh text"),
     "end-in-vertices": ("0 1\ntriangles 1\n0 1 2\n", "", "unexpected end of mesh text"),

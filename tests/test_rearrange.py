@@ -246,14 +246,14 @@ def _reference_support_region(mesh, phi):
     if mask.all():
         return RegionSpec(arcs=((0.0, P),), perimeter=P)
     B = len(mask)
-    cum = mesh._cum_ext
+    cum = mesh.cum_arclength
     intervals = []
     for k in range(B):
         if mask[k] and not mask[(k - 1) % B]:
             end = k
             while mask[(end + 1) % B]:
                 end = (end + 1) % B
-            intervals.append((cum[k], cum[end + 1]))
+            intervals.append((cum[k], cum[end + 1] if end + 1 < B else P))
     return RegionSpec.from_intervals(intervals, P)
 
 

@@ -118,6 +118,33 @@ def test_formula_rejects_mismatched_inputs(half_disk_setup, disk_coarse):
         shape_derivative_formula(mesh, stale, v, params)
 
 
+def test_formula_and_report_values_are_python_floats(half_disk_setup, disk_coarse):
+    # numpy 2 writes np.float64 under !r, as in the CLI's printed lines
+    mesh, region, params, pair = half_disk_setup
+    v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
+    assert type(shape_derivative_formula(mesh, pair, v, params)) is float
+    coarse = RegionSpec.from_intervals([(0.5, 2.0)], disk_coarse.perimeter)
+    report = shape_derivative_fd(disk_coarse, TangentField.single_endpoint(coarse), params)
+    values = [report.formula_value, report.fd_value, report.relative_error]
+    assert all(type(x) is float for x in values + [x for row in report.fd_table for x in row])
+
+
+def test_tangent_field_from_intervals_keeps_each_speed_with_its_arc():
+    # listed out of arc order, one arc given by a negative start that wraps
+    intervals = [(5.0, 6.0), (-1.0, 1.0), (2.0, 3.0)]
+    speeds = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    tangent = TangentField.from_intervals(intervals, speeds, 10.0)
+    assert tangent.region == RegionSpec.from_intervals(intervals, 10.0)
+    assert tangent.region.arcs == ((2.0, 1.0), (5.0, 1.0), (9.0, 2.0))
+    assert tangent.speeds == ((5.0, 6.0), (1.0, 2.0), (3.0, 4.0))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_tangent_field_from_intervals_rejects_a_count_mismatch(count):
+    with pytest.raises(ValueError):
+        TangentField.from_intervals([(0.0, 1.0), (2.0, 3.0)], [(0.0, 1.0)] * count, 10.0)
+
+
 # -------------------------------------------------------- moving endpoints
 
 
