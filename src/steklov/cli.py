@@ -468,10 +468,11 @@ def _eigenpair_record(pair: EigenPair) -> dict:
 # --------------------------------------------------------------------------
 # subcommands: each gets the mesh, the output directory and, by name, the
 # values that ``_read`` and ``_with_mesh`` made (and ``optimize`` the
-# ``--binarize`` flag).  Each runs in the calling thread.
+# ``--binarize`` flag), runs in the calling thread and returns whether it
+# succeeded, which ``main`` maps to exit code 0 or 2.
 
 
-def cmd_solve(mesh, out_dir, params, opts, potential) -> int:
+def cmd_solve(mesh, out_dir, params, opts, potential) -> bool:
     if params.p == 2.0:
         pair = solve_linear(mesh, potential, params.sigma, opts=opts)
     else:
@@ -487,10 +488,10 @@ def cmd_solve(mesh, out_dir, params, opts, potential) -> int:
 
     print(f"lambda = {pair.lam!r}")
     print(f"converged = {pair.converged} after {pair.iterations} iterations")
-    return _EXIT_OK if pair.converged else _EXIT_NUMERICAL
+    return pair.converged
 
 
-def cmd_optimize(mesh, out_dir, params, opts, outer, potential, binarize) -> int:
+def cmd_optimize(mesh, out_dir, params, opts, outer, potential, binarize) -> bool:
     trace = optimize_potential(mesh, params, opts=opts, phi0=potential, **outer)
 
     final = trace.final_potential.edge_values
@@ -514,14 +515,11 @@ def cmd_optimize(mesh, out_dir, params, opts, outer, potential, binarize) -> int
         f"final lambda = {trace.final_lambda!r} after {trace.outer_iterations} "
         f"outer iterations (converged={trace.converged})"
     )
-    return _EXIT_OK if trace.converged else _EXIT_NUMERICAL
+    return trace.converged
 
 
-def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> int:
-    csv_path = out_dir / "sweep.csv"
-    header = ["sigma", "Lambda_sigma", "Lambda_inf_reference"]
-
-    traces = []
+def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> bool:
+    traces, failure = [], None
     try:
         for sigma in sigmas:
             coupled = replace(params, sigma=sigma)
@@ -533,21 +531,18 @@ def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> in
         e_ref = support_region(mesh, traces[-1].final_potential)
         ref_pair = solve_dirichlet(mesh, e_ref, params, opts)
     except (NonConvergenceError, InfeasibleConstraintError) as exc:
-        # Flush what completed before the failure so the sweep is inspectable.
-        rows = [
-            [s, float(tr.final_lambda), ""] for s, tr in zip(sigmas, traces)
-        ]
-        _write_csv(csv_path, header, rows)
-        print(f"numerical failure during sweep: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        failure = exc
 
-    rows = [
-        [s, float(tr.final_lambda), float(ref_pair.lam)]
-        for s, tr in zip(sigmas, traces)
-    ]
-    _write_csv(csv_path, header, rows)
+    # After a failure the rows that completed are flushed with an empty
+    # reference, so the sweep is inspectable.
+    ref = "" if failure else float(ref_pair.lam)
+    rows = [[s, float(tr.final_lambda), ref] for s, tr in zip(sigmas, traces)]
+    _write_csv(out_dir / "sweep.csv", ["sigma", "Lambda_sigma", "Lambda_inf_reference"], rows)
+    if failure:
+        print(f"numerical failure during sweep: {failure}", file=sys.stderr)
+        return False
+
     _write_record(out_dir / "reference_eigenpair.json", _eigenpair_record(ref_pair))
-
     for s, tr in zip(sigmas, traces):
         print(
             f"sigma={s!r}: Lambda={tr.final_lambda!r} "
@@ -555,10 +550,10 @@ def cmd_sigma_sweep(mesh, out_dir, params, opts, sigmas, outer, potential) -> in
         )
     if not ref_pair.converged:
         print("numerical failure: the reference eigensolve did not converge", file=sys.stderr)
-    return _EXIT_OK if ref_pair.converged else _EXIT_NUMERICAL
+    return ref_pair.converged
 
 
-def cmd_shape_deriv(mesh, out_dir, params, opts, tangent, steps, sign) -> int:
+def cmd_shape_deriv(mesh, out_dir, params, opts, tangent, steps, sign) -> bool:
     report = shape_derivative_fd(mesh, tangent, params, steps=steps, opts=opts)
     if sign == -1.0:
         report = replace(report, formula_value=-report.formula_value)
@@ -586,11 +581,10 @@ def cmd_shape_deriv(mesh, out_dir, params, opts, tangent, steps, sign) -> int:
             "vertex; central differences are degraded at this step size",
             file=sys.stderr,
         )
-    ok = report.relative_error <= SHAPE_DERIV_MAX_REL_ERROR
-    return _EXIT_OK if ok else _EXIT_NUMERICAL
+    return report.relative_error <= SHAPE_DERIV_MAX_REL_ERROR
 
 
-def cmd_symmetry_check(mesh, out_dir, params, opts, outer, seeds, starts) -> int:
+def cmd_symmetry_check(mesh, out_dir, params, opts, outer, seeds, starts) -> bool:
     traces = [optimize_potential(mesh, params, opts=opts, phi0=phi0, **outer) for phi0 in starts]
     lambdas = [float(tr.final_lambda) for tr in traces]
     defects = [float(arc_defect(mesh, tr.final_potential)) for tr in traces]
@@ -615,7 +609,7 @@ def cmd_symmetry_check(mesh, out_dir, params, opts, outer, seeds, starts) -> int
     print(f"lambda relative spread = {spread!r} (tolerance {SYMMETRY_LAMBDA_RTOL!r})")
     print(f"max arc defect = {max(defects)!r} (budget {defect_budget!r})")
     print("PASS" if passed else "FAIL")
-    return _EXIT_OK if passed else _EXIT_NUMERICAL
+    return passed
 
 
 # --------------------------------------------------------------------------
@@ -688,7 +682,8 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             run["binarize"] = args.binarize
         mesh = build_mesh(cfg)
-        return handler(mesh, out_dir, **_with_mesh(run, mesh))
+        succeeded = handler(mesh, out_dir, **_with_mesh(run, mesh))
+        return _EXIT_OK if succeeded else _EXIT_NUMERICAL
     except (MeshParseError, MeshTopologyError, MeshResourceError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -35,8 +35,9 @@ of two routes with the same iterates:
   principal submatrix when some vertex is pinned) by dense Cholesky and
   recovers the interior values once at the end.
 
-Under a finite address-space limit, :func:`_splu_in_order` refuses each of
-these sparse factorizations at once when its estimated memory does not fit.
+Under a finite address-space limit, :func:`_splu` refuses each sparse
+factorization, these and the descent's below, at once when its estimated
+memory does not fit.
 
 Whether to build the operator is decided in one place,
 :func:`prepare_repeated_solves`: it builds it for p = 2 and is called by
@@ -166,29 +167,18 @@ _STALL_STEPS = 100
 _STALL_DROP = 1e-14
 
 
-def _splu(A, **options):
-    """``spla.splu(A, **options)`` that reports running out of memory as ``MemoryError``.
+def _splu(A, dense=0, **options):
+    """``spla.splu(A, **options)``, with running out of memory as ``MemoryError``.
 
-    SuperLU raises a bare ``MemoryError`` for some failed allocations and a
-    ``RuntimeError`` ("SUPERLU_MALLOC fails for ...", "... out of memory")
-    for others; the second kind is raised again as ``MemoryError``.
-    """
-    try:
-        return spla.splu(A, **options)
-    except RuntimeError as exc:
-        message = str(exc).strip()
-        if "malloc fail" in message.lower() or "memory" in message.lower():
-            raise MemoryError(message) from exc
-        raise
-
-
-def _splu_in_order(A, dense=0):
-    """``_splu(A, **_IN_ORDER)``, refused with ``MemoryError`` if it cannot fit.
-
-    Under a finite soft ``RLIMIT_AS``, the factor's estimated memory (see
-    ``_FILL``; the last ``dense`` unknowns form a dense block) must fit in
-    the limit minus the process's virtual size, or SuperLU could spend
-    minutes retrying ever smaller expansions of its arrays.
+    Under a finite soft ``RLIMIT_AS`` the factorization is refused at once
+    when its estimated memory (see ``_FILL``; the last ``dense`` unknowns
+    form a dense block) does not fit in the limit minus the process's
+    virtual size, where SuperLU could spend minutes retrying ever smaller
+    expansions of its arrays.  The estimate is calibrated on ``_IN_ORDER``
+    factors; SuperLU's default order fills 1.4-1.5 times more, so there it
+    is a lower bound that refuses only factors that cannot fit.  SuperLU's
+    ``RuntimeError`` for a failed allocation ("SUPERLU_MALLOC fails for
+    ...", "... out of memory") is raised again as ``MemoryError``.
     """
     limit = resource.getrlimit(resource.RLIMIT_AS)[0] if resource else None
     if limit is not None and limit != resource.RLIM_INFINITY:
@@ -201,7 +191,13 @@ def _splu_in_order(A, dense=0):
                 f"factoring {m} unknowns needs about {need / 2**20:.0f} MB, "
                 f"the address-space limit leaves {max(free, 0) / 2**20:.0f} MB"
             )
-    return _splu(A, **_IN_ORDER)
+    try:
+        return spla.splu(A, **options)
+    except RuntimeError as exc:
+        message = str(exc).strip()
+        if "malloc fail" in message.lower() or "memory" in message.lower():
+            raise MemoryError(message) from exc
+        raise
 
 
 @dataclass(frozen=True)
@@ -417,7 +413,7 @@ def _build_boundary_operator(mesh):
     boundary = mesh.boundary_vertices
     order = np.concatenate([interior, boundary])
     A, _ = assembly.assemble_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0, order)
-    lu = _splu_in_order(A.T, dense=len(boundary))
+    lu = _splu(A.T, dense=len(boundary), **_IN_ORDER)
     kept = np.arange(ni, mesh.n_vertices)
     if not (np.array_equal(lu.perm_r[ni:], kept) and np.array_equal(lu.perm_c[ni:], kept)):
         return None
@@ -429,7 +425,7 @@ def _build_boundary_operator(mesh):
     del lu
     R = U_bb / np.sqrt(np.diag(U_bb))[:, None]
     S0 = R.T @ R
-    interior_lu = _splu_in_order(A.T[:ni, :ni])
+    interior_lu = _splu(A.T[:ni, :ni], **_IN_ORDER)
     return BoundaryOperator(S0, boundary, interior, A[:ni, ni:], interior_lu)
 
 
@@ -476,8 +472,9 @@ def _start_values(mesh, start, p):
     return np.full(mesh.n_vertices, mesh.perimeter ** (-1.0 / p))
 
 
-def _eigenpair(mesh, lam, u, iterations, residual, converged, diagnostics):
-    """Pack a solver result, with u flipped to nonnegative boundary mean."""
+def _eigenpair(mesh, lam, u, iterations, residual, diagnostics):
+    """Pack a solver result, with u flipped to nonnegative boundary mean; the
+    pair is converged exactly when ``diagnostics["stop"]`` is ``"tolerance"``."""
     if float(assembly.geometry(mesh).boundary_weights @ u) < 0.0:
         u = -u
     return EigenPair(
@@ -485,7 +482,7 @@ def _eigenpair(mesh, lam, u, iterations, residual, converged, diagnostics):
         u=Field.of(mesh, u),
         iterations=iterations,
         residual=residual,
-        converged=converged,
+        converged=diagnostics["stop"] == "tolerance",
         positivity_violation=bool(u.min() < -1e-8),
         diagnostics=diagnostics,
     )
@@ -506,8 +503,7 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
     only through its values on the unknowns of K; the reported residual is
     the driver's ``|K x - lam Mb x| / |K x|``, which on the plain route is the
     residual of A over ``rows``.  The diagnostics name the route
-    (``boundary_operator``) and why :func:`_krylov_ritz` stopped
-    (``stop``); the pair is converged exactly when that is ``"tolerance"``.
+    (``boundary_operator``) and why :func:`_krylov_ritz` stopped (``stop``).
     """
     mb = assembly.geometry(mesh).boundary_weights
     rows = ~pinned
@@ -532,7 +528,7 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
         order = _nested_dissection(mesh, np.arange(mesh.n_vertices))
         idx = order[rows[order]]
         K, _ = assembly.assemble_linear(mesh, phi, sigma, idx)
-        solve = _splu_in_order(K.T).solve
+        solve = _splu(K.T, **_IN_ORDER).solve
 
         def lift(x):
             v = np.zeros(mesh.n_vertices)
@@ -546,7 +542,7 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
         K.__matmul__, mb[idx], solve, x0, opts.resolved_tol(2.0), opts.max_iters
     )
     diagnostics = {"method": "krylov_ritz", "boundary_operator": op is not None, "stop": stop}
-    return _eigenpair(mesh, lam, lift(x), iters, residual, stop == "tolerance", diagnostics)
+    return _eigenpair(mesh, lam, lift(x), iters, residual, diagnostics)
 
 
 def solve_linear(mesh, phi, sigma, opts=None, start=None):
@@ -629,12 +625,11 @@ def _descent(mesh, phi, params, pinned, opts, start):
     serves the whole solve, and the metric is refactored every
     ``_METRIC_REFRESH`` accepted steps (see the module docstring).  Each step
     first checks the gradient test ``|g| <= tol * max(1, |R|)``, then the
-    step limit, then the stall window; the result is converged exactly when
-    the gradient test ended the loop.  The returned diagnostics have exactly
-    these keys:
+    step limit, then the stall window.  The pair's ``residual`` is the
+    Euclidean norm of the final gradient.  The returned diagnostics have
+    exactly these keys:
 
     - ``method``: ``"reweighted_descent"``;
-    - ``grad_norm``: the Euclidean norm of the final gradient;
     - ``stop``: why the loop ended, one of ``"tolerance"`` (the gradient
       test holds), ``"max_iters"``, ``"stall"`` (R dropped by at most
       ``_STALL_DROP * |R|`` over the last ``_STALL_STEPS`` accepted steps)
@@ -724,12 +719,11 @@ def _descent(mesh, phi, params, pinned, opts, start):
 
     diagnostics = {
         "method": "reweighted_descent",
-        "grad_norm": gnorm,
         "stop": stop,
         "metric_factorizations": metric.factorizations,
         "backtracks": backtracks,
     }
-    return _eigenpair(mesh, R, u, iters, gnorm, stop == "tolerance", diagnostics)
+    return _eigenpair(mesh, R, u, iters, gnorm, diagnostics)
 
 
 def solve_nonlinear(mesh, phi, params, opts=None, start=None):

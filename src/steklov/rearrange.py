@@ -34,7 +34,7 @@ def _circular_overlaps(mesh, start, length):
     P = mesh.perimeter
     x = (mesh.cum_arclength - start) % P  # edge start in window coordinates
     le = mesh.edge_lengths
-    main = np.maximum(0.0, np.minimum(x + le, length) - x)
+    main = np.maximum(0.0, np.minimum(le, length - x))  # le itself for a whole edge
     wrapped = np.maximum(0.0, np.minimum(x + le - P, length))
     return main + wrapped
 

@@ -52,6 +52,14 @@ DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 _CONSISTENCY_RTOL = 1e-6
 
 
+def _check_pair_count(speeds, arcs) -> None:
+    if len(speeds) != len(arcs):
+        raise ValueError(
+            f"need one (begin, end) speed pair per arc: got {len(speeds)} "
+            f"pairs for {len(arcs)} arcs"
+        )
+
+
 @dataclass(frozen=True)
 class TangentField:
     """Tangential speeds at the endpoints of a region's arcs.
@@ -67,11 +75,7 @@ class TangentField:
 
     def __post_init__(self) -> None:
         speeds = tuple((float(vb), float(ve)) for vb, ve in self.speeds)
-        if len(speeds) != len(self.region.arcs):
-            raise ValueError(
-                f"need one (begin, end) speed pair per arc: got {len(speeds)} "
-                f"pairs for {len(self.region.arcs)} arcs"
-            )
+        _check_pair_count(speeds, self.region.arcs)
         if not all(math.isfinite(v) for pair in speeds for v in pair):
             raise ValueError("endpoint speeds must be finite")
         object.__setattr__(self, "speeds", speeds)
@@ -80,9 +84,8 @@ class TangentField:
     def from_intervals(cls, intervals, speeds, perimeter) -> "TangentField":
         """``speeds[i]`` at the ends of ``intervals[i]``, one pair per interval, each
         kept with its arc when :meth:`RegionSpec.from_intervals` sorts the arcs."""
-        paired = sorted(
-            zip(intervals, speeds, strict=True), key=lambda pair: float(pair[0][0]) % perimeter
-        )
+        _check_pair_count(speeds, intervals)
+        paired = sorted(zip(intervals, speeds), key=lambda pair: float(pair[0][0]) % perimeter)
         region = RegionSpec.from_intervals([arc for arc, _ in paired], perimeter)
         return cls(region, [speed for _, speed in paired])
 

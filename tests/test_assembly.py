@@ -85,6 +85,16 @@ def test_density_validation(square_tiny):
     assert phi.mass == pytest.approx(0.25 * square_tiny.perimeter, rel=1e-14)
 
 
+def test_raw_arrays_of_the_wrong_size_are_rejected(square_tiny):
+    # density_weights and energy also take plain arrays, which they check
+    mesh = square_tiny
+    with pytest.raises(ValueError, match="^density length does not match the boundary loop$"):
+        density_weights(mesh, np.zeros(mesh.n_boundary_edges + 1))
+    phi = BoundaryDensity.constant(mesh, 0.5)
+    with pytest.raises(ValueError, match=f"^field has shape \\(1, {mesh.n_vertices}\\), mesh "):
+        energy(mesh, np.ones((1, mesh.n_vertices)), phi, ProblemParams())
+
+
 def test_freezing_copies_leave_the_callers_arrays_writeable(square_tiny):
     # Field, BoundaryDensity and Mesh freeze copies of what they are given
     values = np.ones(square_tiny.n_vertices)

@@ -1118,6 +1118,17 @@ def no_mesh_work(*args, **kwargs):
     raise AssertionError("numerical work before the config was checked")
 
 
+def test_an_empty_sigma_list_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_mesh", no_mesh_work)
+    cfg = write_config(tmp_path, **SWEEP_CONFIG, sigma_list=[])
+    out = tmp_path / "out"
+    assert run("sigma-sweep", cfg, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: sigma-sweep requires a non-empty numeric 'sigma_list'\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_every_config_error_is_found_before_the_mesh_is_built(
     tmp_path, capsys, monkeypatch, case
@@ -1315,22 +1326,22 @@ def test_out_of_memory_is_one_line_and_writes_nothing(
     assert list(out.iterdir()) == []
 
 
-# Runs the CLI with a process-local RLIMIT_AS set just before the plain
-# route's factorization, argv[1] bytes above the process's size then.
+# Runs the CLI with a process-local RLIMIT_AS set just before each sparse
+# factorization, argv[1] bytes above the process's size then.
 CAPPED_CLI = """
 import resource, sys
 from steklov import cli, eigensolver
 
-factor = eigensolver._splu_in_order
+factor = eigensolver._splu
 
-def capped(A, dense=0):
+def capped(A, dense=0, **options):
     with open("/proc/self/statm") as statm:
         size = int(statm.read().split()[0]) * resource.getpagesize()
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
-    return factor(A, dense)
+    return factor(A, dense, **options)
 
-eigensolver._splu_in_order = capped
+eigensolver._splu = capped
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -1338,16 +1349,18 @@ sys.exit(cli.main(sys.argv[2:]))
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 @pytest.mark.parametrize("room", [0.5, 100.0], ids=["half-the-estimate", "ample"])
 @pytest.mark.parametrize(
-    "command, extra",
+    "command, p, extra",
     [
-        ("solve", {"potential": {"type": "constant", "value": 0.5}}),
+        ("solve", 2.0, {"potential": {"type": "constant", "value": 0.5}}),
         # the boundary operator's factor, with its dense B x B block
-        ("sigma-sweep", {"mass": 1.0, "sigma_list": [1.0, 2.0]}),
+        ("sigma-sweep", 2.0, {"mass": 1.0, "sigma_list": [1.0, 2.0]}),
+        # the descent's metric, factored in SuperLU's default order
+        ("solve", 3.0, {"potential": {"type": "constant", "value": 0.5}}),
     ],
-    ids=["solve", "sigma-sweep"],
+    ids=["solve", "sigma-sweep", "solve-p3"],
 )
 def test_factorization_that_cannot_fit_the_address_space_fails_at_once(
-    tmp_path, command, extra, room
+    tmp_path, command, p, extra, room
 ):
     # A factorization whose estimated memory exceeds what the address-space
     # limit leaves is refused before SuperLU starts (which could otherwise
@@ -1357,7 +1370,7 @@ def test_factorization_that_cannot_fit_the_address_space_fails_at_once(
     n, dense = mesh.n_vertices, mesh.n_boundary_edges if command == "sigma-sweep" else 0
     need = eigensolver._ENTRY_BYTES * (eigensolver._FILL * n * math.log2(n) + dense**2)
     cfg = write_config(
-        tmp_path, geometry={"type": "disk", "h": 0.025}, params={"p": 2.0, "sigma": 5.0}, **extra
+        tmp_path, geometry={"type": "disk", "h": 0.025}, params={"p": p, "sigma": 5.0}, **extra
     )
     out = tmp_path / "out"
     proc = subprocess.run(

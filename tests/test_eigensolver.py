@@ -732,7 +732,7 @@ EUCLIDEAN_P12_LAMBDA = {0.1: 1.0990335107452576, 0.07: 1.0993644621843688}
 # lambda of the reweighted descent at p = 1.2 on generate_disk(0.07), as float hex.
 P12_LAMBDA_H007 = "0x1.196c62f754603p+0"
 
-DESCENT_DIAGNOSTICS = {"method", "grad_norm", "stop", "metric_factorizations", "backtracks"}
+DESCENT_DIAGNOSTICS = {"method", "stop", "metric_factorizations", "backtracks"}
 
 
 @pytest.fixture(scope="module")
@@ -857,7 +857,6 @@ def test_descent_diagnostics_have_a_fixed_key_set(disk_regression):
         assert diagnostics["method"] == "reweighted_descent"
         assert diagnostics["stop"] == stop
         assert pair.converged == (stop == "tolerance")
-        assert diagnostics["grad_norm"] == pair.residual
         # one factorization at the start, one more every 10 accepted steps
         assert diagnostics["metric_factorizations"] == 1 + pair.iterations // 10
 

@@ -732,6 +732,12 @@ def test_region_rejects_empty_interval():
         RegionSpec.from_intervals([(1.0, 1.0)], 6.0)
 
 
+@pytest.mark.parametrize("perimeter", [0.0, -6.0])
+def test_region_rejects_a_perimeter_that_is_not_positive(perimeter):
+    with pytest.raises(ValueError, match="^perimeter must be positive$"):
+        RegionSpec.from_intervals([(1.0, 2.0)], perimeter)
+
+
 def test_region_closed_contains_endpoints():
     region = RegionSpec.from_intervals([(1.0, 2.0)], 6.0)
     assert not region.contains(2.0)

@@ -174,6 +174,26 @@ def test_rasterize_region_covers_fractional_edges(octagon_boundary_mesh):
     assert phi.mass == pytest.approx(region.total_mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("angle", [0.0, 1.0], ids=["wraps-through-zero", "inside"])
+def test_a_caps_whole_edges_are_exactly_one(disk_fine, angle):
+    # The overlap of an edge that lies inside the arc is its own length, so
+    # its value is 1.0 exactly; the end edges keep the value that the overlap
+    # min(x + le, length) - x of the edge starting x into the arc gives.
+    mesh = disk_fine
+    region, phi = cap_indicator(mesh, angle, math.pi / 2)
+    (start, length), = region.arcs
+    x = (mesh.cum_arclength - start) % mesh.perimeter
+    le = mesh.edge_lengths
+    ends = np.flatnonzero((x < length) & (x + le > length))
+    ends = np.append(ends, np.flatnonzero(x + le > mesh.perimeter))
+    inner = np.flatnonzero((x + le <= length))
+    assert len(ends) == 2 and len(inner) > 10
+    assert np.all(phi.edge_values[inner] == 1.0)
+    covered = np.where(x < length, np.minimum(x + le, length) - x, x + le - mesh.perimeter)
+    assert np.array_equal(phi.edge_values[ends], covered[ends] / le[ends])
+    assert np.count_nonzero(phi.edge_values) == len(inner) + len(ends)
+
+
 def test_cap_indicator_mass_and_centering(disk_coarse):
     region, phi = cap_indicator(disk_coarse, 1.1, math.pi / 2)
     assert phi.mass == pytest.approx(math.pi / 2, rel=1e-12)

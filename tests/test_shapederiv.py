@@ -145,6 +145,30 @@ def test_tangent_field_from_intervals_rejects_a_count_mismatch(count):
         TangentField.from_intervals([(0.0, 1.0), (2.0, 3.0)], [(0.0, 1.0)] * count, 10.0)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_speed_count_mismatch_names_the_counts_in_both_constructors(count):
+    intervals = [(0.0, 1.0), (2.0, 3.0)]
+    message = f"^need one \\(begin, end\\) speed pair per arc: got {count} pairs for 2 arcs$"
+    with pytest.raises(ValueError, match=message):
+        TangentField.from_intervals(intervals, [(0.0, 1.0)] * count, 10.0)
+    region = RegionSpec.from_intervals(intervals, 10.0)
+    with pytest.raises(ValueError, match=message):
+        TangentField(region, [(0.0, 1.0)] * count)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tangent_field_rejects_a_speed_that_is_not_finite(bad):
+    region = RegionSpec.from_intervals([(0.0, 1.0)], 10.0)
+    with pytest.raises(ValueError, match="^endpoint speeds must be finite$"):
+        TangentField(region, [(0.0, bad)])
+
+
+def test_single_endpoint_rejects_an_arc_index_out_of_range():
+    region = RegionSpec.from_intervals([(0.0, 1.0), (2.0, 3.0)], 10.0)
+    with pytest.raises(ValueError, match="^arc index 5 out of range$"):
+        TangentField.single_endpoint(region, arc=5)
+
+
 # -------------------------------------------------------- moving endpoints
 
 
@@ -257,6 +281,14 @@ def test_fd_step_validation(half_disk_setup):
         shape_derivative_fd(mesh, v, params, steps=(1e-2, 5e-3, 3e-3))
     with pytest.raises(ValueError):
         shape_derivative_fd(mesh, v, params, steps=(5e-3, 1e-2, 2e-2))
+
+
+@pytest.mark.parametrize("steps", [(1e-2, 5e-3, 0.0), (-1e-2, -5e-3, -2.5e-3)])
+def test_fd_steps_must_be_positive(half_disk_setup, steps):
+    mesh, region, params, _ = half_disk_setup
+    v = TangentField.single_endpoint(region)
+    with pytest.raises(ValueError, match="^finite-difference steps must be positive$"):
+        shape_derivative_fd(mesh, v, params, steps=steps)
 
 
 def test_fd_descent_branch_keeps_the_sign(disk_coarse):
