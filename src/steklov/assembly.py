@@ -61,16 +61,7 @@ class Field:
 
     @staticmethod
     def of(mesh, values):
-        # A copy, so freezing it leaves the caller's array writeable.
-        values = np.array(values, dtype=np.float64, order="C")
-        if values.shape != (mesh.n_vertices,):
-            raise ValueError(
-                f"field has {values.shape} values, mesh has {mesh.n_vertices} vertices"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
-        values.flags.writeable = False
-        return Field(values)
+        return Field(_frozen_copy(values, mesh, "field"))
 
 
 @dataclass(frozen=True)
@@ -82,18 +73,9 @@ class BoundaryDensity:
 
     @staticmethod
     def of(mesh, edge_values):
-        # A copy, so freezing it leaves the caller's array writeable.
-        vals = np.array(edge_values, dtype=np.float64, order="C")
-        if vals.shape != (mesh.n_boundary_edges,):
-            raise ValueError(
-                f"density has {vals.shape} values, boundary has "
-                f"{mesh.n_boundary_edges} edges"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density contains non-finite values")
+        vals = _frozen_copy(edge_values, mesh, "density")
         if vals.min() < 0.0 or vals.max() > 1.0:
             raise ValueError("density values must lie in [0, 1]")
-        vals.flags.writeable = False
         mass = float(np.dot(vals, mesh.edge_lengths))
         return BoundaryDensity(edge_values=vals, mass=mass)
 
@@ -102,22 +84,28 @@ class BoundaryDensity:
         return BoundaryDensity.of(mesh, np.full(mesh.n_boundary_edges, float(value)))
 
 
+def _sized(vals, mesh, noun):
+    """``vals`` if it has one value per vertex (a field) or boundary edge (a density)."""
+    count = mesh.n_vertices if noun == "field" else mesh.n_boundary_edges
+    if vals.shape != (count,):
+        owner = f"mesh has {count} vertices" if noun == "field" else f"boundary has {count} edges"
+        raise ValueError(f"{noun} has {vals.shape} values, {owner}")
+    return vals
+
+
+def _frozen_copy(values, mesh, noun):
+    """A read-only, finite, :func:`_sized` float64 copy of ``values`` (which stays writeable)."""
+    vals = _sized(np.array(values, dtype=np.float64, order="C"), mesh, noun)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{noun} contains non-finite values")
+    vals.flags.writeable = False
+    return vals
+
+
 def _as_values(u, mesh):
+    """The values of ``u``, a Field or an array of one value per vertex."""
     vals = u.values if isinstance(u, Field) else np.asarray(u, dtype=np.float64)
-    if vals.shape != (mesh.n_vertices,):
-        raise ValueError(
-            f"field has shape {vals.shape}, mesh has {mesh.n_vertices} vertices"
-        )
-    return vals
-
-
-def _phi_values(phi, mesh):
-    if isinstance(phi, BoundaryDensity):
-        return phi.edge_values
-    vals = np.asarray(phi, dtype=np.float64)
-    if vals.shape != (mesh.n_boundary_edges,):
-        raise ValueError("density length does not match the boundary loop")
-    return vals
+    return _sized(vals, mesh, "field")
 
 
 class _Geometry:
@@ -150,7 +138,7 @@ class _Geometry:
         )
 
         # unweighted trapezoid, zero off-boundary
-        self.boundary_weights = density_weights(mesh, np.ones(mesh.n_boundary_edges))
+        self.boundary_weights = density_weights(mesh, BoundaryDensity.constant(mesh, 1.0))
 
 
 _geometry_cache = weakref.WeakKeyDictionary()
@@ -282,9 +270,10 @@ def energy_gradient(mesh, u, phi, params):
 
 def density_weights(mesh, phi):
     """Nodal trapezoid weights of the phi-weighted boundary length, zero inside."""
-    pv = _phi_values(phi, mesh)
+    if not isinstance(phi, BoundaryDensity):
+        raise TypeError(f"phi must be a BoundaryDensity, got {type(phi).__name__}")
     loop = mesh.boundary_loop
-    half = 0.5 * pv * mesh.edge_lengths
+    half = 0.5 * phi.edge_values * mesh.edge_lengths
     # one pass over the edges' first ends, then their second ends
     return np.bincount(
         np.concatenate((loop[:, 0], loop[:, 1])),

@@ -13,13 +13,13 @@ Barzilai-Borwein steps in a reweighted metric and an Armijo backtracking
 safeguard is used; every accepted step decreases R, so warm-started solves
 never increase the eigenvalue estimate.
 
-``solve_linear`` and the p = 2 ``solve_dirichlet`` are two callers of one
-core: ``solve_dirichlet`` pins the trace to zero on its region and drops
-phi and sigma, ``solve_linear`` pins nothing.  Every solve builds one
-vertex mask ``pinned`` (all False for ``solve_linear`` and
-``solve_nonlinear``) and hands it unchanged to the p = 2 core or, for
-p != 2, to the descent.  The p = 2 core runs the Krylov-Ritz driver on one
-of two routes with the same iterates:
+Both cores, :func:`_solve_p2` for p = 2 and the descent :func:`_descent`,
+take ``(phi, params, pinned)``: a BoundaryDensity, read only when
+``params.sigma != 0``, the problem and a vertex mask pinned to zero.
+``solve_linear`` (which builds ``params`` from its sigma) and
+``solve_nonlinear`` pin nothing; ``solve_dirichlet`` pins its region, sets
+sigma to 0 and picks the core by p.  The p = 2 core runs the Krylov-Ritz
+driver on one of two routes with the same iterates:
 
 - plain: a sparse LU of A for every solve, on the unpinned vertices in the
   nested-dissection order of all vertices (:func:`_nested_dissection`)
@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 import threading
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -114,7 +115,6 @@ from . import assembly
 # gradient functions stay importable from this module only because
 # bench/tracing.py wraps them here by name.
 from .assembly import (  # noqa: F401
-    BoundaryDensity,
     Field,
     ProblemParams,
     boundary_p_norm,
@@ -209,7 +209,7 @@ class SolverOptions:
     eigen-residual ``|K x - lambda Mb x| / |K x|`` of the returned pair and
     ``max_iters`` counts linear solves; for p != 2 it is the descent's
     gradient test (see :func:`_descent`) and ``max_iters`` counts descent
-    steps.
+    steps.  ``max_iters`` is an integer (not a bool) of at least 1.
     """
 
     tol: float | None = None
@@ -218,8 +218,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
 
     def resolved_tol(self, p):
         if self.tol is not None:
@@ -412,7 +413,7 @@ def _build_boundary_operator(mesh):
     ni = len(interior)
     boundary = mesh.boundary_vertices
     order = np.concatenate([interior, boundary])
-    A, _ = assembly.assemble_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0, order)
+    A, _ = assembly.assemble_linear(mesh, None, 0.0, order)  # phi unread at sigma = 0
     lu = _splu(A.T, dense=len(boundary), **_IN_ORDER)
     kept = np.arange(ni, mesh.n_vertices)
     if not (np.array_equal(lu.perm_r[ni:], kept) and np.array_equal(lu.perm_c[ni:], kept)):
@@ -488,32 +489,33 @@ def _eigenpair(mesh, lam, u, iterations, residual, diagnostics):
     )
 
 
-def _solve_p2(mesh, phi, sigma, pinned, opts, start):
+def _solve_p2(mesh, phi, params, pinned, opts, start):
     """The Krylov-Ritz driver for p = 2 with the field pinned to zero on ``pinned``.
 
     ``pinned`` is a vertex mask that is False off the boundary; ``rows`` is
     its complement and ``free`` the unpinned positions of
     ``mesh.boundary_vertices``.  Each route of the module docstring supplies
     a matrix K of the unpinned unknowns, its solve and a lift back to all
-    vertices.  Reduced: ``S0 + diag(d_b)`` on ``free``, its Cholesky factor
-    and the A0-harmonic extension (``d`` is zero off the boundary, so the
+    vertices.  Reduced: ``S0 + sigma * diag(b_phi)`` on ``free`` (S0 alone
+    at sigma = 0, where phi is unread), its Cholesky factor and the
+    A0-harmonic extension (``b_phi`` is zero off the boundary, so the
     lifted field solves the interior rows of A u = lam Mb u).  Plain: A
-    assembled on ``rows`` in their dissection order, its unpivoted
-    ``splu`` and a scatter.  The start enters
-    only through its values on the unknowns of K; the reported residual is
-    the driver's ``|K x - lam Mb x| / |K x|``, which on the plain route is the
-    residual of A over ``rows``.  The diagnostics name the route
-    (``boundary_operator``) and why :func:`_krylov_ritz` stopped (``stop``).
+    assembled on ``rows`` in their dissection order, its unpivoted ``splu``
+    and a scatter.  The start enters only through its values on the unknowns
+    of K; the reported residual is the driver's ``|K x - lam Mb x| / |K x|``,
+    which on the plain route is the residual of A over ``rows``.  The
+    diagnostics name the route (``boundary_operator``) and why
+    :func:`_krylov_ritz` stopped (``stop``).
     """
     mb = assembly.geometry(mesh).boundary_weights
     rows = ~pinned
     op = _operators.get(mesh)
     if op is not None:
-        d = sigma * assembly.density_weights(mesh, phi)
         free = rows[mesh.boundary_vertices]
         idx = mesh.boundary_vertices[free]
         K = op.S0[np.ix_(free, free)]
-        K[np.diag_indices_from(K)] += d[idx]
+        if params.sigma != 0.0:
+            K[np.diag_indices_from(K)] += params.sigma * assembly.density_weights(mesh, phi)[idx]
         factor = sla.cho_factor(K)
 
         def solve(rhs):
@@ -527,7 +529,7 @@ def _solve_p2(mesh, phi, sigma, pinned, opts, start):
     else:
         order = _nested_dissection(mesh, np.arange(mesh.n_vertices))
         idx = order[rows[order]]
-        K, _ = assembly.assemble_linear(mesh, phi, sigma, idx)
+        K, _ = assembly.assemble_linear(mesh, phi, params.sigma, idx)
         solve = _splu(K.T, **_IN_ORDER).solve
 
         def lift(x):
@@ -550,12 +552,14 @@ def solve_linear(mesh, phi, sigma, opts=None, start=None):
 
     Runs on the mesh's cached boundary operator when one has been built
     (see :func:`boundary_operator`), on a fresh sparse factorization
-    otherwise.  Returns a converged flag rather than raising on
-    iteration-limit hits; the returned eigenfunction is normalized to unit
-    boundary 2-norm and sign-fixed to nonnegative boundary mean.
+    otherwise.  ``sigma`` follows the rule of ``ProblemParams``.  Returns a
+    converged flag rather than raising on iteration-limit hits; the returned
+    eigenfunction is normalized to unit boundary 2-norm and sign-fixed to
+    nonnegative boundary mean.
     """
+    params = ProblemParams(sigma=sigma)
     pinned = np.zeros(mesh.n_vertices, dtype=bool)
-    return _solve_p2(mesh, phi, sigma, pinned, opts or SolverOptions(), start)
+    return _solve_p2(mesh, phi, params, pinned, opts or SolverOptions(), start)
 
 
 class _ReweightedMetric:
@@ -740,12 +744,14 @@ def solve_nonlinear(mesh, phi, params, opts=None, start=None):
 def solve_dirichlet(mesh, region, params, opts=None, start=None):
     """Mixed problem: trace pinned to zero on the closure of the arcs in ``region``.
 
+    ``region`` must be built on ``mesh`` (:meth:`RegionSpec.check_mesh`).
     Minimizes the sigma-free quotient over fields vanishing at every
     boundary vertex whose arc coordinate lies in a closed arc of ``region``;
-    for p = 2 this is a reduced generalized eigenproblem, run on the principal
-    submatrix of the cached boundary operator's ``S0`` when the mesh has one.
+    for p = 2 this is a reduced generalized eigenproblem, run on the
+    principal submatrix of the cached boundary operator's ``S0`` when the
+    mesh has one.
     """
-    opts = opts or SolverOptions()
+    region.check_mesh(mesh)
     params = ProblemParams(p=params.p, sigma=0.0, eps_reg=params.eps_reg)
 
     constrained_b = region.contains_array(mesh.cum_arclength, closed=True)
@@ -755,10 +761,7 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
         )
     pinned = np.zeros(mesh.n_vertices, dtype=bool)
     pinned[mesh.boundary_vertices[constrained_b]] = True
-    phi0 = BoundaryDensity.constant(mesh, 0.0)
-    if params.p == 2.0:
-        eig = _solve_p2(mesh, phi0, 0.0, pinned, opts, start)
-    else:
-        eig = _descent(mesh, phi0, params, pinned, opts, start)
+    core = _solve_p2 if params.p == 2.0 else _descent  # phi is unread at sigma = 0
+    eig = core(mesh, None, params, pinned, opts or SolverOptions(), start)
     eig.diagnostics["constrained_vertices"] = int(constrained_b.sum())
     return eig

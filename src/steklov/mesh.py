@@ -489,6 +489,11 @@ class RegionSpec:
                 raise ValueError("arcs overlap")
         return RegionSpec(arcs=tuple(arcs), perimeter=float(perimeter))
 
+    def check_mesh(self, mesh):
+        """Reject a mesh of another perimeter than the one this region was built on."""
+        if self.perimeter != mesh.perimeter:
+            raise ValueError(f"region perimeter {self.perimeter!r} != mesh's {mesh.perimeter!r}")
+
     @property
     def total_mass(self):
         return float(sum(length for _, length in self.arcs))

@@ -40,7 +40,9 @@ def _circular_overlaps(mesh, start, length):
 
 
 def rasterize_region(mesh, region):
-    """Edge-value indicator of a region: per-edge covered fraction in [0, 1]."""
+    """Edge-value indicator of a region built on ``mesh`` (see
+    :meth:`RegionSpec.check_mesh`): per-edge covered fraction in [0, 1]."""
+    region.check_mesh(mesh)
     vals = np.zeros(mesh.n_boundary_edges)
     for start, length in region.arcs:
         vals += _circular_overlaps(mesh, start, length) / mesh.edge_lengths

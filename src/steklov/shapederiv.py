@@ -174,13 +174,11 @@ def shape_derivative_formula(
     normalized internally to unit boundary p-power, so any scaling of the
     supplied eigenpair is accepted.
 
-    Raises ``ValueError`` if the eigenpair was not solved with this region's
-    indicator potential (checked through the Rayleigh quotient).
+    Raises ``ValueError`` if the region was built on another perimeter
+    (:func:`rasterize_region`) or the eigenpair was not solved with this
+    region's indicator potential (checked through the Rayleigh quotient).
     """
     region = tangent.region
-    if region.perimeter != mesh.perimeter:
-        raise ValueError("region and mesh disagree on the boundary perimeter")
-
     values = pair.u.values
     phi = rasterize_region(mesh, region)
     check = rayleigh(mesh, pair.u, phi, params)

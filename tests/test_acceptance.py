@@ -132,7 +132,7 @@ def test_greedy_fill_solves_the_boundary_lp(
                 phi, level = bathtub(mesh, values, a)
                 obj = bathtub_objective(mesh, values, phi)
                 best = min(
-                    bathtub_objective(mesh, values, cand)
+                    bathtub_objective(mesh, values, BoundaryDensity.of(mesh, cand))
                     for cand in lp_vertices(mesh, a)
                 )
                 rel = abs(obj - best) / max(abs(best), 1e-300)

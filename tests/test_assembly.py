@@ -86,12 +86,14 @@ def test_density_validation(square_tiny):
 
 
 def test_raw_arrays_of_the_wrong_size_are_rejected(square_tiny):
-    # density_weights and energy also take plain arrays, which they check
+    # a density must be a BoundaryDensity; energy also takes a plain field
+    # array, which it checks with Field.of's length message
     mesh = square_tiny
-    with pytest.raises(ValueError, match="^density length does not match the boundary loop$"):
+    with pytest.raises(TypeError, match="^phi must be a BoundaryDensity, got ndarray$"):
         density_weights(mesh, np.zeros(mesh.n_boundary_edges + 1))
     phi = BoundaryDensity.constant(mesh, 0.5)
-    with pytest.raises(ValueError, match=f"^field has shape \\(1, {mesh.n_vertices}\\), mesh "):
+    message = f"^field has \\(1, {mesh.n_vertices}\\) values, mesh has {mesh.n_vertices} vertices$"
+    with pytest.raises(ValueError, match=message):
         energy(mesh, np.ones((1, mesh.n_vertices)), phi, ProblemParams())
 
 

@@ -315,6 +315,27 @@ def test_mesh_without_interior_vertices_keeps_the_plain_path():
     assert trace.converged
 
 
+def test_a_factor_that_moved_the_boundary_block_leaves_no_operator(monkeypatch):
+    # S0 is read off the trailing block of the factor, so a factor whose
+    # row permutation moved that block gives no operator, and solves take
+    # the plain path
+    mesh = generate_disk(0.3)
+    density = BoundaryDensity.constant(mesh, 0.5)
+    plain = solve_linear(mesh, density, 2.0)
+    factor = eigensolver._splu
+
+    def moved(A, dense=0, **options):
+        lu = factor(A, dense, **options)
+        return types.SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c)
+
+    with monkeypatch.context() as m:
+        m.setattr(eigensolver, "_splu", moved)
+        assert boundary_operator(mesh) is None
+    pair = solve_linear(mesh, density, 2.0)
+    assert pair.diagnostics["boundary_operator"] is False
+    assert pair.lam == plain.lam
+
+
 @pytest.fixture
 def count_builds(monkeypatch):
     built = []

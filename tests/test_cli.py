@@ -1423,6 +1423,27 @@ def test_a_failed_rename_leaves_no_output_file(tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_a_failed_clean_up_still_reports_the_failed_rename(tmp_path, capsys, monkeypatch):
+    # when removing the temp file fails too, the rename's error propagates
+    # and the temp file stays
+    def no_rename(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    def no_unlink(path):
+        raise OSError(f"cannot remove {path}")
+
+    monkeypatch.setattr(cli.os, "replace", no_rename)
+    monkeypatch.setattr(cli.os, "unlink", no_unlink)
+    cfg = write_config(tmp_path, **SOLVE_CONFIG)
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: cannot rename ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [path.suffix for path in out.iterdir()] == [".tmp"]
+
+
 def test_output_dir_from_config_is_created(tmp_path):
     target = tmp_path / "fresh" / "nested"
     cfg = write_config(

@@ -47,6 +47,12 @@ def test_disk_boundary_vertices_on_unit_circle():
     assert np.max(np.abs(radii - 1.0)) <= 1e-12
 
 
+def test_repr_names_the_kind_and_the_sizes():
+    mesh = generate_rectangle(1.0, 1.0, 1.0)
+    assert (mesh.n_vertices, len(mesh.triangles), mesh.n_boundary_edges) == (4, 2, 4)
+    assert repr(mesh) == "Mesh(kind='rectangle', vertices=4, triangles=2, boundary_edges=4)"
+
+
 def test_disk_boundary_indices_are_angle_ordered():
     mesh = generate_disk(0.3)
     n = mesh.n_boundary_edges

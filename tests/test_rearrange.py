@@ -46,7 +46,7 @@ def test_bathtub_matches_exhaustive_lp_enumeration(octagon_boundary_mesh, rng, l
 
     candidates = lp_vertices(mesh, a)
     assert len(candidates) > 1000
-    objs = [bathtub_objective(mesh, values, c) for c in candidates]
+    objs = [bathtub_objective(mesh, values, BoundaryDensity.of(mesh, c)) for c in candidates]
     best = min(objs)
     assert objective <= best * (1 + 1e-14) + 1e-300
     assert best <= objective * (1 + 1e-14) + 1e-300

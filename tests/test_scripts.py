@@ -204,3 +204,33 @@ def test_compare_ops_runs_the_cli_of_each_tree():
     for row in rows:
         old, new = row.split("  lambda ")[1].split()[0].split("/")
         assert old == new and float(old) > 0.0
+
+
+def test_line_coverage_lists_the_lines_no_test_reached(tmp_path):
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "def double(x):\n"
+        "    return 2 * x\n"
+        "\n"
+        "\n"
+        "def never(x):\n"
+        "    if x:\n"
+        "        return 1\n"
+        "    return 0\n"
+    )
+    (tmp_path / "test_toy.py").write_text(
+        "import toy\n\n\ndef test_double():\n    assert toy.double(2) == 4\n"
+    )
+    proc = _run_script(
+        ROOT / "scripts" / "line_coverage.py",
+        *("--src", str(package), "--", "-q", "-p", "no:cacheprovider"),
+        str(tmp_path / "test_toy.py"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("1 passed") for line in lines)
+    missed = [line.split("/")[-1] for line in lines[-4:-1]]
+    assert missed == ["__init__.py:6: if x:", "__init__.py:7: return 1", "__init__.py:8: return 0"]
+    assert lines[-1].startswith("3 of 6 executable lines of ")
+    assert lines[-1].endswith("toy not reached")
