@@ -36,6 +36,7 @@ import scipy.sparse.linalg as spla
 from steklov import (
     BoundaryDensity,
     Mesh,
+    ProblemParams,
     arc_defect,
     assemble_linear,
     bathtub,
@@ -87,7 +88,8 @@ def ladder_row(generate, repeat):
     row["assemble"], (A, _) = median_ms(lambda: assemble_linear(mesh, phi, SIGMA, order), repeat)
     row["splu"], lu = median_ms(lambda: spla.splu(A.T, **_IN_ORDER), repeat)
     row["nnz"] = lu.nnz
-    row["solve"], pair = median_ms(lambda: solve_linear(mesh, phi, SIGMA), repeat)
+    params = ProblemParams(sigma=SIGMA)
+    row["solve"], pair = median_ms(lambda: solve_linear(mesh, phi, params), repeat)
     mass = 0.25 * mesh.perimeter
     row["bathtub"], (refill, _) = median_ms(lambda: bathtub(mesh, pair.u, mass), repeat)
     row["defect"], _ = median_ms(lambda: arc_defect(mesh, refill), repeat)

@@ -360,6 +360,7 @@ def assemble_linear(mesh, phi, sigma, unknowns=None):
     ``A.T`` is A in CSC format; Mb is diagonal PSD), and ``u @ A @ u``
     reproduces ``energy(u, phi, p=2, sigma)`` up to roundoff.
     """
+    sigma = ProblemParams(sigma=sigma).sigma  # the one sigma rule
     unknowns = np.arange(mesh.n_vertices) if unknowns is None else unknowns
     stiff = WeightedStiffness(mesh, unknowns).matrix()
     A = (stiff + sp.diags(_nodal_weights(mesh, phi, sigma)[0][unknowns])).tocsr()

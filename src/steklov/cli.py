@@ -72,6 +72,7 @@ from .assembly import BoundaryDensity, ProblemParams
 from .eigensolver import (
     EigenPair,
     SolverOptions,
+    _check_loop,
     _check_regularization,
     solve_dirichlet,
     solve_linear,
@@ -90,7 +91,6 @@ from .rearrange import (
     DEFAULT_MAX_OUTER,
     _check_cap,
     _check_mass,
-    _check_outer_loop,
     arc_defect,
     cap_indicator,
     optimize_potential,
@@ -378,7 +378,7 @@ def _read(command: str, cfg: dict) -> dict:
             "max_outer": _integer(cfg, "max_outer", "config", default=DEFAULT_MAX_OUTER),
             "outer_tol": _number(cfg, "outer_tol", "config", required=False),
         }
-        _check_outer_loop(outer["max_outer"], outer["outer_tol"])
+        _check_loop("max_outer", outer["max_outer"], "outer_tol", outer["outer_tol"])
         if command == "symmetry-check":
             seeds = run["seeds"] = [seed + k for k in range(5)]
             run["starts"] = lambda mesh: [random_admissible(mesh, outer["mass"], s) for s in seeds]
@@ -473,11 +473,9 @@ def _eigenpair_record(pair: EigenPair) -> dict:
 
 
 def cmd_solve(mesh, out_dir, params, opts, potential) -> bool:
-    if params.p == 2.0:
-        pair = solve_linear(mesh, potential, params.sigma, opts=opts)
-    else:
-        pair = solve_nonlinear(mesh, potential, params, opts=opts)
-
+    pair = (solve_linear if params.p == 2.0 else solve_nonlinear)(
+        mesh, potential, params, opts=opts
+    )
     _write_record(out_dir / "eigenpair.json", _eigenpair_record(pair))
     loop = mesh.boundary_vertices
     rows = [

@@ -15,8 +15,9 @@ never increase the eigenvalue estimate.
 
 Both cores, :func:`_solve_p2` for p = 2 and the descent :func:`_descent`,
 take ``(phi, params, pinned)``: a BoundaryDensity, read only when
-``params.sigma != 0``, the problem and a vertex mask pinned to zero.
-``solve_linear`` (which builds ``params`` from its sigma) and
+``params.sigma != 0``, the caller's problem and a vertex mask pinned to
+zero; both first check ``params`` by the one ``eps_reg`` rule,
+:func:`_check_regularization`.  ``solve_linear`` (p = 2 only) and
 ``solve_nonlinear`` pin nothing; ``solve_dirichlet`` pins its region, sets
 sigma to 0 and picks the core by p.  The p = 2 core runs the Krylov-Ritz
 driver on one of two routes with the same iterates:
@@ -97,7 +98,7 @@ import math
 import numbers
 import threading
 import weakref
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 try:  # POSIX only; elsewhere no address-space limit is checked
     import resource
@@ -116,7 +117,6 @@ from . import assembly
 # bench/tracing.py wraps them here by name.
 from .assembly import (  # noqa: F401
     Field,
-    ProblemParams,
     boundary_p_norm,
     boundary_p_power,
     boundary_power_gradient,
@@ -200,27 +200,31 @@ def _splu(A, dense=0, **options):
         raise
 
 
+def _check_loop(cap_name, cap, tol_name, tol):
+    """The one rule for a loop's controls: the step cap ``cap`` is an integer
+    (not a bool) of at least 1, the tolerance ``tol`` None or finite and positive."""
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"{cap_name} must be an integer of at least 1, got {cap!r}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{tol_name} must be finite and positive, got {tol}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration controls shared by the linear and descent solvers.
 
-    ``tol = None`` resolves to 1e-9 for p = 2 and 1e-7 otherwise; a given
-    ``tol`` must be finite and positive.  For p = 2 it bounds the relative
-    eigen-residual ``|K x - lambda Mb x| / |K x|`` of the returned pair and
-    ``max_iters`` counts linear solves; for p != 2 it is the descent's
-    gradient test (see :func:`_descent`) and ``max_iters`` counts descent
-    steps.  ``max_iters`` is an integer (not a bool) of at least 1.
+    ``tol = None`` resolves to 1e-9 for p = 2 and 1e-7 otherwise.  For p = 2
+    it bounds the relative eigen-residual ``|K x - lambda Mb x| / |K x|`` of
+    the returned pair and ``max_iters`` counts linear solves; for p != 2 it
+    is the descent's gradient test (see :func:`_descent`) and ``max_iters``
+    counts descent steps.  Both follow :func:`_check_loop`.
     """
 
     tol: float | None = None
     max_iters: int = 10000
 
     def __post_init__(self):
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        n = self.max_iters
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
+        _check_loop("max_iters", self.max_iters, "tol", self.tol)
 
     def resolved_tol(self, p):
         if self.tol is not None:
@@ -447,13 +451,25 @@ def boundary_operator(mesh):
         return _operators[mesh]
 
 
+def _check_regularization(params):
+    """The one ``eps_reg`` rule: positive for p < 2, where the gradient's
+    ``s^((p-2)/2)`` is infinite at a zero element gradient (the constant
+    start), and 0 at p = 2, whose ``A u = lambda Mb u`` has no eps term."""
+    if params.p < 2.0 and params.eps == 0.0:
+        raise ValueError(f"eps_reg must be positive for p < 2, got {params.eps}")
+    if params.p == 2.0 and params.eps != 0.0:
+        raise ValueError(f"eps_reg must be 0 at p = 2, got {params.eps}")
+
+
 def prepare_repeated_solves(mesh, params):
     """Build what the solves of ``params`` on ``mesh`` share, before they run.
 
     For p = 2 that is the mesh's :class:`BoundaryOperator`; the descent for
     p != 2 shares nothing.  Callers that solve many times on one mesh call
     this first; a single solve never does, so it pays for no precompute.
+    Params that no solve accepts raise before anything is built.
     """
+    _check_regularization(params)
     if params.p == 2.0:
         boundary_operator(mesh)
 
@@ -507,6 +523,7 @@ def _solve_p2(mesh, phi, params, pinned, opts, start):
     diagnostics name the route (``boundary_operator``) and why
     :func:`_krylov_ritz` stopped (``stop``).
     """
+    _check_regularization(params)
     mb = assembly.geometry(mesh).boundary_weights
     rows = ~pinned
     op = _operators.get(mesh)
@@ -547,17 +564,18 @@ def _solve_p2(mesh, phi, params, pinned, opts, start):
     return _eigenpair(mesh, lam, lift(x), iters, residual, diagnostics)
 
 
-def solve_linear(mesh, phi, sigma, opts=None, start=None):
-    """First eigenpair of the p = 2 problem for boundary density phi.
+def solve_linear(mesh, phi, params, opts=None, start=None):
+    """First eigenpair of the p = 2 problem ``params`` for boundary density phi.
 
     Runs on the mesh's cached boundary operator when one has been built
     (see :func:`boundary_operator`), on a fresh sparse factorization
-    otherwise.  ``sigma`` follows the rule of ``ProblemParams``.  Returns a
+    otherwise.  Raises ``ValueError`` for ``params.p != 2``.  Returns a
     converged flag rather than raising on iteration-limit hits; the returned
     eigenfunction is normalized to unit boundary 2-norm and sign-fixed to
     nonnegative boundary mean.
     """
-    params = ProblemParams(sigma=sigma)
+    if params.p != 2.0:
+        raise ValueError(f"solve_linear solves p = 2 only, got p = {params.p}")
     pinned = np.zeros(mesh.n_vertices, dtype=bool)
     return _solve_p2(mesh, phi, params, pinned, opts or SolverOptions(), start)
 
@@ -614,14 +632,6 @@ def _reweighting(sq, p):
     return (sq + _WEIGHT_FLOOR * top) ** ((p - 2.0) / 2.0)
 
 
-def _check_regularization(params):
-    """For p < 2 the resolved ``eps_reg`` must be positive: at a zero element
-    gradient, as at the constant start, the gradient's ``s^((p-2)/2)`` is
-    infinite."""
-    if params.p < 2.0 and params.eps == 0.0:
-        raise ValueError(f"eps_reg must be positive for p < 2, got {params.eps}")
-
-
 def _descent(mesh, phi, params, pinned, opts, start):
     """Projected BB descent on R in the reweighted metric, with u = 0 on ``pinned``.
 
@@ -643,8 +653,7 @@ def _descent(mesh, phi, params, pinned, opts, start):
     - ``metric_factorizations``: the number of factorizations of M;
     - ``backtracks``: the number of Armijo step halvings.
 
-    ``pinned`` is a vertex mask (all False for a free solve); ``params``
-    must pass :func:`_check_regularization`.
+    ``pinned`` is a vertex mask (all False for a free solve).
     """
     _check_regularization(params)
     p = params.p
@@ -752,7 +761,7 @@ def solve_dirichlet(mesh, region, params, opts=None, start=None):
     mesh has one.
     """
     region.check_mesh(mesh)
-    params = ProblemParams(p=params.p, sigma=0.0, eps_reg=params.eps_reg)
+    params = replace(params, sigma=0.0)
 
     constrained_b = region.contains_array(mesh.cum_arclength, closed=True)
     if constrained_b.all():

@@ -19,6 +19,7 @@ from .assembly import BoundaryDensity, _as_values, density_weights
 from .errors import NonConvergenceError
 from .eigensolver import (
     SolverOptions,
+    _check_loop,
     prepare_repeated_solves,
     solve_linear,
     solve_nonlinear,
@@ -262,14 +263,6 @@ def _initial_density(mesh, mass, phi0):
     return _single_arc(mesh, 0.0, mass)[1]
 
 
-def _check_outer_loop(max_outer, outer_tol):
-    """``max_outer >= 1`` and an ``outer_tol`` that is None or finite and positive."""
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
-    if outer_tol is not None and not (math.isfinite(outer_tol) and outer_tol > 0.0):
-        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
-
-
 def optimize_potential(
     mesh,
     params,
@@ -311,7 +304,7 @@ def optimize_potential(
     if phi0 is not None and not isinstance(phi0, BoundaryDensity):
         raise TypeError(f"phi0 must be a BoundaryDensity or None, got {phi0!r}")
     _check_mass(mesh, mass, phi0)
-    _check_outer_loop(max_outer, outer_tol)
+    _check_loop("max_outer", max_outer, "outer_tol", outer_tol)
 
     phi = _initial_density(mesh, mass, phi0)
     prepare_repeated_solves(mesh, params)
@@ -324,10 +317,9 @@ def optimize_potential(
         return float(np.abs(a - b).max(initial=0.0)) <= 1e-12
 
     def solve(density, start, k):
-        if params.p == 2.0:
-            eig = solve_linear(mesh, density, params.sigma, opts, start=start)
-        else:
-            eig = solve_nonlinear(mesh, density, params, opts, start=start)
+        eig = (solve_linear if params.p == 2.0 else solve_nonlinear)(
+            mesh, density, params, opts=opts, start=start
+        )
         if not eig.converged:
             raise NonConvergenceError(
                 f"inner eigensolve failed at outer iteration {k}",

@@ -249,9 +249,9 @@ def _solve_indicator(
 ) -> EigenPair:
     """The eigenpair on ``perturb_region(tangent, t)``'s indicator."""
     phi = rasterize_region(mesh, perturb_region(tangent, t))
-    if params.p == 2.0:
-        return solve_linear(mesh, phi, params.sigma, opts=opts, start=start)
-    return solve_nonlinear(mesh, phi, params, opts=opts, start=start)
+    return (solve_linear if params.p == 2.0 else solve_nonlinear)(
+        mesh, phi, params, opts=opts, start=start
+    )
 
 
 def shape_derivative_fd(

@@ -66,7 +66,7 @@ def test_disk_spectrum_converges_to_the_bessel_ratio(capfd, radial_lambda):
     errs = []
     for h in (0.2, 0.1, 0.05):
         mesh = generate_disk(h)
-        pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0)
+        pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.0), ProblemParams())
         assert pair.converged
         errs.append(abs(pair.lam - bessel_quotient))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -101,8 +101,8 @@ def test_uniformly_filled_boundary_shifts_the_spectrum_exactly(
         phi0 = BoundaryDensity.constant(mesh, 0.0)
         phic = BoundaryDensity.constant(mesh, c)
         if p == 2.0:
-            base = solve_linear(mesh, phi0, sigma, opts=opts)
-            lifted = solve_linear(mesh, phic, sigma, opts=opts, start=base.u)
+            base = solve_linear(mesh, phi0, ProblemParams(sigma=sigma), opts=opts)
+            lifted = solve_linear(mesh, phic, ProblemParams(sigma=sigma), opts=opts, start=base.u)
         else:
             base = solve_nonlinear(mesh, phi0, params, opts=opts)
             lifted = solve_nonlinear(mesh, phic, params, opts=opts, start=base.u)
@@ -191,7 +191,7 @@ def test_alternating_minimization_never_increases_the_eigenvalue(capfd):
         # re-derive the exchange step at the final density: it must return it
         final = trace.final_potential
         eig = (
-            solve_linear(mesh, final, s)
+            solve_linear(mesh, final, ProblemParams(sigma=s))
             if p == 2.0
             else solve_nonlinear(mesh, final, params, opts)
         )
@@ -306,7 +306,7 @@ def test_the_optimal_eigenvalues_sigma_derivative_is_its_boundary_term(capfd, p,
     assert trace.converged
     phi = trace.final_potential
     if p == 2.0:
-        u = solve_linear(mesh, phi, params.sigma, opts).u
+        u = solve_linear(mesh, phi, params, opts).u
     else:
         u = solve_nonlinear(mesh, phi, params, opts).u
     formula = bathtub_objective(mesh, u, phi, p) / boundary_p_power(mesh, u, p)
@@ -355,7 +355,8 @@ def test_oscillating_densities_blend_to_their_average(capfd):
     mesh = generate_disk(0.05)
     P = mesh.perimeter
     a = math.pi / 2
-    lam_const = solve_linear(mesh, BoundaryDensity.constant(mesh, a / P), 5.0).lam
+    params = ProblemParams(sigma=5.0)
+    lam_const = solve_linear(mesh, BoundaryDensity.constant(mesh, a / P), params).lam
     diffs = []
     for j in range(2, 7):
         n = 2**j
@@ -364,7 +365,7 @@ def test_oscillating_densities_blend_to_their_average(capfd):
         region = RegionSpec.from_intervals(
             [(k * seg, k * seg + arc_len) for k in range(n)], P
         )
-        lam = solve_linear(mesh, rasterize_region(mesh, region), 5.0).lam
+        lam = solve_linear(mesh, rasterize_region(mesh, region), params).lam
         diffs.append(abs(lam - lam_const))
 
     strictly_shrinking = all(b < 0.85 * x for x, b in zip(diffs, diffs[1:]))
@@ -393,7 +394,7 @@ def test_independent_solvers_agree_at_the_quadratic_exponent(
     worst = 0.0
     for mesh, sigma in configs:
         phi = BoundaryDensity.of(mesh, rng.uniform(0.0, 1.0, mesh.n_boundary_edges))
-        direct = solve_linear(mesh, phi, sigma)
+        direct = solve_linear(mesh, phi, ProblemParams(sigma=sigma))
         descent = solve_nonlinear(
             mesh, phi, ProblemParams(p=2.0, sigma=sigma), opts=SolverOptions(tol=1e-9)
         )

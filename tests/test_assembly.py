@@ -128,7 +128,7 @@ def test_density_json_round_trip(square_tiny, rng, tmp_path, run_cli):
     )
     assert code == 0
     record = json.loads((out / "eigenpair.json").read_text())
-    pair = solve_linear(square_tiny, phi, 2.0)
+    pair = solve_linear(square_tiny, phi, ProblemParams(sigma=2.0))
     assert (record["lambda"], record["u"]) == (pair.lam, pair.u.values.tolist())
 
 # -------------------------------------------------------------- gradients

@@ -72,8 +72,8 @@ def test_reduced_path_repeats_the_plain_iteration(name, opts):
     region = RegionSpec.from_intervals([(0.1, 0.1 + mass)], mesh.perimeter)
 
     def solves():
-        cold = solve_linear(mesh, phi_a, 5.0, opts)
-        warm = solve_linear(mesh, phi_b, 5.0, opts, start=cold.u)
+        cold = solve_linear(mesh, phi_a, ProblemParams(sigma=5.0), opts)
+        warm = solve_linear(mesh, phi_b, ProblemParams(sigma=5.0), opts, start=cold.u)
         pinned = solve_dirichlet(mesh, region, ProblemParams(), opts)
         return cold, warm, pinned
 
@@ -117,7 +117,7 @@ def test_both_routes_match_the_dense_boundary_eigenproblem(make):
     for reduced in (False, True):
         if reduced:
             assert boundary_operator(mesh) is not None
-        free = solve_linear(mesh, phi, 5.0)
+        free = solve_linear(mesh, phi, ProblemParams(sigma=5.0))
         pinned = solve_dirichlet(mesh, region, ProblemParams())
         assert pinned.diagnostics["constrained_vertices"] == int((~unpinned).sum()) > 0
         for pair, expected in ((free, expected_free), (pinned, expected_pinned)):
@@ -140,7 +140,7 @@ def test_random_density_eigenvalue_is_within_its_residual_bound_of_the_dense_one
     for reduced in (False, True):
         if reduced:
             assert boundary_operator(mesh) is not None
-        pair = solve_linear(mesh, phi, 4.0)
+        pair = solve_linear(mesh, phi, ProblemParams(sigma=4.0))
         assert pair.diagnostics["boundary_operator"] is reduced
         assert pair.converged
         assert pair.residual <= 1e-9
@@ -164,7 +164,7 @@ def test_dirichlet_solve_without_pins_is_the_free_linear_solve():
         if reduced:
             assert boundary_operator(mesh) is not None
         pinned = solve_dirichlet(mesh, empty, ProblemParams(sigma=3.0))
-        free = solve_linear(mesh, zero, 0.0)
+        free = solve_linear(mesh, zero, ProblemParams())
         assert pinned.diagnostics["boundary_operator"] is reduced
         assert free.diagnostics["boundary_operator"] is reduced
         assert pinned.diagnostics["constrained_vertices"] == 0
@@ -321,7 +321,7 @@ def test_a_factor_that_moved_the_boundary_block_leaves_no_operator(monkeypatch):
     # the plain path
     mesh = generate_disk(0.3)
     density = BoundaryDensity.constant(mesh, 0.5)
-    plain = solve_linear(mesh, density, 2.0)
+    plain = solve_linear(mesh, density, ProblemParams(sigma=2.0))
     factor = eigensolver._splu
 
     def moved(A, dense=0, **options):
@@ -331,7 +331,7 @@ def test_a_factor_that_moved_the_boundary_block_leaves_no_operator(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(eigensolver, "_splu", moved)
         assert boundary_operator(mesh) is None
-    pair = solve_linear(mesh, density, 2.0)
+    pair = solve_linear(mesh, density, ProblemParams(sigma=2.0))
     assert pair.diagnostics["boundary_operator"] is False
     assert pair.lam == plain.lam
 

@@ -14,6 +14,7 @@ from steklov import (
     NonConvergenceError,
     OptimizationTrace,
     ProblemParams,
+    cap_indicator,
     generate_disk,
     optimize_potential,
     random_admissible,
@@ -1006,6 +1007,13 @@ CONFIG_ERRORS = {
         {"params": {"p": 1.5, "sigma": 2.0, "eps_reg": 0}},
         "eps_reg must be positive for p < 2, got 0.0",
     ),
+    # A u = lambda Mb u has no eps term, so a p = 2 eps_reg would be dropped
+    "eps-reg-at-two": (
+        "shape-deriv",
+        SHAPE_CONFIG,
+        {"params": {"p": 2.0, "sigma": 5.0, "eps_reg": 0.1}},
+        "eps_reg must be 0 at p = 2, got 0.1",
+    ),
     "nan-cap-angle": (
         "solve",
         SOLVE_CONFIG,
@@ -1084,7 +1092,7 @@ CONFIG_ERRORS = {
         "sigma-sweep",
         SWEEP_CONFIG,
         {"sigma_list": [1.0, 2.0], "max_outer": 0},
-        "max_outer must be at least 1, got 0",
+        "max_outer must be an integer of at least 1, got 0",
     ),
     "negative-outer-tol": (
         "symmetry-check",
@@ -1110,7 +1118,7 @@ def test_config_error_messages(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-ZERO_MAX_OUTER = "max_outer must be at least 1, got 0"
+ZERO_MAX_OUTER = "max_outer must be an integer of at least 1, got 0"
 BAD_MASS = "'mass' must lie in [0, "
 
 
@@ -1185,6 +1193,25 @@ def test_config_errors_come_before_any_factorization(
     cfg = write_config(tmp_path, **{**base, **changes})
     assert run(command, cfg, tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_build_potential_returns_the_librarys_density(tmp_path):
+    # bench/checks.py rebuilds the density of each solve op through it
+    mesh = generate_disk(0.3)
+    values = [1.0] * 4 + [0.0] * (mesh.n_boundary_edges - 4)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"edge_values": values}), encoding="utf-8")
+    cases = {
+        "file": ({"path": str(path)}, BoundaryDensity.of(mesh, values)),
+        "constant": ({"value": 0.25}, BoundaryDensity.constant(mesh, 0.25)),
+        "cap": ({"angle": 1.0, "mass": 1.5}, cap_indicator(mesh, 1.0, 1.5)[1]),
+        "random": ({"seed": 3, "mass": 1.5}, random_admissible(mesh, 1.5, 3)),
+    }
+    assert set(cases) == set(cli._POTENTIALS)
+    for kind, (keys, expected) in cases.items():
+        phi = cli.build_potential({"potential": {"type": kind, **keys}}, mesh)
+        assert isinstance(phi, BoundaryDensity), kind
+        np.testing.assert_array_equal(phi.edge_values, expected.edge_values, err_msg=kind)
 
 
 def test_sigma_sweep_reads_a_file_potential_once(tmp_path, monkeypatch):

@@ -163,7 +163,7 @@ def test_descent_oracle_reproduces_frozen_value_p3(square_tiny):
 
 def test_disk_eigenvalue_near_bessel_quotient():
     mesh = generate_disk(0.1)
-    pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.0), 0.0)
+    pair = solve_linear(mesh, BoundaryDensity.constant(mesh, 0.0), ProblemParams())
     assert pair.converged
     assert pair.lam == pytest.approx(BESSEL_QUOTIENT, abs=1e-2)
     assert pair.lam == pytest.approx(BESSEL_QUOTIENT, rel=2e-3)
@@ -172,7 +172,7 @@ def test_disk_eigenvalue_near_bessel_quotient():
 def test_linear_solution_is_rayleigh_minimizer_proxy(square_tiny, rng):
     phi = BoundaryDensity.of(square_tiny, rng.uniform(0, 1, square_tiny.n_boundary_edges))
     params = ProblemParams(p=2.0, sigma=2.0)
-    pair = solve_linear(square_tiny, phi, params.sigma)
+    pair = solve_linear(square_tiny, phi, params)
     for _ in range(100):
         v = Field.of(square_tiny, rng.uniform(-1, 1, square_tiny.n_vertices))
         if plain_boundary_power(square_tiny, v.values, 2.0) < 1e-12:
@@ -182,12 +182,14 @@ def test_linear_solution_is_rayleigh_minimizer_proxy(square_tiny, rng):
 
 def test_eigenvalue_monotone_in_sigma(square_tiny):
     phi = BoundaryDensity.constant(square_tiny, 0.7)
-    lams = [solve_linear(square_tiny, phi, s).lam for s in (0.0, 1.0, 5.0, 25.0)]
+    lams = [
+        solve_linear(square_tiny, phi, ProblemParams(sigma=s)).lam for s in (0.0, 1.0, 5.0, 25.0)
+    ]
     assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
 def test_eigenfunction_positive_on_disk(disk_fine):
-    pair = solve_linear(disk_fine, BoundaryDensity.constant(disk_fine, 0.0), 0.0)
+    pair = solve_linear(disk_fine, BoundaryDensity.constant(disk_fine, 0.0), ProblemParams())
     assert not pair.positivity_violation
     assert np.all(pair.u.values > 0)
 
@@ -198,7 +200,8 @@ def test_random_starts_agree_on_lowest_eigenvalue(square_tiny):
     lams = []
     for seed in range(20):
         start = np.random.default_rng(seed).uniform(0.1, 1.0, square_tiny.n_vertices)
-        lams.append(solve_linear(square_tiny, phi, 3.0, opts=opts, start=start).lam)
+        pair = solve_linear(square_tiny, phi, ProblemParams(sigma=3.0), opts=opts, start=start)
+        lams.append(pair.lam)
     spread = max(lams) - min(lams)
     assert spread <= 5 * 1e-11 * abs(lams[0])
 
@@ -206,8 +209,8 @@ def test_random_starts_agree_on_lowest_eigenvalue(square_tiny):
 def test_negative_start_is_flipped_to_the_positive_eigenfunction(disk_coarse):
     phi = BoundaryDensity.constant(disk_coarse, 0.5)
     ones = np.ones(disk_coarse.n_vertices)
-    plus = solve_linear(disk_coarse, phi, 2.0, start=ones)
-    minus = solve_linear(disk_coarse, phi, 2.0, start=-ones)
+    plus = solve_linear(disk_coarse, phi, ProblemParams(sigma=2.0), start=ones)
+    minus = solve_linear(disk_coarse, phi, ProblemParams(sigma=2.0), start=-ones)
     assert minus.lam == plus.lam
     assert np.array_equal(minus.u.values, plus.u.values)
     assert minus.u.values.min() > 0.0
@@ -222,7 +225,7 @@ def test_fields_with_zero_boundary_trace_are_rejected(square_tiny):
     with pytest.raises(ValueError, match="^start has zero boundary trace$"):
         solve_nonlinear(square_tiny, phi, params, start=bump)
     with pytest.raises(ValueError, match="^start has zero boundary trace$"):
-        solve_linear(square_tiny, phi, 1.0, start=bump)
+        solve_linear(square_tiny, phi, ProblemParams(sigma=1.0), start=bump)
 
 
 def test_descent_below_two_rejects_zero_regularization(disk_coarse):
@@ -240,7 +243,7 @@ def test_descent_below_two_rejects_zero_regularization(disk_coarse):
 
 def test_non_convergence_is_reported(square_tiny):
     phi = BoundaryDensity.constant(square_tiny, 0.3)
-    pair = solve_linear(square_tiny, phi, 1.0, opts=SolverOptions(max_iters=1))
+    pair = solve_linear(square_tiny, phi, ProblemParams(sigma=1.0), opts=SolverOptions(max_iters=1))
     assert not pair.converged
     assert pair.diagnostics["stop"] == "max_iters"
 
@@ -255,7 +258,7 @@ def test_eigenpair_json_round_trip(square_tiny, run_cli):
     assert code == 0
     data = json.loads((out / "eigenpair.json").read_text())
     assert data.pop("timestamp")
-    pair = solve_linear(square_tiny, BoundaryDensity.constant(square_tiny, 0.0), 0.0)
+    pair = solve_linear(square_tiny, BoundaryDensity.constant(square_tiny, 0.0), ProblemParams())
     assert data == {
         "lambda": pair.lam,
         "iterations": pair.iterations,
@@ -293,7 +296,7 @@ def test_a_converged_pair_has_a_residual_within_the_tolerance(make, tol):
         if reduced:
             assert boundary_operator(mesh) is not None
         for sigma in (1.0, 25.0):
-            free = solve_linear(mesh, phi, sigma, opts)
+            free = solve_linear(mesh, phi, ProblemParams(sigma=sigma), opts)
             pinned = solve_dirichlet(mesh, region, ProblemParams(sigma=sigma), opts)
             for pair, A in (
                 (free, assemble_linear(mesh, phi, sigma)[0]),
@@ -316,7 +319,7 @@ def test_strong_coupling_random_density_converges_in_few_solves():
     # residual of 2e-5.
     mesh = generate_disk(0.05113892540707861)
     phi = random_admissible(mesh, 2.294590882702329, seed=915969690)
-    pair = solve_linear(mesh, phi, 25.0)
+    pair = solve_linear(mesh, phi, ProblemParams(sigma=25.0))
     assert pair.converged
     assert pair.residual <= 1e-9
     assert pair.iterations <= 30
@@ -330,10 +333,10 @@ def test_a_restarted_basis_reaches_the_same_pair(monkeypatch):
     for reduced in (False, True):
         if reduced:
             assert boundary_operator(mesh) is not None
-        full = solve_linear(mesh, phi, 25.0)
+        full = solve_linear(mesh, phi, ProblemParams(sigma=25.0))
         with monkeypatch.context() as m:
             m.setattr(eigensolver, "_RITZ_BASIS", 3)
-            restarted = solve_linear(mesh, phi, 25.0)
+            restarted = solve_linear(mesh, phi, ProblemParams(sigma=25.0))
         assert full.iterations < eigensolver._RITZ_BASIS < restarted.iterations
         assert restarted.converged
         assert restarted.residual <= 1e-9
@@ -353,7 +356,7 @@ def test_one_solve_is_never_a_converged_pair():
         if reduced:
             assert boundary_operator(mesh) is not None
         for pair in (
-            solve_linear(mesh, phi, 5.0, opts),
+            solve_linear(mesh, phi, ProblemParams(sigma=5.0), opts),
             solve_dirichlet(mesh, region, ProblemParams(), opts),
         ):
             assert pair.diagnostics["boundary_operator"] is reduced
@@ -371,8 +374,8 @@ def test_a_tolerance_below_the_rounding_floor_ends_as_stagnation():
     for reduced in (False, True):
         if reduced:
             assert boundary_operator(mesh) is not None
-        converged = solve_linear(mesh, phi, 5.0)
-        floor = solve_linear(mesh, phi, 5.0, opts=SolverOptions(tol=1e-16))
+        converged = solve_linear(mesh, phi, ProblemParams(sigma=5.0))
+        floor = solve_linear(mesh, phi, ProblemParams(sigma=5.0), opts=SolverOptions(tol=1e-16))
         assert floor.diagnostics["boundary_operator"] is reduced
         assert converged.diagnostics["stop"] == "tolerance"
         assert (floor.diagnostics["stop"], floor.converged) == ("stagnation", False)
@@ -415,7 +418,7 @@ def test_plain_route_factors_with_less_fill_than_default_splu(make, monkeypatch)
         return lu
 
     monkeypatch.setattr(eigensolver.spla, "splu", capture)
-    free = solve_linear(mesh, phi, 5.0)
+    free = solve_linear(mesh, phi, ProblemParams(sigma=5.0))
     pinned = solve_dirichlet(mesh, region, ProblemParams())
     monkeypatch.undo()
     assert free.converged and pinned.converged
@@ -433,7 +436,7 @@ def test_p2_start_with_a_nan_is_rejected(square_tiny):
     start = np.ones(square_tiny.n_vertices)
     start[square_tiny.boundary_vertices[0]] = np.nan
     with pytest.raises(ValueError, match="^field contains non-finite values$"):
-        solve_linear(square_tiny, phi, 1.0, start=start)
+        solve_linear(square_tiny, phi, ProblemParams(sigma=1.0), start=start)
 
 
 def test_descent_start_with_a_nan_is_rejected():
@@ -489,7 +492,7 @@ def test_descent_matches_frozen_oracle_values(square_tiny):
 def test_descent_agrees_with_inverse_iteration_at_p2(square_tiny, disk_coarse, rng):
     for mesh in (square_tiny, disk_coarse):
         phi = BoundaryDensity.of(mesh, rng.uniform(0, 1, mesh.n_boundary_edges))
-        linear = solve_linear(mesh, phi, 4.0)
+        linear = solve_linear(mesh, phi, ProblemParams(sigma=4.0))
         descent = solve_nonlinear(mesh, phi, ProblemParams(p=2.0, sigma=4.0))
         assert descent.converged
         assert descent.lam == pytest.approx(linear.lam, rel=1e-8)
@@ -503,14 +506,14 @@ def test_constant_shift_identity(square_tiny):
         params0 = ProblemParams(p=p, sigma=2.0)
         phi0 = BoundaryDensity.constant(square_tiny, 0.0)
         base = (
-            solve_linear(square_tiny, phi0, 2.0)
+            solve_linear(square_tiny, phi0, ProblemParams(sigma=2.0))
             if p == 2.0
             else solve_nonlinear(square_tiny, phi0, params0)
         )
         c = 0.625
         phic = BoundaryDensity.constant(square_tiny, c)
         shifted = (
-            solve_linear(square_tiny, phic, 2.0, start=base.u)
+            solve_linear(square_tiny, phic, ProblemParams(sigma=2.0), start=base.u)
             if p == 2.0
             else solve_nonlinear(square_tiny, phic, params0, start=base.u)
         )
@@ -522,7 +525,7 @@ def test_constant_shift_identity(square_tiny):
 
 def test_dirichlet_monotone_in_region(disk_fine):
     params = ProblemParams(p=2.0, sigma=0.0)
-    base = solve_linear(disk_fine, BoundaryDensity.constant(disk_fine, 0.0), 0.0)
+    base = solve_linear(disk_fine, BoundaryDensity.constant(disk_fine, 0.0), ProblemParams())
     lams = []
     for frac in (0.1, 0.25, 0.5, 0.9):
         region = RegionSpec.from_intervals(
@@ -545,7 +548,7 @@ def test_dirichlet_rejects_fully_pinned_boundary(square_tiny):
 
 def test_dirichlet_hairline_region_pins_one_vertex(disk_fine):
     params = ProblemParams(p=2.0, sigma=0.0)
-    base = solve_linear(disk_fine, BoundaryDensity.constant(disk_fine, 0.0), 0.0)
+    base = solve_linear(disk_fine, BoundaryDensity.constant(disk_fine, 0.0), ProblemParams())
     tiny = RegionSpec.from_intervals([(0.0, 1e-6)], disk_fine.perimeter)
     pair = solve_dirichlet(disk_fine, tiny, params)
     # closed-arc membership captures exactly the vertex at s = 0; a single

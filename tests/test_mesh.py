@@ -17,6 +17,7 @@ from steklov import (
     MeshResourceError,
     MeshTopologyError,
     RegionSpec,
+    ProblemParams,
     SolverOptions,
     generate_disk,
     generate_rectangle,
@@ -220,7 +221,7 @@ def test_rotated_caps_see_the_same_eigenvalue():
         start = k * (n // 12) * edge
         region = RegionSpec.from_intervals([(start, start + math.pi / 2)], P)
         phi = rasterize_region(mesh, region)
-        pair = solve_linear(mesh, phi, 5.0, opts=SolverOptions(tol=1e-13))
+        pair = solve_linear(mesh, phi, ProblemParams(sigma=5.0), opts=SolverOptions(tol=1e-13))
         assert pair.converged
         lams.append(pair.lam)
     assert (max(lams) - min(lams)) / np.mean(lams) < 1e-6

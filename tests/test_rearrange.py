@@ -369,7 +369,7 @@ def test_optimize_trace_is_monotone_and_fixed(disk_coarse):
     assert all(b <= a0 * (1 + 1e-10) for a0, b in zip(lams, lams[1:]))
     # the final density must be a fixed point of one more exchange step
     final = trace.final_potential
-    eig = solve_linear(disk_coarse, final, params.sigma)
+    eig = solve_linear(disk_coarse, final, params)
     refill, _ = bathtub(disk_coarse, eig.u, a)
     assert float(np.abs(refill.edge_values - final.edge_values).max()) <= 1e-9
     assert final.mass == pytest.approx(a, abs=1e-12)
@@ -407,7 +407,7 @@ def test_optimize_degenerate_masses_are_fixed_points(disk_coarse):
     assert full.converged
     assert np.all(full.final_potential.edge_values == 1.0)
     # filled boundary is the constant shift of the free problem
-    free = solve_linear(disk_coarse, BoundaryDensity.constant(disk_coarse, 0.0), 0.0)
+    free = solve_linear(disk_coarse, BoundaryDensity.constant(disk_coarse, 0.0), ProblemParams())
     assert full.final_lambda == pytest.approx(free.lam + params.sigma, rel=1e-9)
 
 

@@ -73,7 +73,13 @@ def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
     import numpy as np
     import scipy.sparse.linalg as spla
 
-    from steklov import BoundaryDensity, assemble_linear, generate_disk, solve_linear
+    from steklov import (
+        BoundaryDensity,
+        ProblemParams,
+        assemble_linear,
+        generate_disk,
+        solve_linear,
+    )
     from steklov.eigensolver import _IN_ORDER, _nested_dissection
 
     proc = _run_script(
@@ -88,7 +94,7 @@ def test_layer_ladder_reports_the_solves_and_residual_of_its_eigenpair():
     iters, resid, stop, nnz, megabytes = row.split()[-5:]
     mesh = generate_disk(0.1)
     phi = BoundaryDensity.constant(mesh, 0.25)
-    pair = solve_linear(mesh, phi, 5.0)
+    pair = solve_linear(mesh, phi, ProblemParams(sigma=5.0))
     assert int(iters) == pair.iterations
     assert float(resid) == float(f"{pair.residual:.1e}")
     assert float(resid) <= 1e-9

@@ -26,7 +26,7 @@ def half_disk_setup(disk_fine):
     ell = P / mesh.n_boundary_edges
     region = RegionSpec.from_intervals([(ell / 2, (ell / 2 + P / 2) % P)], P)
     params = ProblemParams(p=2.0, sigma=5.0)
-    pair = solve_linear(mesh, rasterize_region(mesh, region), params.sigma)
+    pair = solve_linear(mesh, rasterize_region(mesh, region), params)
     return mesh, region, params, pair
 
 
@@ -113,7 +113,7 @@ def test_formula_rejects_mismatched_inputs(half_disk_setup, disk_coarse):
         shape_derivative_formula(disk_coarse, pair, v, params)
 
     # an eigenpair solved for a different potential must be refused
-    stale = solve_linear(mesh, rasterize_region(mesh, other_region), params.sigma)
+    stale = solve_linear(mesh, rasterize_region(mesh, other_region), params)
     with pytest.raises(ValueError, match="mismatch"):
         shape_derivative_formula(mesh, stale, v, params)
 
