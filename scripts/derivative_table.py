@@ -4,7 +4,14 @@ Moves the terminal endpoint of a half-boundary region on the disk and
 compares the closed-form derivative of the first eigenvalue against
 central differences at a geometric ladder of step sizes, on two mesh
 resolutions.  The region's endpoints sit at edge midpoints so no step
-crosses a mesh vertex.
+crosses a mesh vertex.  For each moving endpoint it prints the arc length
+to its nearest mesh vertex (the end located on its edge, as the
+finite-difference oracle does) next to ``|v| * t_max``, the farthest any
+step moves it: the oracle flags a vertex crossing when the first is the
+smaller.
+
+Usage:
+    PYTHONPATH=src python scripts/derivative_table.py --p 2
 """
 
 import argparse
@@ -16,6 +23,7 @@ from steklov import (
     generate_disk,
     shape_derivative_fd,
 )
+from steklov.shapederiv import _vertex_gap
 
 
 def midedge_half_boundary(mesh):
@@ -44,6 +52,13 @@ def main():
         print(f"  extrapolated fd value  {report.fd_value:.10f}")
         print(f"  relative error         {report.relative_error:.3e}")
         print(f"  sign consistent        {report.sign_consistent}")
+        for s, v in tangent.ends():
+            if v != 0.0:
+                gap, reach = _vertex_gap(mesh, s), abs(v) * max(steps)
+                print(
+                    f"  end s={s:.6f} v={v:+g}  nearest vertex {gap:.3e}"
+                    f"  |v| t_max {reach:.3e}  crosses {gap < reach}"
+                )
         if report.vertex_crossings:
             print("  warning: a step crossed a mesh vertex")
         print()

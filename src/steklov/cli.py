@@ -196,10 +196,9 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if data.get("version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"config 'version' must be {CONFIG_VERSION}, got {data.get('version')!r}"
-        )
+    version = data.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:  # not True, not 1.0
+        raise ConfigError(f"config 'version' must be {CONFIG_VERSION}, got {version!r}")
     return data
 
 

@@ -17,9 +17,10 @@ Both cores, :func:`_solve_p2` for p = 2 and the descent :func:`_descent`,
 take ``(phi, params, pinned)``: a BoundaryDensity, read only when
 ``params.sigma != 0``, the caller's problem and a vertex mask pinned to
 zero; both first check ``params`` by the one ``eps_reg`` rule,
-:func:`_check_regularization`.  ``solve_linear`` (p = 2 only) and
-``solve_nonlinear`` pin nothing; ``solve_dirichlet`` pins its region, sets
-sigma to 0 and picks the core by p.  The p = 2 core runs the Krylov-Ritz
+:func:`_check_regularization`, and take their start by the one start
+rule, :func:`_start`.  ``solve_linear`` (p = 2 only) and ``solve_nonlinear``
+pin nothing; ``solve_dirichlet`` pins its region, sets sigma to 0 and picks
+the core by p.  The p = 2 core runs the Krylov-Ritz
 driver on one of two routes with the same iterates:
 
 - plain: a sparse LU of A for every solve, on the unpinned vertices in the
@@ -474,19 +475,25 @@ def prepare_repeated_solves(mesh, params):
         boundary_operator(mesh)
 
 
-def _start_values(mesh, start, p):
-    """The values of ``start`` (a Field or array), which must be finite,
-    or the default start.
-
-    The default is the constant one for p = 2 and the positive constant
-    with unit boundary p-norm otherwise.  Callers must not write to the
-    result.
-    """
+def _start(mesh, start, p, pinned):
+    """The start rule of both cores: ``(u, norm)``, ``start`` (finite) or the
+    default start, zero on ``pinned``, and its boundary p-norm.  The default
+    is 1 for p = 2 and the constant of unit boundary p-norm otherwise.  Only
+    a start of norm 0 or inf is first scaled by the power of two that brings
+    its largest boundary |value| into [0.5, 1); a norm still 0 raises."""
     if start is not None:
-        return Field.of(mesh, assembly._as_values(start, mesh)).values
-    if p == 2.0:
-        return np.ones(mesh.n_vertices)
-    return np.full(mesh.n_vertices, mesh.perimeter ** (-1.0 / p))
+        u = Field.of(mesh, assembly._as_values(start, mesh)).values
+    else:
+        u = np.full(mesh.n_vertices, 1.0 if p == 2.0 else mesh.perimeter ** (-1.0 / p))
+    u = np.where(pinned, 0.0, u)
+    with np.errstate(over="ignore"):  # an overflow is scaled away below
+        norm = boundary_p_norm(mesh, u, p)
+    if not 0.0 < norm < math.inf:
+        u = np.ldexp(u, -math.frexp(float(np.abs(u[mesh.boundary_vertices]).max()))[1])
+        norm = boundary_p_norm(mesh, u, p)
+    if norm == 0.0:
+        raise ValueError("start has zero boundary trace")
+    return u, norm
 
 
 def _eigenpair(mesh, lam, u, iterations, residual, diagnostics):
@@ -554,9 +561,7 @@ def _solve_p2(mesh, phi, params, pinned, opts, start):
             v[idx] = x
             return v
 
-    x0 = _start_values(mesh, start, 2.0)[idx]
-    if not (mb[idx] * x0).any():
-        raise ValueError("start has zero boundary trace")
+    x0 = _start(mesh, start, 2.0, pinned)[0][idx]
     lam, x, iters, residual, stop = _krylov_ritz(
         K.__matmul__, mb[idx], solve, x0, opts.resolved_tol(2.0), opts.max_iters
     )
@@ -635,7 +640,7 @@ def _reweighting(sq, p):
 def _descent(mesh, phi, params, pinned, opts, start):
     """Projected BB descent on R in the reweighted metric, with u = 0 on ``pinned``.
 
-    Starts from ``start`` (see :func:`_start_values`).  One energy kernel
+    Starts from ``start`` (see :func:`_start`).  One energy kernel
     serves the whole solve, and the metric is refactored every
     ``_METRIC_REFRESH`` accepted steps (see the module docstring).  Each step
     first checks the gradient test ``|g| <= tol * max(1, |R|)``, then the
@@ -661,12 +666,7 @@ def _descent(mesh, phi, params, pinned, opts, start):
     kernel = assembly.EnergyKernel(mesh, phi, params)
     metric = _ReweightedMetric(kernel, pinned)
 
-    u = np.where(pinned, 0.0, _start_values(mesh, start, p))
-    norm = boundary_p_norm(mesh, u, p)
-    if norm == 0.0:
-        raise ValueError("start has zero boundary trace")
-    if not norm < math.inf:
-        raise ValueError(f"start has boundary p-norm {norm!r}; it must be finite")
+    u, norm = _start(mesh, start, p, pinned)
     u = u / norm
 
     def quotient(vals):

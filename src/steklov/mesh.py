@@ -458,36 +458,46 @@ def locate_arc_point(mesh, s):
 class RegionSpec:
     """Disjoint union of half-open boundary arcs ``[start, start + length)``.
 
-    Arc coordinates are taken modulo the perimeter; arcs may wrap through
-    ``s = 0``.  ``arcs`` is stored sorted by normalized start.
+    Arc coordinates are taken modulo the perimeter P; arcs may wrap through
+    ``s = 0``.  Every region, however built, holds the arc rule or raises
+    ``ValueError``: P is finite and positive, and the arcs ``(start, length)``
+    have a finite start in [0, P] and a finite length in (0, P], are sorted
+    by start and are pairwise disjoint around the loop.
     """
 
-    arcs: tuple  # tuple of (start, length), start in [0, perimeter)
+    arcs: tuple  # tuple of (start, length)
     perimeter: float
+
+    def __post_init__(self):
+        P = self.perimeter
+        if not 0.0 < P < math.inf:
+            message = "positive" if P <= 0.0 else f"finite, got {P!r}"
+            raise ValueError(f"perimeter must be {message}")
+        arcs = tuple((float(start), float(length)) for start, length in self.arcs)
+        for arc in arcs:
+            if arc[1] == 0.0:
+                raise ValueError(f"arc {arc!r} has zero length")
+            if not (0.0 <= arc[0] <= P and 0.0 < arc[1] <= P):  # NaN fails both
+                raise ValueError(f"arc {arc!r} needs a start in [0, P] and a length in (0, P]")
+        starts = [start for start, _ in arcs]
+        if starts != sorted(starts):
+            raise ValueError("arcs must be sorted by start")
+        following = starts[1:] + [start + P for start in starts[:1]]
+        if any(start + length > f for (start, length), f in zip(arcs, following)):
+            raise ValueError("arcs overlap")
+        object.__setattr__(self, "arcs", arcs)
 
     @staticmethod
     def from_intervals(intervals, perimeter):
         """Build from ``(s_begin, s_end)`` pairs, each taken mod perimeter.
 
-        ``s_end < s_begin`` denotes an arc wrapping through zero.  Arcs of
-        zero (mod perimeter) length or overlapping arcs are rejected.
+        ``s_end < s_begin`` denotes an arc wrapping through zero.  The arcs
+        are sorted by start; the class checks the rest.
         """
-        if perimeter <= 0.0:
+        if perimeter <= 0.0:  # before any ``% perimeter``
             raise ValueError("perimeter must be positive")
-        arcs = []
-        for s_begin, s_end in intervals:
-            start = float(s_begin) % perimeter
-            length = float(s_end - s_begin) % perimeter
-            if length == 0.0:
-                raise ValueError(f"arc ({s_begin}, {s_end}) has zero length")
-            arcs.append((start, length))
-        arcs.sort()
-        for k in range(len(arcs)):
-            s0, l0 = arcs[k]
-            s1 = arcs[(k + 1) % len(arcs)][0] + (perimeter if k + 1 == len(arcs) else 0.0)
-            if len(arcs) > 1 and s0 + l0 > s1:
-                raise ValueError("arcs overlap")
-        return RegionSpec(arcs=tuple(arcs), perimeter=float(perimeter))
+        arcs = [(float(s0) % perimeter, float(s1 - s0) % perimeter) for s0, s1 in intervals]
+        return RegionSpec(arcs=tuple(sorted(arcs)), perimeter=float(perimeter))
 
     def check_mesh(self, mesh):
         """Reject a mesh of another perimeter than the one this region was built on."""

@@ -6,6 +6,10 @@ sub-level set ("bathtub") fill: sort edges by trace weight, fill the
 cheapest ones, split at most one edge fractionally.  Alternating eigensolve
 and bathtub steps monotonically drives the eigenvalue down; on the disk the
 iteration settles on a single boundary cap.
+
+Every mass is checked by :func:`_check_mass`, and every single arc (a cap,
+the default start ``[0, mass)``, the window restart) is built by
+:func:`_single_arc`.
 """
 
 from __future__ import annotations
@@ -51,15 +55,15 @@ def rasterize_region(mesh, region):
 
 
 def _single_arc(mesh, start, mass):
-    """The arc ``[start, start + mass)``, ``mass > 0``, as ``(RegionSpec, BoundaryDensity)``.
+    """The arc ``[start, start + mass)`` as ``(RegionSpec, BoundaryDensity)``.
 
-    The density rasterizes the arc, with fractional end edges, and is
-    exactly 1 from the full perimeter up.
+    The density rasterizes the arc, with fractional end edges; it is exactly
+    0 (the empty region) at mass 0 and exactly 1 from the full perimeter up.
     """
     P = mesh.perimeter
     if mass >= P:
         return RegionSpec(((start, P),), P), BoundaryDensity.constant(mesh, 1.0)
-    region = RegionSpec.from_intervals([(start, start + mass)], P)
+    region = RegionSpec.from_intervals([(start, start + mass)] if mass > 0.0 else [], P)
     return region, rasterize_region(mesh, region)
 
 
@@ -76,12 +80,11 @@ def cap_indicator(mesh, center_angle, mass):
 
     Only meaningful on generator-tagged disk meshes, where arc length and
     polar angle are proportional.  Returns ``(RegionSpec, BoundaryDensity)``
-    as :func:`_single_arc` builds them.
+    as :func:`_single_arc` builds them, for a mass that :func:`_check_mass` takes.
     """
     _check_cap(mesh.kind, center_angle)
+    _check_mass(mesh, mass)
     P = mesh.perimeter
-    if not (0.0 < mass <= P):
-        raise ValueError(f"cap mass must lie in (0, perimeter], got {mass}")
     center_s = (center_angle % (2.0 * math.pi)) / (2.0 * math.pi) * P
     return _single_arc(mesh, (center_s - 0.5 * mass) % P, mass)
 
@@ -254,15 +257,6 @@ class OptimizationTrace:
         return self.lambdas[-1]
 
 
-def _initial_density(mesh, mass, phi0):
-    """``phi0``, or for ``None`` the single arc ``[0, mass)``."""
-    if phi0 is not None:
-        return phi0
-    if mass == 0.0:
-        return BoundaryDensity.of(mesh, np.zeros(mesh.n_boundary_edges))
-    return _single_arc(mesh, 0.0, mass)[1]
-
-
 def optimize_potential(
     mesh,
     params,
@@ -306,7 +300,7 @@ def optimize_potential(
     _check_mass(mesh, mass, phi0)
     _check_loop("max_outer", max_outer, "outer_tol", outer_tol)
 
-    phi = _initial_density(mesh, mass, phi0)
+    phi = phi0 if phi0 is not None else _single_arc(mesh, 0.0, mass)[1]
     prepare_repeated_solves(mesh, params)
     lambdas, potentials, levels = [], [], []
     history = []

@@ -11,6 +11,9 @@ on the *same* mesh (the domain never moves, only the indicator does).
 The formula carries the envelope-theorem sign, under which enlarging the
 region increases the eigenvalue for positive coupling, and so does the
 finite-difference oracle.
+
+Every arc end is listed once by :meth:`TangentField.ends`, which the
+formula, :func:`perturb_region` and the oracle's vertex-crossing flag read.
 """
 
 from __future__ import annotations
@@ -91,11 +94,7 @@ class TangentField:
 
     @classmethod
     def single_endpoint(
-        cls,
-        region: RegionSpec,
-        arc: int = 0,
-        end: bool = True,
-        speed: float = 1.0,
+        cls, region: RegionSpec, arc: int = 0, end: bool = True, speed: float = 1.0
     ) -> "TangentField":
         """Unit-speed motion of one endpoint, all others held fixed.
 
@@ -105,8 +104,14 @@ class TangentField:
         if not 0 <= arc < len(region.arcs):
             raise ValueError(f"arc index {arc} out of range")
         pairs = [[0.0, 0.0] for _ in region.arcs]
-        pairs[arc][1 if end else 0] = float(speed)
-        return cls(region, tuple((vb, ve) for vb, ve in pairs))
+        pairs[arc][1 if end else 0] = speed
+        return cls(region, pairs)
+
+    def ends(self) -> list[tuple[float, float]]:
+        """``(s, v)`` for every arc end, begin before end and in arc order, with
+        ``s`` unwrapped: an end ``start + length`` may pass the perimeter."""
+        pairs = zip(self.region.arcs, self.speeds)
+        return [(s, v) for (s0, length), vs in pairs for s, v in zip((s0, s0 + length), vs)]
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,16 @@ def _validate_steps(steps: Sequence[float]) -> None:
 
 def _trace_p_power_at(mesh: Mesh, values: np.ndarray, s: float, p: float) -> float:
     """|u(s)|^p with u linearly interpolated along the boundary polygon."""
-    edge, frac = locate_arc_point(mesh, s)
+    edge, frac = locate_arc_point(mesh, s % mesh.perimeter)
     v0, v1 = mesh.boundary_loop[edge]
     u_s = (1.0 - frac) * values[v0] + frac * values[v1]
     return abs(u_s) ** p
+
+
+def _vertex_gap(mesh: Mesh, s: float) -> float:
+    """Arc length from the arc end ``s`` (unwrapped) to its nearest boundary vertex."""
+    edge, frac = locate_arc_point(mesh, s % mesh.perimeter)
+    return min(frac, 1.0 - frac) * float(mesh.edge_lengths[edge])
 
 
 def shape_derivative_formula(
@@ -168,7 +179,8 @@ def shape_derivative_formula(
     """Endpoint-sum formula for d(lambda)/dt under tangential endpoint flow.
 
     Each arc of ``tangent.region`` contributes
-    ``|u(s_end)|^p * v_end - |u(s_begin)|^p * v_begin``: at a terminal
+    ``|u(s_end)|^p * v_end - |u(s_begin)|^p * v_begin`` (the end term is
+    added first), over the ends of :meth:`TangentField.ends`: at a terminal
     endpoint the out-of-region tangent direction is increasing arc length,
     at an initial endpoint it is decreasing.  The eigenfunction is
     normalized internally to unit boundary p-power, so any scaling of the
@@ -190,11 +202,11 @@ def shape_derivative_formula(
         )
 
     norm = boundary_p_power(mesh, pair.u, params.p)
+    ends = tangent.ends()
     total = 0.0
-    for (start, length), (v_begin, v_end) in zip(region.arcs, tangent.speeds):
-        s_end = (start + length) % region.perimeter
+    for (s_begin, v_begin), (s_end, v_end) in zip(ends[::2], ends[1::2]):
         total += _trace_p_power_at(mesh, values, s_end, params.p) * v_end
-        total -= _trace_p_power_at(mesh, values, start, params.p) * v_begin
+        total -= _trace_p_power_at(mesh, values, s_begin, params.p) * v_begin
     return float(params.sigma * total / norm)
 
 
@@ -211,28 +223,22 @@ def perturb_region(tangent: TangentField, t: float) -> RegionSpec:
         return region
 
     period = region.perimeter
-    # The arcs are sorted by start and disjoint, so their endpoints already
-    # form one increasing sequence from the first arc's begin, and cyclic
-    # order is an ordinary monotonicity check.
-    positions = [q for start, length in region.arcs for q in (start, start + length)]
-    speeds = [v for pair_ in tangent.speeds for v in pair_]
-
-    moved = [q + t * v for q, v in zip(positions, speeds)]
+    # The arcs are sorted by start and disjoint, so their unwrapped ends
+    # already form one increasing sequence from the first arc's begin, and
+    # cyclic order is an ordinary monotonicity check.
+    moved = [s + t * v for s, v in tangent.ends()]
     for i in range(1, len(moved)):
         if moved[i] <= moved[i - 1]:
             raise RegionCollisionError(
                 "endpoint transport collapses or reorders arcs "
                 f"(endpoints {i - 1} and {i} at t={t!r})"
             )
-    if moved[-1] - moved[0] >= period:
+    if moved and moved[-1] - moved[0] >= period:
         raise RegionCollisionError(
             f"endpoint transport wraps arcs onto each other at t={t!r}"
         )
 
-    intervals = [
-        (moved[2 * i] % period, (moved[2 * i] + (moved[2 * i + 1] - moved[2 * i])) % period)
-        for i in range(len(region.arcs))
-    ]
+    intervals = [(b % period, (b + (e - b)) % period) for b, e in zip(moved[::2], moved[1::2])]
     try:
         return RegionSpec.from_intervals(intervals, period)
     except ValueError as exc:  # an arc below one ulp of the period rounds away
@@ -268,25 +274,15 @@ def shape_derivative_fd(
     fractional), the eigenvalue recomputed, and the central difference
     formed.  ``fd_value`` is the Richardson extrapolation of the two
     smallest steps; the closed-form value comes from
-    ``shape_derivative_formula`` on ``tangent.region``.
+    ``shape_derivative_formula`` on ``tangent.region``.  The report's
+    ``vertex_crossings`` is set when some moving end lies closer to its
+    nearest mesh vertex than ``|v| * max(steps)``.
     """
     steps = [float(t) for t in steps]
     _validate_steps(steps)
     opts = opts or SolverOptions()
 
-    region = tangent.region
-    period = region.perimeter
-    t_max = max(steps)
-    crossings = False
-    for (start, length), (v_begin, v_end) in zip(region.arcs, tangent.speeds):
-        for s, v in ((start, v_begin), ((start + length) % period, v_end)):
-            if v == 0.0:
-                continue
-            gaps = np.abs(
-                (mesh.cum_arclength - s + 0.5 * period) % period - 0.5 * period
-            )
-            if bool((gaps < abs(v) * t_max).any()):
-                crossings = True
+    crossings = any(_vertex_gap(mesh, s) < abs(v) * max(steps) for s, v in tangent.ends())
 
     # The 2 * len(steps) + 1 solves differ only in the boundary density.
     prepare_repeated_solves(mesh, params)

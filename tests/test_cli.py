@@ -884,6 +884,9 @@ SYMMETRY_CONFIG = {"geometry": DISK_COARSE, "params": {"p": 2.0, "sigma": 5.0}, 
 
 # (command, base config, changes (None deletes a key), message after "config error: ")
 CONFIG_ERRORS = {
+    # JSON true and 1.0 both compare equal to 1, yet neither is the version
+    "version-true": ("solve", SOLVE_CONFIG, {"version": True}, "config 'version' must be 1, got True"),
+    "version-float": ("solve", SOLVE_CONFIG, {"version": 1.0}, "config 'version' must be 1, got 1.0"),
     "section-not-object": ("solve", SOLVE_CONFIG, {"params": [1]}, "params must be a JSON object"),
     "missing-number": (
         "solve",

@@ -466,13 +466,68 @@ def test_a_trial_whose_boundary_norm_overflows_backtracks(h):
     assert math.isfinite(pair.lam) and np.isfinite(pair.u.values).all()
 
 
-def test_a_start_whose_boundary_norm_overflows_is_rejected(disk_coarse):
+def test_a_start_whose_boundary_norm_overflows_gives_the_default_eigenpair(disk_coarse):
+    # 1e3**200 overflows, so the start is first scaled by a power of two
     phi = BoundaryDensity.constant(disk_coarse, 0.5)
-    start = np.full(disk_coarse.n_vertices, 1e3)  # 1e3**200 overflows
-    with np.errstate(over="ignore"), pytest.raises(
-        ValueError, match="^start has boundary p-norm inf; it must be finite$"
-    ):
-        solve_nonlinear(disk_coarse, phi, ProblemParams(p=200.0, sigma=1.0), start=start)
+    params = ProblemParams(p=200.0, sigma=1.0)
+    start = np.full(disk_coarse.n_vertices, 1e3)
+    with np.errstate(over="ignore"):  # the descent's trials overflow at p = 200
+        default = solve_nonlinear(disk_coarse, phi, params)
+        pair = solve_nonlinear(disk_coarse, phi, params, start=start)
+    assert pair.converged == default.converged
+    assert pair.lam == pytest.approx(default.lam, rel=1e-14)
+    assert np.allclose(pair.u.values, default.u.values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "p, scale",
+    [(2.0, 1e200), (2.0, 1e-200), (3.0, 1e200), (3.0, 1e-200), (3.0, 1e120), (3.0, 1e-120)],
+)
+def test_the_scale_of_a_start_does_not_change_the_eigenpair(disk_coarse, p, scale):
+    # One start rule for both cores: a start whose boundary p-norm is 0 or
+    # inf is scaled by a power of two first.  At the parent p = 2 returned
+    # nan unconverged for 1e200 and raised for 1e-200, and p = 3 raised for
+    # 1e120 and 1e-120.
+    phi = BoundaryDensity.constant(disk_coarse, 0.5)
+    params = ProblemParams(p=p, sigma=1.0)
+    solve = solve_linear if p == 2.0 else solve_nonlinear
+    default = solve(disk_coarse, phi, params)
+    pair = solve(disk_coarse, phi, params, start=np.full(disk_coarse.n_vertices, scale))
+    assert pair.converged and default.converged
+    assert pair.lam == pytest.approx(default.lam, rel=1e-14)
+
+
+def test_a_start_of_ordinary_scale_is_kept_bitwise(disk_coarse):
+    # only a start whose norm is 0 or not finite is rescaled
+    phi = BoundaryDensity.constant(disk_coarse, 0.5)
+    start = np.linspace(1.0, 2.0, disk_coarse.n_vertices)
+    for params in (ProblemParams(sigma=1.0), ProblemParams(p=3.0, sigma=1.0)):
+        u, norm = eigensolver._start(disk_coarse, start, params.p, np.zeros(len(start), bool))
+        assert np.array_equal(u, start)
+        assert norm == assembly.boundary_p_norm(disk_coarse, start, params.p)
+
+
+def test_a_scaled_start_keeps_its_pinned_entries_zero(disk_coarse):
+    region = RegionSpec.from_intervals([(0.0, 1.0)], disk_coarse.perimeter)
+    params = ProblemParams(sigma=0.0)
+    default = solve_dirichlet(disk_coarse, region, params)
+    pair = solve_dirichlet(
+        disk_coarse, region, params, start=np.full(disk_coarse.n_vertices, 1e200)
+    )
+    assert pair.converged
+    assert pair.lam == pytest.approx(default.lam, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "intervals", [[(1.0, math.inf)], [(math.nan, 2.0)]], ids=["inf-end", "nan-begin"]
+)
+def test_dirichlet_on_a_non_finite_arc_raises_instead_of_pinning_nothing(intervals):
+    # the region itself is refused; its arc used to be stored as (1.0, nan),
+    # which pins no vertex, so the unpinned eigenvalue came back converged
+    mesh = generate_disk(0.3)
+    with pytest.raises(ValueError, match="needs a start in"):
+        region = RegionSpec.from_intervals(intervals, mesh.perimeter)
+        solve_dirichlet(mesh, region, ProblemParams(sigma=0.0))
 
 
 # --------------------------------------------------------- nonlinear solve

@@ -745,6 +745,55 @@ def test_region_rejects_a_perimeter_that_is_not_positive(perimeter):
         RegionSpec.from_intervals([(1.0, 2.0)], perimeter)
 
 
+MALFORMED_REGIONS = {
+    "inf-end": (lambda: RegionSpec.from_intervals([(1.0, math.inf)], 6.0), "needs a start in"),
+    "nan-begin": (lambda: RegionSpec.from_intervals([(math.nan, 2.0)], 6.0), "needs a start in"),
+    "nan-perimeter": (
+        lambda: RegionSpec.from_intervals([(1.0, 2.0)], math.nan),
+        "^perimeter must be finite, got nan$",
+    ),
+    "inf-perimeter": (lambda: RegionSpec((), math.inf), "^perimeter must be finite"),
+    "negative-length": (lambda: RegionSpec(((1.0, -0.5),), 6.0), "needs a start in"),
+    "nan-length": (lambda: RegionSpec(((1.0, math.nan),), 6.0), "needs a start in"),
+    "longer-than-perimeter": (lambda: RegionSpec(((0.0, 7.0),), 6.0), "needs a start in"),
+    "start-past-perimeter": (lambda: RegionSpec(((7.0, 1.0),), 6.0), "needs a start in"),
+    "negative-start": (lambda: RegionSpec(((-1.0, 1.0),), 6.0), "needs a start in"),
+    "inf-start": (lambda: RegionSpec(((math.inf, 1.0),), 6.0), "needs a start in"),
+    "zero-length": (lambda: RegionSpec(((1.0, 0.0),), 6.0), "has zero length$"),
+    "overlapping": (lambda: RegionSpec(((0.0, 2.0), (1.0, 2.0)), 6.0), "^arcs overlap$"),
+    "same-start": (lambda: RegionSpec(((1.0, 1.0), (1.0, 2.0)), 6.0), "^arcs overlap$"),
+    "overlapping-through-zero": (
+        lambda: RegionSpec(((1.0, 1.0), (5.0, 2.5)), 6.0),
+        "^arcs overlap$",
+    ),
+    "unsorted": (
+        lambda: RegionSpec(((3.0, 1.0), (1.0, 1.0)), 6.0),
+        "^arcs must be sorted by start$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REGIONS))
+def test_every_malformed_region_is_refused_by_the_type(case):
+    build, message = MALFORMED_REGIONS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_hand_built_region_is_stored_like_a_built_one():
+    built = RegionSpec.from_intervals([(5.0, 1.0), (2.0, 3.5)], 6)
+    by_hand = RegionSpec([[2, 1.5], [5, 2]], 6)
+    assert by_hand == built and by_hand.arcs == ((2.0, 1.5), (5.0, 2.0))
+    assert hash(by_hand) == hash(built)
+
+
+def test_region_accepts_a_start_at_the_perimeter():
+    # ``-1e-17 % 6.0`` is 6.0, so a normalized start can equal the perimeter
+    region = RegionSpec.from_intervals([(-1e-17, 1.0)], 6.0)
+    assert region.arcs == ((6.0, 1.0),)
+    assert region.contains(0.5) and not region.contains(1.5)
+
+
 def test_region_closed_contains_endpoints():
     region = RegionSpec.from_intervals([(1.0, 2.0)], 6.0)
     assert not region.contains(2.0)

@@ -215,6 +215,25 @@ def test_cap_indicator_of_the_whole_boundary(disk_coarse):
     assert phi.mass == pytest.approx(P, rel=1e-12)
 
 
+def test_a_cap_of_mass_zero_is_the_empty_region_and_the_zero_density(disk_coarse):
+    region, phi = cap_indicator(disk_coarse, 1.1, 0.0)
+    assert region == RegionSpec((), disk_coarse.perimeter)
+    assert np.array_equal(phi.edge_values, np.zeros(disk_coarse.n_boundary_edges))
+    # bitwise the start optimize takes at mass 0
+    trace = optimize_potential(disk_coarse, ProblemParams(sigma=1.0), 0.0, max_outer=1)
+    assert np.array_equal(trace.potentials[0].edge_values, phi.edge_values)
+
+
+def test_a_cap_follows_the_one_mass_rule(disk_coarse):
+    P = disk_coarse.perimeter
+    # above the perimeter within the rule's slack: the full density
+    region, phi = cap_indicator(disk_coarse, 1.1, P * (1.0 + 1e-13))
+    assert region.total_mass == P and np.all(phi.edge_values == 1.0)
+    for mass in (-1e-3, P * (1.0 + 1e-9), math.nan):
+        with pytest.raises(ValueError, match="^'mass' must lie in"):
+            cap_indicator(disk_coarse, 1.1, mass)
+
+
 def test_cap_indicator_requires_disk(square_tiny):
     with pytest.raises(ValueError):
         cap_indicator(square_tiny, 0.0, 1.0)

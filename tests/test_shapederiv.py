@@ -10,12 +10,15 @@ from steklov import (
     RegionSpec,
     SolverOptions,
     TangentField,
+    generate_disk,
+    generate_rectangle,
     perturb_region,
     rasterize_region,
     shape_derivative_fd,
     shape_derivative_formula,
     solve_linear,
 )
+from steklov.shapederiv import _vertex_gap
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,15 @@ def test_tangent_field_from_intervals_keeps_each_speed_with_its_arc():
     assert tangent.speeds == ((5.0, 6.0), (1.0, 2.0), (3.0, 4.0))
 
 
+def test_ends_lists_every_arc_end_once_in_arc_order_unwrapped():
+    intervals = [(5.0, 6.0), (-1.0, 1.0), (2.0, 3.0)]
+    speeds = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    tangent = TangentField.from_intervals(intervals, speeds, 10.0)
+    assert tangent.ends() == [
+        (2.0, 5.0), (3.0, 6.0), (5.0, 1.0), (6.0, 2.0), (9.0, 3.0), (11.0, 4.0)
+    ]
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_tangent_field_from_intervals_rejects_a_count_mismatch(count):
     with pytest.raises(ValueError):
@@ -228,6 +240,13 @@ def test_perturb_region_reports_an_arc_that_rounds_away_as_a_collision():
         perturb_region(sink, 2e-20)
 
 
+def test_perturb_region_moves_the_empty_region_to_itself():
+    # it has no ends; the wrap check used to index the first of them
+    empty = TangentField(RegionSpec((), 10.0), ())
+    assert empty.ends() == []
+    assert perturb_region(empty, 0.5) == empty.region
+
+
 def test_perturb_region_rejects_non_finite_parameter(half_disk_setup):
     _, region, _, _ = half_disk_setup
     slide = _slide(region)
@@ -269,6 +288,44 @@ def test_fd_flags_vertex_crossings_for_large_steps(half_disk_setup):
     mesh, region, params, _ = half_disk_setup
     v = TangentField.single_endpoint(region, arc=0, end=True, speed=1.0)
     rep = shape_derivative_fd(mesh, v, params, steps=(0.2, 0.1, 0.05))
+    assert rep.vertex_crossings
+
+
+def _all_vertex_scan(mesh, s, v, t_max):
+    """The crossing test as a scan over every boundary vertex, the reference."""
+    period = mesh.perimeter
+    s = s % period
+    gaps = np.abs((mesh.cum_arclength - s + 0.5 * period) % period - 0.5 * period)
+    return bool((gaps < abs(v) * t_max).any())
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [generate_disk(0.1), generate_rectangle(2.0, 1.0, 0.1)],
+    ids=["disk", "rectangle"],
+)
+def test_located_crossing_flag_matches_the_all_vertex_scan(mesh):
+    # the fd flags an end whose nearest vertex, found by locate_arc_point on
+    # the end's edge, is closer than |v| * t_max
+    rng = np.random.default_rng(7)
+    P = mesh.perimeter
+    on_vertices = np.concatenate([mesh.cum_arclength, mesh.cum_arclength + P])
+    positions = np.concatenate([rng.uniform(0.0, 2.0 * P, 4000), on_vertices])
+    for s in positions:
+        v = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+        t = 10.0 ** rng.uniform(-4.0, -0.5)
+        located = _vertex_gap(mesh, float(s)) < abs(v) * t
+        assert located == _all_vertex_scan(mesh, float(s), v, t), (s, v, t)
+    assert all(_vertex_gap(mesh, float(s)) < 1e-15 * P for s in on_vertices)
+
+
+def test_fd_flags_an_end_that_sits_on_a_vertex(disk_coarse):
+    P = disk_coarse.perimeter
+    vertex = float(disk_coarse.cum_arclength[3])
+    region = RegionSpec.from_intervals([(vertex, vertex + 0.5 * P)], P)
+    tangent = TangentField.single_endpoint(region, arc=0, end=False, speed=1.0)
+    steps = (1e-6, 5e-7, 2.5e-7)
+    rep = shape_derivative_fd(disk_coarse, tangent, ProblemParams(sigma=5.0), steps=steps)
     assert rep.vertex_crossings
 
 
